@@ -434,7 +434,6 @@ class TransferMicroBench {
   // virtual time, RX poll, drain the OBQ and recirculate the mbufs.
   void round(bool timed) {
     using Clock = std::chrono::steady_clock;
-    auto& ibq = rt_->get_shared_ibq(nf_);
     auto& obq = rt_->get_private_obq(nf_);
     // Fresh ingress stamps per round (outside the timed sections): the
     // recirculated mbufs would otherwise report ever-growing end-to-end
@@ -451,8 +450,7 @@ class TransferMicroBench {
       const Picos age = spacing * (pkts_.size() - 1 - i);
       pkts_[i]->set_rx_timestamp(base > age ? base - age : 1);
     }
-    if (runtime::DhlRuntime::send_packets(ibq, pkts_.data(), pkts_.size()) !=
-        pkts_.size()) {
+    if (rt_->send_packets(nf_, pkts_.data(), pkts_.size()) != pkts_.size()) {
       throw std::runtime_error("transfer_micro: IBQ rejected burst");
     }
     const auto t0 = Clock::now();
@@ -532,7 +530,7 @@ inline TransferMicroResult run_transfer_micro(const TransferMicroOptions& opt) {
     const auto* s = snap.find(name);
     return s != nullptr ? s->value : 0.0;
   };
-  const runtime::RuntimeStats stats0 = rt.stats();
+  const double batches0 = counter("dhl.runtime.batches_to_fpga");
   const double copy0 = counter("dhl.copy_bytes");
   const double zero0 = counter("dhl.zero_copy_bytes");
   const std::uint64_t hits0 = rt.batch_pools().pool(0).hits();
@@ -541,7 +539,7 @@ inline TransferMicroResult run_transfer_micro(const TransferMicroOptions& opt) {
   for (int i = 0; i < opt.timed_rounds; ++i) bench.round(true);
   const std::uint64_t host_ns = bench.host_ns();
 
-  const runtime::RuntimeStats stats1 = rt.stats();
+  const double batches = counter("dhl.runtime.batches_to_fpga") - batches0;
   const double copied = counter("dhl.copy_bytes") - copy0;
   const double zeroed = counter("dhl.zero_copy_bytes") - zero0;
   const double hits =
@@ -551,7 +549,7 @@ inline TransferMicroResult run_transfer_micro(const TransferMicroOptions& opt) {
 
   TransferMicroResult r;
   r.packets = static_cast<std::uint64_t>(opt.timed_rounds) * opt.burst;
-  r.batches = stats1.batches_to_fpga - stats0.batches_to_fpga;
+  r.batches = static_cast<std::uint64_t>(batches);
   r.ns_per_pkt = static_cast<double>(host_ns) / static_cast<double>(r.packets);
   r.batches_per_sec =
       host_ns > 0
@@ -923,7 +921,6 @@ inline FallbackAb run_fallback_quarantine_ab(int blocks = 24,
   }
   std::vector<Mbuf*> out(kBurst * 2, nullptr);
 
-  auto& ibq = rt.get_shared_ibq(nf);
   auto& obq = rt.get_private_obq(nf);
   // One round: burst in, two TX polls (immediate flush + timeout flush of
   // any open batch) with the fallback running inside them, drain the OBQ,
@@ -933,8 +930,7 @@ inline FallbackAb run_fallback_quarantine_ab(int blocks = 24,
     for (Mbuf* m : pkts) {
       m->set_rx_timestamp(sim.now() == 0 ? 1 : sim.now());
     }
-    if (runtime::DhlRuntime::send_packets(ibq, pkts.data(), pkts.size()) !=
-        pkts.size()) {
+    if (rt.send_packets(nf, pkts.data(), pkts.size()) != pkts.size()) {
       throw std::runtime_error("fallback_ab: IBQ rejected burst");
     }
     const auto t0 = Clock::now();

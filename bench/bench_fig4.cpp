@@ -138,7 +138,6 @@ void telemetry_run(const std::string& out_path) {
   rt.start();
 
   netio::MbufPool pool{"fig4.pool", 8192, 2048, 0};
-  auto& ibq = rt.get_shared_ibq(nf);
   auto& obq = rt.get_private_obq(nf);
 
   // Offer bursts of tagged packets over ~1 ms of virtual time.
@@ -151,9 +150,8 @@ void telemetry_run(const std::string& out_path) {
         if (m == nullptr) return;
         const std::vector<std::uint8_t> payload(600, 0xab);
         m->assign(payload);
-        m->set_nf_id(nf);
         m->set_acc_id(handle.acc_id);
-        if (!ibq.enqueue(m)) m->release();
+        if (rt.send_packets(nf, &m, 1) == 0) m->release();
       }
     });
   }

@@ -84,10 +84,11 @@ double run_dhl_version() {
   traffic.frame_len = kFrameLen;
   port->start_traffic(traffic, 1.0);
   tb.measure(milliseconds(3), milliseconds(6));
-  std::printf("  encapsulated %llu packets (FPGA did the crypto; %llu DMA "
+  std::printf("  encapsulated %llu packets (FPGA did the crypto; %.0f DMA "
               "batches)\n",
               static_cast<unsigned long long>(proc->stats().encapsulated),
-              static_cast<unsigned long long>(rt.stats().batches_to_fpga));
+              tb.telemetry().metrics.snapshot().sum(
+                  "dhl.runtime.batches_to_fpga"));
   return nf::forwarded_wire_gbps(*port, kFrameLen, milliseconds(6));
 }
 

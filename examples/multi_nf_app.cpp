@@ -48,7 +48,7 @@ int main() {
 
   tb.run_for(milliseconds(30));
   std::printf("ipsec-crypto loaded (region %d); starting IPsec traffic\n",
-              rt.hardware_function_table()[0].region);
+              rt.function_table().snapshot()[0].region);
   rt.start();
   ipsec_nf.start();
   netio::TrafficConfig traffic;
@@ -111,8 +111,8 @@ int main() {
   std::printf("  NIDS:  %.2f Gbps (%llu alerts)\n",
               nf::forwarded_wire_gbps(*port_b, 512, milliseconds(5)),
               static_cast<unsigned long long>(nids->stats().alerts));
-  std::printf("  hardware function table: %zu entries, OBQ drops: %llu\n",
-              rt.hardware_function_table().size(),
-              static_cast<unsigned long long>(rt.stats().obq_drops));
+  std::printf("  hardware function table: %zu entries, OBQ drops: %.0f\n",
+              rt.function_table().snapshot().size(),
+              tb.telemetry().metrics.snapshot().sum("dhl.runtime.obq_drops"));
   return 0;
 }

@@ -1,8 +1,9 @@
 // Quickstart: the Listing-2 workflow against the loopback hardware function.
 //
 // Shows the minimal DHL API sequence: register an NF, resolve a hardware
-// function (triggering its partial-reconfiguration load), push tagged
-// packets through the shared IBQ, and collect them from the private OBQ.
+// function (triggering its partial-reconfiguration load), send tagged
+// packets through the NF's tenant admission into the shared IBQ, and collect
+// them from the private OBQ.
 //
 // Build & run:  ./examples/quickstart [--config=examples/dhl-daemon.conf]
 // (--config overlays the file's [runtime] section onto the defaults.)
@@ -56,7 +57,6 @@ int main(int argc, char** argv) {
   std::printf("hardware function ready: %s\n", rt.acc_ready(acc) ? "yes" : "no");
 
   DHL_acc_configure(rt, acc, {});
-  netio::MbufRing* ibq = DHL_get_shared_IBQ(rt, nf_id);
   netio::MbufRing* obq = DHL_get_private_OBQ(rt, nf_id);
   rt.start();  // transfer-layer lcores (Packer + Distributor)
 
@@ -67,10 +67,11 @@ int main(int argc, char** argv) {
     pkts[i] = pool.alloc();
     std::uint8_t* p = pkts[i]->append(64);
     for (int b = 0; b < 64; ++b) p[b] = static_cast<std::uint8_t>(i);
-    pkts[i]->set_nf_id(nf_id);        // Listing 2: pkts[i].nf_id = nf_id
     pkts[i]->set_acc_id(acc.acc_id);  // Listing 2: pkts[i].acc_id = acc_id
   }
-  const std::size_t sent = DHL_send_packets(*ibq, pkts, kCount);
+  // Admission stamps Listing 2's pkts[i].nf_id = nf_id on every packet it
+  // accepts into the shared IBQ.
+  const std::size_t sent = DHL_send_packets(rt, nf_id, pkts, kCount);
   std::printf("sent %zu packets to the FPGA\n", sent);
 
   // Let the virtual machine run: pack -> DMA -> dispatch -> DMA -> distribute.
@@ -85,13 +86,12 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(out[i]->accel_result()));
     out[i]->release();
   }
-  std::printf("runtime stats: %llu pkts to FPGA in %llu batches\n",
-              static_cast<unsigned long long>(rt.stats().pkts_to_fpga),
-              static_cast<unsigned long long>(rt.stats().batches_to_fpga));
-
-  // The same numbers, as the telemetry registry sees them (Prometheus text
-  // exposition; see DESIGN.md "Observability").
-  std::printf("\n--- metrics snapshot ---\n%s",
-              rt.telemetry().metrics.snapshot(sim.now()).to_prometheus().c_str());
+  // Runtime counters live in the telemetry registry (Prometheus text
+  // exposition below; see DESIGN.md "Observability").
+  const auto snap = rt.telemetry().metrics.snapshot(sim.now());
+  std::printf("runtime stats: %.0f pkts to FPGA in %.0f batches\n",
+              snap.sum("dhl.runtime.pkts_to_fpga"),
+              snap.sum("dhl.runtime.batches_to_fpga"));
+  std::printf("\n--- metrics snapshot ---\n%s", snap.to_prometheus().c_str());
   return got == sent ? 0 : 1;
 }

@@ -57,7 +57,7 @@ int main() {
     return 1;
   }
   std::printf("chain ready: %zu stages, %zu hardware functions on one FPGA\n",
-              chain.stage_count(), rt.hardware_function_table().size());
+              chain.stage_count(), rt.function_table().snapshot().size());
   rt.start();
   chain.start();
 

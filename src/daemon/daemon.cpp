@@ -382,7 +382,7 @@ void DhlDaemon::on_replicate(Conn& conn, const Frame& frame) {
   const auto ready_count = [&] {
     std::size_t ready = 0;
     for (const runtime::HwFunctionEntry& e :
-         runtime_->hardware_function_table()) {
+         runtime_->function_table().snapshot()) {
       if (e.hf_name == *hf && e.ready) ++ready;
     }
     return ready;

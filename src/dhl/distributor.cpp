@@ -14,7 +14,8 @@ Distributor::Distributor(sim::Simulator& simulator,
                          const RuntimeConfig& config,
                          telemetry::Telemetry& telemetry,
                          RuntimeMetrics& metrics, HwFunctionTable& table,
-                         std::vector<NfInfo>& nfs, BatchPoolSet& pools)
+                         std::vector<NfInfo>& nfs, BatchPoolSet& pools,
+                         TenantRegistry& tenants)
     : sim_{simulator},
       config_{config},
       telemetry_{telemetry},
@@ -22,6 +23,7 @@ Distributor::Distributor(sim::Simulator& simulator,
       table_{table},
       nfs_{nfs},
       pools_{pools},
+      tenants_{tenants},
       sockets_(static_cast<std::size_t>(config.num_sockets)) {
   const std::size_t ring_size = std::bit_ceil(
       std::max<std::size_t>(config_.completion_ring_size, 2));
@@ -71,12 +73,12 @@ void Distributor::drop_corrupt_batch(fpga::DmaBatchPtr batch) {
   } else if (batch->acc_gen != 0) {
     metrics_.stale_acc_batches->add(1);
   }
-  if (tenants_ != nullptr) tenants_->retire_batch(*batch);
+  tenants_.retire_batch(*batch);
   auto& pkts = batch->pkts();
   for (Mbuf* m : pkts) {
     --metrics_.in_flight;
     if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kCrc);
-    if (tenants_ != nullptr) tenants_->count_drop(m->nf_id());
+    tenants_.count_drop(m->nf_id());
     m->release();
   }
   metrics_.crc_drop_batches->add(1);
@@ -182,7 +184,7 @@ sim::PollResult Distributor::poll(int socket) {
     // Quota retire mirrors the replica retire: the tenant's in-flight
     // bytes/batch budget frees as soon as the batch completes the round
     // trip, before per-packet routing decides each packet's fate.
-    if (tenants_ != nullptr) tenants_->retire_batch(*batch);
+    tenants_.retire_batch(*batch);
 
     // Zero-alloc decapsulation: walk the wire records with a cursor
     // instead of materializing parse()'s per-batch view vector.
@@ -227,7 +229,7 @@ sim::PollResult Distributor::poll(int socket) {
       if (nf >= nfs_.size()) {
         metrics_.obq_drops->add(1);
         if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kObq);
-        if (tenants_ != nullptr) tenants_->count_drop(m->nf_id());
+        tenants_.count_drop(m->nf_id());
         m->release();
         continue;
       }
@@ -287,18 +289,14 @@ sim::PollResult Distributor::poll(int socket) {
               metrics_.obq_drops->add(1);
               info.obq_drops->add(1);
               if (ledger_ != nullptr) ledger_->on_drop(d.m, LedgerDrop::kObq);
-              if (tenants_ != nullptr) {
-                tenants_->count_drop(static_cast<NfId>(d.nf));
-              }
+              tenants_.count_drop(static_cast<NfId>(d.nf));
               telemetry_.recorder.log(telemetry::FlightComponent::kDistributor,
                                       now, telemetry::FlightEventKind::kDrop,
                                       "obq", static_cast<std::int16_t>(d.nf));
               d.m->release();
             } else {
               if (ledger_ != nullptr) ledger_->on_delivered(d.m);
-              if (tenants_ != nullptr) {
-                tenants_->count_delivered(static_cast<NfId>(d.nf));
-              }
+              tenants_.count_delivered(static_cast<NfId>(d.nf));
               if (stages_on &&
                   d.m->rx_timestamp() != netio::kNoRxTimestamp) {
                 if (d.m->stage_ts() != netio::kNoRxTimestamp &&

@@ -81,8 +81,9 @@ std::uint64_t FaultInjector::injected(fpga::FaultSite site) const {
 }
 
 FallbackRouter::FallbackRouter(std::vector<NfInfo>& nfs,
-                               RuntimeMetrics& metrics)
-    : nfs_{nfs}, metrics_{metrics} {}
+                               RuntimeMetrics& metrics,
+                               TenantRegistry& tenants)
+    : nfs_{nfs}, metrics_{metrics}, tenants_{tenants} {}
 
 void FallbackRouter::register_fallback(netio::NfId nf_id,
                                        const std::string& hf_name,
@@ -144,7 +145,7 @@ void FallbackRouter::deliver(netio::NfId nf_id, netio::Mbuf* m) {
   if (nf_id >= nfs_.size()) {
     metrics_.obq_drops->add(1);
     if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kObq);
-    if (tenants_ != nullptr) tenants_->count_drop(nf_id);
+    tenants_.count_drop(nf_id);
     m->release();
     return;
   }
@@ -153,12 +154,12 @@ void FallbackRouter::deliver(netio::NfId nf_id, netio::Mbuf* m) {
     metrics_.obq_drops->add(1);
     nf.obq_drops->add(1);
     if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kObq);
-    if (tenants_ != nullptr) tenants_->count_drop(nf_id);
+    tenants_.count_drop(nf_id);
     m->release();
   } else {
     nf.obq_depth->set(static_cast<double>(nf.obq->count()));
     if (ledger_ != nullptr) ledger_->on_delivered(m);
-    if (tenants_ != nullptr) tenants_->count_delivered(nf_id);
+    tenants_.count_delivered(nf_id);
     if (sim_ != nullptr && telemetry_ != nullptr &&
         telemetry_->stages.enabled() &&
         m->rx_timestamp() != netio::kNoRxTimestamp) {

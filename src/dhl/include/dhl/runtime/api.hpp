@@ -9,10 +9,14 @@
 //   nf_id  = DHL_register(rt, "ipsec-gw", socket);
 //   acc    = DHL_search_by_name(rt, "aes_256_ctr", socket);
 //   DHL_acc_configure(rt, acc, conf);
-//   ibq    = DHL_get_shared_IBQ(rt, nf_id);
-//   DHL_send_packets(*ibq, pkts, n);
+//   DHL_send_packets(rt, nf_id, pkts, n);
 //   obq    = DHL_get_private_OBQ(rt, nf_id);
 //   DHL_receive_packets(*obq, pkts, n);
+//
+// Listing 2 enqueues onto the IBQ itself; here DHL_send_packets names the
+// NF instead, because tenant admission is the only way into an IBQ: it
+// charges the NF's tenant quota and stamps nf_id into every packet it
+// admits.  DHL_get_shared_IBQ stays for introspection (read-only).
 
 #include "dhl/runtime/runtime.hpp"
 
@@ -78,9 +82,10 @@ inline void DHL_acc_configure(runtime::DhlRuntime& rt,
   rt.acc_configure(handle, config);
 }
 
-/// Get the shared input buffer queue for this NF's NUMA node.
-inline netio::MbufRing* DHL_get_shared_IBQ(runtime::DhlRuntime& rt,
-                                           netio::NfId nf_id) {
+/// Get the shared input buffer queue for this NF's NUMA node (read-only;
+/// DHL_send_packets is the only way in).
+inline const netio::MbufRing* DHL_get_shared_IBQ(
+    const runtime::DhlRuntime& rt, netio::NfId nf_id) {
   return &rt.get_shared_ibq(nf_id);
 }
 
@@ -90,15 +95,10 @@ inline netio::MbufRing* DHL_get_private_OBQ(runtime::DhlRuntime& rt,
   return &rt.get_private_obq(nf_id);
 }
 
-/// Send raw data (tagged packets) to the FPGA.
-inline std::size_t DHL_send_packets(netio::MbufRing& ibq, netio::Mbuf** pkts,
-                                    std::size_t n) {
-  return runtime::DhlRuntime::send_packets(ibq, pkts, n);
-}
-
-/// Tenant-aware send: enforces the NF's tenant outstanding-bytes quota at
-/// IBQ ingest with counted rejections (refused packets stay owned by the
-/// caller).  Default-tenant NFs see the legacy unlimited behavior.
+/// Send acc_id-tagged packets to the FPGA on behalf of NF `nf_id`: admits
+/// the longest prefix under the NF's tenant outstanding-bytes quota with
+/// counted rejections (refused packets stay owned by the caller) and stamps
+/// nf_id into every admitted packet.  Default-tenant NFs are unlimited.
 inline std::size_t DHL_send_packets(runtime::DhlRuntime& rt,
                                     netio::NfId nf_id, netio::Mbuf** pkts,
                                     std::size_t n) {

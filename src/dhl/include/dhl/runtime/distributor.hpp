@@ -29,7 +29,7 @@ class Distributor {
   Distributor(sim::Simulator& simulator, const RuntimeConfig& config,
               telemetry::Telemetry& telemetry, RuntimeMetrics& metrics,
               HwFunctionTable& table, std::vector<NfInfo>& nfs,
-              BatchPoolSet& pools);
+              BatchPoolSet& pools, TenantRegistry& tenants);
 
   Distributor(const Distributor&) = delete;
   Distributor& operator=(const Distributor&) = delete;
@@ -51,9 +51,6 @@ class Distributor {
 
   /// Packet-lifecycle ledger (null = not auditing).  Owned by the facade.
   void set_ledger(LifecycleLedger* ledger) { ledger_ = ledger; }
-  /// Tenant registry for quota retirement and per-tenant terminal counts
-  /// (null = no tenancy).  Owned by the facade.
-  void set_tenants(TenantRegistry* tenants) { tenants_ = tenants; }
 
   /// Test hook: identities of the pooled delivery buffers currently parked
   /// on `socket`'s free list.  Pins the recycling behaviour -- steady-state
@@ -121,7 +118,7 @@ class Distributor {
   std::vector<NfInfo>& nfs_;
   BatchPoolSet& pools_;
   LifecycleLedger* ledger_ = nullptr;
-  TenantRegistry* tenants_ = nullptr;
+  TenantRegistry& tenants_;
   std::vector<SocketState> sockets_;
   /// ring.size() - 1; rings are num_sockets copies of the same size.
   std::uint64_t ring_mask_ = 0;

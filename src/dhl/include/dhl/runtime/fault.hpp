@@ -115,7 +115,8 @@ using FallbackBatchFn = std::function<void(std::span<netio::Mbuf* const>)>;
 
 class FallbackRouter {
  public:
-  FallbackRouter(std::vector<NfInfo>& nfs, RuntimeMetrics& metrics);
+  FallbackRouter(std::vector<NfInfo>& nfs, RuntimeMetrics& metrics,
+                 TenantRegistry& tenants);
 
   FallbackRouter(const FallbackRouter&) = delete;
   FallbackRouter& operator=(const FallbackRouter&) = delete;
@@ -145,8 +146,6 @@ class FallbackRouter {
 
   /// Packet-lifecycle ledger (null = not auditing).  Owned by the facade.
   void set_ledger(LifecycleLedger* ledger) { ledger_ = ledger; }
-  /// Tenant registry for per-tenant terminal counts (null = no tenancy).
-  void set_tenants(TenantRegistry* tenants) { tenants_ = tenants; }
 
   /// Introspection wiring (both null = not recording): fallback deliveries
   /// record the kFallback stage and the packet's end-to-end latency.
@@ -164,7 +163,7 @@ class FallbackRouter {
   std::vector<NfInfo>& nfs_;
   RuntimeMetrics& metrics_;
   LifecycleLedger* ledger_ = nullptr;
-  TenantRegistry* tenants_ = nullptr;
+  TenantRegistry& tenants_;
   sim::Simulator* sim_ = nullptr;
   telemetry::Telemetry* telemetry_ = nullptr;
   std::map<std::pair<netio::NfId, std::string>, FallbackFn> fns_;

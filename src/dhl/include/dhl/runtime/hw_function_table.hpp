@@ -148,7 +148,7 @@ class HwFunctionTable {
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  /// Value snapshot of the table in load order (facade compatibility view).
+  /// Value snapshot of the table, one row per replica, in load order.
   std::vector<HwFunctionEntry> snapshot() const;
 
  private:

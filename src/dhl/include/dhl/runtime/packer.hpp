@@ -32,7 +32,8 @@ class Packer {
  public:
   Packer(sim::Simulator& simulator, const RuntimeConfig& config,
          telemetry::Telemetry& telemetry, RuntimeMetrics& metrics,
-         HwFunctionTable& table, BatchPoolSet& pools);
+         HwFunctionTable& table, BatchPoolSet& pools,
+         TenantRegistry& tenants);
 
   Packer(const Packer&) = delete;
   Packer& operator=(const Packer&) = delete;
@@ -50,9 +51,6 @@ class Packer {
   void set_fallback_router(FallbackRouter* router) { fallback_ = router; }
   /// Packet-lifecycle ledger (null = not auditing).  Owned by the facade.
   void set_ledger(LifecycleLedger* ledger) { ledger_ = ledger; }
-  /// Tenant registry for quota enforcement and attribution (null = no
-  /// tenancy, the pre-daemon behavior).  Owned by the facade.
-  void set_tenants(TenantRegistry* tenants) { tenants_ = tenants; }
 
   /// The batch-size cap currently in effect for `socket` -- max_batch_bytes,
   /// or the adaptive EWMA-driven cap when adaptive batching is on.  Exposed
@@ -61,8 +59,9 @@ class Packer {
     return batch_cap(sockets_[static_cast<std::size_t>(socket)]);
   }
 
-  /// The shared per-NUMA-node input buffer queue (paper IV-A4).
-  netio::MbufRing& ibq(int socket) {
+  /// The shared per-NUMA-node input buffer queue (paper IV-A4), read-only:
+  /// packets enter it only through DhlRuntime::send_packets' admission.
+  const netio::MbufRing& ibq(int socket) const {
     return *sockets_[static_cast<std::size_t>(socket)].ibq;
   }
 
@@ -70,6 +69,12 @@ class Packer {
   sim::PollResult poll(int socket);
 
  private:
+  /// Tenant admission (DhlRuntime::send_packets) is the only producer.
+  friend class DhlRuntime;
+  netio::MbufRing& admission_ibq(int socket) {
+    return *sockets_[static_cast<std::size_t>(socket)].ibq;
+  }
+
   struct OpenBatch {
     fpga::DmaBatchPtr batch;
     Picos opened_at = 0;
@@ -145,7 +150,7 @@ class Packer {
   fpga::FaultHook* fault_ = nullptr;
   FallbackRouter* fallback_ = nullptr;
   LifecycleLedger* ledger_ = nullptr;
-  TenantRegistry* tenants_ = nullptr;
+  TenantRegistry& tenants_;
   std::vector<SocketState> sockets_;
   /// Flush-time candidate list, reused across flushes (no hot-path alloc).
   std::vector<HwFunctionEntry*> candidates_;

@@ -121,37 +121,31 @@ class DhlRuntime {
   /// flagged as error records.  Returns the number of replicas removed.
   std::size_t unload_function(const std::string& hf_name);
 
-  /// DHL_get_shared_IBQ(): the calling NF's per-NUMA-node shared IBQ.
-  netio::MbufRing& get_shared_ibq(netio::NfId nf_id);
+  /// DHL_get_shared_IBQ(): the calling NF's per-NUMA-node shared IBQ,
+  /// read-only -- packets enter it only through send_packets().
+  const netio::MbufRing& get_shared_ibq(netio::NfId nf_id) const;
 
   /// DHL_get_private_OBQ(): the NF's private OBQ.
   netio::MbufRing& get_private_obq(netio::NfId nf_id);
 
   // --- data plane (paper Table II; used from NF worker loops) ----------------
 
-  /// DHL_send_packets(): enqueue tagged packets onto an IBQ.  Returns the
-  /// number accepted (burst semantics; rejected packets stay owned by the
-  /// caller).
-  static std::size_t send_packets(netio::MbufRing& ibq, netio::Mbuf** pkts,
-                                  std::size_t n) {
-    return ibq.enqueue_burst({pkts, n});
-  }
+  /// DHL_send_packets(): the only way into an IBQ.  Admits the longest
+  /// prefix of the burst that fits the NF's tenant under its
+  /// outstanding-bytes cap, stamps `nf_id` into each admitted packet (so
+  /// the Packer debits the tenant admission charged), and enqueues it onto
+  /// the NF's IBQ.  Rejections (quota or ring-full) are counted against
+  /// the tenant (dhl.tenant.rejected_pkts) and the refused packets stay
+  /// owned by the caller -- never silently dropped.  Returns the number
+  /// accepted.
+  std::size_t send_packets(netio::NfId nf_id, netio::Mbuf** pkts,
+                           std::size_t n);
 
   /// DHL_receive_packets(): dequeue post-processed packets from an OBQ.
   static std::size_t receive_packets(netio::MbufRing& obq, netio::Mbuf** pkts,
                                      std::size_t n) {
     return obq.dequeue_burst({pkts, n});
   }
-
-  /// Tenant-aware send: admit the longest prefix of the burst that fits
-  /// the NF's tenant under its outstanding-bytes cap, then enqueue it onto
-  /// the NF's IBQ.  Rejections (quota or ring-full) are counted against
-  /// the tenant (dhl.tenant.rejected_pkts) and the refused packets stay
-  /// owned by the caller -- never silently dropped.  Returns the number
-  /// accepted.  For default-tenant NFs this degenerates to the static
-  /// overload plus accounting.
-  std::size_t send_packets(netio::NfId nf_id, netio::Mbuf** pkts,
-                           std::size_t n);
 
   // --- lifecycle --------------------------------------------------------------
 
@@ -163,17 +157,12 @@ class DhlRuntime {
 
   // --- introspection -----------------------------------------------------------
 
-  /// Flat stats view assembled from the metrics registry (compatibility
-  /// shim; prefer telemetry().metrics for new code).
-  RuntimeStats stats() const;
+  /// Counters live in the metrics registry (dhl.runtime.* and friends).
   telemetry::Telemetry& telemetry() { return *telemetry_; }
   const telemetry::Telemetry& telemetry() const { return *telemetry_; }
   const telemetry::TelemetryPtr& telemetry_ptr() const { return telemetry_; }
-  /// Value snapshot of the hardware function table, one row per replica,
-  /// in load order (compatibility view over HwFunctionTable).
-  std::vector<HwFunctionEntry> hardware_function_table() const {
-    return table_.snapshot();
-  }
+  /// The hardware function table; snapshot() gives one row per replica in
+  /// load order.
   const HwFunctionTable& function_table() const { return table_; }
   HwFunctionTable& function_table() { return table_; }
   const fpga::BitstreamDatabase& module_database() const {
@@ -230,6 +219,9 @@ class DhlRuntime {
     std::unique_ptr<sim::Lcore> tx;
     std::unique_ptr<sim::Lcore> rx;
   };
+
+  /// Socket whose shared IBQ serves `nf_id`.
+  int ibq_socket(netio::NfId nf_id) const;
 
   sim::Simulator& sim_;
   RuntimeConfig config_;

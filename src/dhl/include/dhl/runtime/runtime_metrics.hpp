@@ -34,7 +34,7 @@ struct RuntimeMetrics {
   /// back to "nf<id>" when unset or out of range.
   std::function<std::string(netio::NfId)> nf_name;
 
-  // dhl.runtime.* instruments backing the RuntimeStats shim.
+  // dhl.runtime.* packet, batch and drop instruments.
   telemetry::Counter* pkts_to_fpga = nullptr;
   telemetry::Counter* batches_to_fpga = nullptr;
   telemetry::Counter* bytes_to_fpga = nullptr;

@@ -19,9 +19,11 @@
 // callers -- every pre-existing test, bench and example -- see no behavior
 // change.  Accounting uses two counters (ibq_bytes for queued, inflight_bytes
 // for charged batches) because payload sizes can change inside the FPGA
-// (compression, ESP encap): the queued side is decremented with a clamped
-// subtraction at Packer ingest, the in-flight side is charged/retired with
-// the batch's own submitted_bytes, so neither can drift negative.
+// (compression, ESP encap): the queued side is charged at admission and
+// debited exactly at Packer ingest (admission is the only way into an IBQ
+// and stamps the admitting NF's nf_id, so both sides name the same tenant
+// and the same bytes), the in-flight side is charged/retired with the
+// batch's own submitted_bytes, so neither can drift negative.
 //
 // Not thread-safe: single-writer (the simulation thread), same contract as
 // the rest of the runtime.
@@ -80,7 +82,7 @@ struct TenantContext {
 /// Registry of tenants plus the NF -> tenant binding used on the hot path.
 ///
 /// The runtime owns one instance; Packer / Distributor / FallbackRouter hold
-/// a raw pointer and consult it at their admission, charge and terminal
+/// a reference and consult it at their admission, charge and terminal
 /// sites.  tenant_of() is a dense array lookup, so the per-packet cost is
 /// one index plus one branch.
 class TenantRegistry {
@@ -119,8 +121,8 @@ class TenantRegistry {
   void unwind_admit(TenantContext& t, std::uint64_t bytes);
 
   /// Packer dequeued a packet: move its bytes out of the queued bucket.
-  /// Clamped so traffic injected through the legacy static send path (never
-  /// admitted) cannot drive ibq_bytes negative.
+  /// Exact: every IBQ packet was admitted under this tenant with these
+  /// bytes (DHL_DCHECKed).
   void on_packer_ingest(netio::NfId nf, std::uint64_t bytes);
 
   /// True when the tenant may flush another batch.

@@ -163,19 +163,6 @@ struct RuntimeConfig {
   telemetry::TelemetryPtr telemetry;
 };
 
-/// Compatibility view over the metrics registry (the pre-telemetry flat
-/// stats struct).  Assembled on demand by DhlRuntime::stats(); the
-/// registry series `dhl.runtime.<field>` are the source of truth.
-struct RuntimeStats {
-  std::uint64_t pkts_to_fpga = 0;
-  std::uint64_t batches_to_fpga = 0;
-  std::uint64_t bytes_to_fpga = 0;
-  std::uint64_t pkts_from_fpga = 0;
-  std::uint64_t batches_from_fpga = 0;
-  std::uint64_t obq_drops = 0;
-  std::uint64_t error_records = 0;  // records flagged by the dispatcher
-};
-
 /// One registered NF: identity plus its private OBQ (paper IV-A4).
 struct NfInfo {
   std::string name;

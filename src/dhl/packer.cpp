@@ -15,13 +15,15 @@ using netio::MbufRing;
 
 Packer::Packer(sim::Simulator& simulator, const RuntimeConfig& config,
                telemetry::Telemetry& telemetry, RuntimeMetrics& metrics,
-               HwFunctionTable& table, BatchPoolSet& pools)
+               HwFunctionTable& table, BatchPoolSet& pools,
+               TenantRegistry& tenants)
     : sim_{simulator},
       config_{config},
       telemetry_{telemetry},
       metrics_{metrics},
       table_{table},
       pools_{pools},
+      tenants_{tenants},
       sockets_(static_cast<std::size_t>(config.num_sockets)) {
   for (int s = 0; s < config_.num_sockets; ++s) {
     SocketState& state = sockets_[static_cast<std::size_t>(s)];
@@ -91,12 +93,12 @@ void Packer::drop_batch(fpga::DmaBatchPtr batch) {
                           telemetry::FlightEventKind::kDrop, "unready",
                           static_cast<std::int16_t>(batch->acc_id()),
                           static_cast<std::int32_t>(batch->pkts().size()));
-  if (tenants_ != nullptr) tenants_->retire_batch(*batch);
+  tenants_.retire_batch(*batch);
   for (Mbuf* m : batch->pkts()) {
     --metrics_.in_flight;
     metrics_.unready_drops->add(1);
     if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kUnready);
-    if (tenants_ != nullptr) tenants_->count_drop(m->nf_id());
+    tenants_.count_drop(m->nf_id());
     m->release();
   }
   pools_.recycle(std::move(batch));
@@ -108,7 +110,7 @@ void Packer::fallback_or_drop(fpga::DmaBatchPtr batch,
                           telemetry::FlightEventKind::kDrop, hf_name,
                           static_cast<std::int16_t>(batch->acc_id()),
                           static_cast<std::int32_t>(batch->pkts().size()));
-  if (tenants_ != nullptr) tenants_->retire_batch(*batch);
+  tenants_.retire_batch(*batch);
   // Hand the fallback router whole same-NF runs (batches are usually
   // single-NF, so normally one call) so batch-registered software paths --
   // multi-lane Aho-Corasick, pipelined AES-CTR -- see the batch shape
@@ -128,7 +130,7 @@ void Packer::fallback_or_drop(fpga::DmaBatchPtr batch,
     for (Mbuf* m : run) {
       metrics_.submit_drop_pkts->add(1);
       if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kSubmit);
-      if (tenants_ != nullptr) tenants_->count_drop(m->nf_id());
+      tenants_.count_drop(m->nf_id());
       m->release();
     }
     i = j;
@@ -273,7 +275,7 @@ double Packer::flush_batch(int socket, AccId acc_id, OpenBatch&& open,
   batch->remote_numa = !config_.numa_aware && dev->socket() != 0;
   batch->batch_id = metrics_.next_batch_id++;
   batch->submitted_bytes = batch->size_bytes();
-  if (tenants_ != nullptr) tenants_->charge_batch(tenant, *batch);
+  tenants_.charge_batch(tenant, *batch);
   target->outstanding_bytes += batch->size_bytes();
   target->dispatch_batches->add(1);
   target->dispatch_bytes->add(batch->size_bytes());
@@ -363,12 +365,11 @@ sim::PollResult Packer::poll(int socket) {
     if (stages_on) m->set_stage_ts(ingress_now);
     if (ledger_ != nullptr) ledger_->on_ingress(m);
     const AccId acc_id = m->acc_id();
-    const TenantId tenant =
-        tenants_ != nullptr ? tenants_->tenant_of(m->nf_id()) : kDefaultTenant;
+    const TenantId tenant = tenants_.tenant_of(m->nf_id());
     // Bytes leave the tenant's queued bucket the moment they leave the IBQ,
     // whatever their later fate (they re-enter the in-flight bucket only if
     // a batch carrying them flushes).
-    if (tenants_ != nullptr) tenants_->on_packer_ingest(m->nf_id(), m->data_len());
+    tenants_.on_packer_ingest(m->nf_id(), m->data_len());
     const HwFunctionEntry* e = table_.entry_for(acc_id);  // O(1)
     if (e == nullptr || !e->ready) {
       // Paper never sends before search/configure; treat as caller error.
@@ -376,7 +377,7 @@ sim::PollResult Packer::poll(int socket) {
                           << static_cast<int>(acc_id) << "; dropping");
       metrics_.unready_drops->add(1);
       if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kUnready);
-      if (tenants_ != nullptr) tenants_->count_drop(m->nf_id());
+      tenants_.count_drop(m->nf_id());
       m->release();
       continue;
     }
@@ -392,7 +393,7 @@ sim::PollResult Packer::poll(int socket) {
       }
       metrics_.submit_drop_pkts->add(1);
       if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kSubmit);
-      if (tenants_ != nullptr) tenants_->count_drop(m->nf_id());
+      tenants_.count_drop(m->nf_id());
       m->release();
       continue;
     }
@@ -411,7 +412,7 @@ sim::PollResult Packer::poll(int socket) {
         continue;  // served in software, unbatched
       }
       if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kOversize);
-      if (tenants_ != nullptr) tenants_->count_drop(m->nf_id());
+      tenants_.count_drop(m->nf_id());
       m->release();
       continue;
     }
@@ -425,12 +426,12 @@ sim::PollResult Packer::poll(int socket) {
     // Flush-before-append if this record would overflow the batch cap.
     if (open.batch->size_bytes() + record_bytes > cap &&
         !open.batch->empty()) {
-      if (tenants_ != nullptr && !tenants_->can_flush(tenant)) {
+      if (!tenants_.can_flush(tenant)) {
         // Batch budget exhausted and the open batch is full: the incoming
         // packet has nowhere legal to go.  Counted quota drop -- never a
         // silent one (dhl.tenant.quota_drops + the ledger's quota site).
         if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kQuota);
-        tenants_->count_quota_drop(m->nf_id());
+        tenants_.count_quota_drop(m->nf_id());
         cycles += rt.packer_per_pkt_cycles;
         m->release();
         continue;
@@ -477,10 +478,10 @@ sim::PollResult Packer::poll(int socket) {
     const bool aged =
         have &&
         sim_.now() - open.batch->first_pkt_enqueued_at >= rt.batch_timeout;
-    if (aged && tenants_ != nullptr && !tenants_->can_flush(tenant)) {
+    if (aged && !tenants_.can_flush(tenant)) {
       // Over the batch budget: defer, counted.  The batch stays open and
       // flushes on a later sweep once an in-flight batch retires.
-      tenants_->note_flush_deferred(tenant);
+      tenants_.note_flush_deferred(tenant);
       ++i;
       continue;
     }

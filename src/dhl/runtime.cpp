@@ -20,22 +20,20 @@ DhlRuntime::DhlRuntime(sim::Simulator& simulator, RuntimeConfig config,
       ledger_{config_.ledger, *telemetry_},
       policy_{make_dispatch_policy(config_.dispatch_policy)},
       tenants_{&telemetry_->metrics},
-      fallback_{nfs_, metrics_},
+      fallback_{nfs_, metrics_, tenants_},
       pools_{config_.num_sockets, config_.batch_pool_capacity,
              config_.timing.runtime.max_batch_bytes + fpga::kRecordHeaderBytes,
              *telemetry_},
-      packer_{simulator, config_, *telemetry_, metrics_, table_, pools_},
-      distributor_{simulator, config_, *telemetry_,
-                   metrics_,  table_,  nfs_,        pools_} {
+      packer_{simulator, config_, *telemetry_, metrics_,
+              table_,    pools_,  tenants_},
+      distributor_{simulator, config_, *telemetry_, metrics_,
+                   table_,    nfs_,    pools_,      tenants_} {
   DHL_CHECK(config_.num_sockets > 0);
   packer_.set_dispatch_policy(policy_.get());
   packer_.set_fallback_router(&fallback_);
   packer_.set_ledger(&ledger_);
-  packer_.set_tenants(&tenants_);
   distributor_.set_ledger(&ledger_);
-  distributor_.set_tenants(&tenants_);
   fallback_.set_ledger(&ledger_);
-  fallback_.set_tenants(&tenants_);
   ledger_.set_tenant_resolver(
       [this](NfId nf_id) { return tenants_.tenant_of(nf_id); },
       [this](std::uint8_t id) { return tenants_.tenant_name(id); });
@@ -132,25 +130,24 @@ TenantId DhlRuntime::register_tenant(const std::string& name,
 std::size_t DhlRuntime::send_packets(NfId nf_id, netio::Mbuf** pkts,
                                      std::size_t n) {
   DHL_CHECK_MSG(nf_id < nfs_.size(), "send_packets: unregistered nf_id");
-  MbufRing& ibq = get_shared_ibq(nf_id);
-  TenantContext* t = tenants_.context(tenants_.tenant_of(nf_id));
-  if (t == nullptr) return ibq.enqueue_burst({pkts, n});
+  TenantContext& t = *tenants_.context(nfs_[nf_id].tenant);
   // Admit the longest prefix under the outstanding-bytes cap.  Prefix (not
   // best-fit) semantics keep packet order; once one packet is refused, the
-  // whole tail is refused and counted.
+  // whole tail is refused and counted.  Each admitted packet carries the
+  // admitting NF's id, so the Packer debits exactly the tenant charged here.
   std::size_t admit = 0;
-  while (admit < n) {
-    if (!tenants_.try_admit(*t, pkts[admit]->data_len())) break;
-    ++admit;
+  while (admit < n && tenants_.try_admit(t, pkts[admit]->data_len())) {
+    pkts[admit++]->set_nf_id(nf_id);
   }
-  if (admit < n && n - admit > 1 && t->rejected_pkts != nullptr) {
+  if (admit < n && n - admit > 1 && t.rejected_pkts != nullptr) {
     // try_admit counted the first refusal; count the rest of the tail.
-    t->rejected_pkts->add(n - admit - 1);
+    t.rejected_pkts->add(n - admit - 1);
   }
-  const std::size_t accepted = ibq.enqueue_burst({pkts, admit});
+  const std::size_t accepted =
+      packer_.admission_ibq(ibq_socket(nf_id)).enqueue_burst({pkts, admit});
   for (std::size_t i = accepted; i < admit; ++i) {
     // The ring itself refused these: undo their admission (counted).
-    tenants_.unwind_admit(*t, pkts[i]->data_len());
+    tenants_.unwind_admit(t, pkts[i]->data_len());
   }
   return accepted;
 }
@@ -186,10 +183,13 @@ std::size_t DhlRuntime::unload_function(const std::string& hf_name) {
   return table_.unload_function(hf_name);
 }
 
-MbufRing& DhlRuntime::get_shared_ibq(NfId nf_id) {
+int DhlRuntime::ibq_socket(NfId nf_id) const {
   DHL_CHECK_MSG(nf_id < nfs_.size(), "unregistered nf_id");
-  const int socket = config_.numa_aware ? nfs_[nf_id].socket : 0;
-  return packer_.ibq(socket);
+  return config_.numa_aware ? nfs_[nf_id].socket : 0;
+}
+
+const MbufRing& DhlRuntime::get_shared_ibq(NfId nf_id) const {
+  return packer_.ibq(ibq_socket(nf_id));
 }
 
 MbufRing& DhlRuntime::get_private_obq(NfId nf_id) {
@@ -265,18 +265,6 @@ void DhlRuntime::set_dispatch_policy(std::unique_ptr<DispatchPolicy> policy) {
       .gauge("dhl.runtime.dispatch_policy",
              telemetry::Labels{{"policy", policy_->name()}})
       ->set(1);
-}
-
-RuntimeStats DhlRuntime::stats() const {
-  RuntimeStats s;
-  s.pkts_to_fpga = metrics_.pkts_to_fpga->value();
-  s.batches_to_fpga = metrics_.batches_to_fpga->value();
-  s.bytes_to_fpga = metrics_.bytes_to_fpga->value();
-  s.pkts_from_fpga = metrics_.pkts_from_fpga->value();
-  s.batches_from_fpga = metrics_.batches_from_fpga->value();
-  s.obq_drops = metrics_.obq_drops->value();
-  s.error_records = metrics_.error_records->value();
-  return s;
 }
 
 }  // namespace dhl::runtime

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "dhl/common/check.hpp"
+
 namespace dhl {
 
 TenantRegistry::TenantRegistry(telemetry::MetricsRegistry* metrics)
@@ -75,10 +77,10 @@ void TenantRegistry::unwind_admit(TenantContext& t, std::uint64_t bytes) {
 }
 
 void TenantRegistry::on_packer_ingest(netio::NfId nf, std::uint64_t bytes) {
-  TenantContext* t = context(nf_tenant_[nf]);
-  if (t == nullptr) return;
-  t->ibq_bytes -= std::min(t->ibq_bytes, bytes);
-  update_gauges(*t);
+  TenantContext& t = *tenants_[nf_tenant_[nf]];
+  DHL_DCHECK(t.ibq_bytes >= bytes);
+  t.ibq_bytes -= bytes;
+  update_gauges(t);
 }
 
 bool TenantRegistry::can_flush(TenantId id) const {

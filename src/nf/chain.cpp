@@ -27,10 +27,10 @@ ChainNf::ChainNf(sim::Simulator& simulator, ChainConfig config,
 
   handles_.resize(stages_.size());
   seg_at_.assign(stages_.size(), -1);
+  burst_.resize(config_.io_burst);
   if (runtime_ != nullptr) {
     nf_id_ = DHL_register(*runtime_, config_.name, config_.socket,
                           config_.tenant);
-    ibq_ = DHL_get_shared_IBQ(*runtime_, nf_id_);
     obq_ = DHL_get_private_OBQ(*runtime_, nf_id_);
     bad_port_counter_ = runtime_->telemetry().metrics.counter(
         "dhl.chain.bad_port_drops", {{"nf", config_.name}});
@@ -46,16 +46,32 @@ ChainNf::ChainNf(sim::Simulator& simulator, ChainConfig config,
     if (config_.fuse) compose_segments();
   }
 
-  const Frequency clock = config_.timing.cpu.core_clock;
-  ingress_core_ = std::make_unique<sim::Lcore>(sim_, config_.name + ".in",
-                                               clock, config_.socket);
-  ingress_core_->set_idle_poll_cycles(config_.timing.cpu.idle_poll_cycles);
-  ingress_core_->set_poll([this](sim::Lcore&) { return ingress_poll(); });
-  if (any_offload) {
-    egress_core_ = std::make_unique<sim::Lcore>(sim_, config_.name + ".out",
-                                                clock, config_.socket);
-    egress_core_->set_idle_poll_cycles(config_.timing.cpu.idle_poll_cycles);
-    egress_core_->set_poll([this](sim::Lcore&) { return egress_poll(); });
+  const auto add_core = [this](const std::string& suffix,
+                               sim::Lcore::PollFn poll) {
+    cores_.push_back(std::make_unique<sim::Lcore>(
+        sim_, config_.name + suffix, config_.timing.cpu.core_clock,
+        config_.socket));
+    cores_.back()->set_idle_poll_cycles(config_.timing.cpu.idle_poll_cycles);
+    cores_.back()->set_poll(std::move(poll));
+  };
+  if (config_.split_ingress_egress) {
+    add_core(".in", [this](sim::Lcore&) {
+      return ingress_poll(0, ports_.size());
+    });
+    if (any_offload) {
+      add_core(".out", [this](sim::Lcore&) { return egress_poll(); });
+    }
+    return;
+  }
+  // Per-port layout: core 0 drains the single-consumer OBQ after its own
+  // port's ingress; both halves are offset from the poll's start.
+  for (std::size_t p = 0; p < ports_.size(); ++p) {
+    const bool also_egress = any_offload && p == 0;
+    add_core(".in" + std::to_string(p), [this, p, also_egress](sim::Lcore&) {
+      sim::PollResult r = ingress_poll(p, 1);
+      if (also_egress) r.cycles += egress_poll().cycles;
+      return r;
+    });
   }
 }
 
@@ -120,18 +136,16 @@ bool ChainNf::ready() const {
 }
 
 void ChainNf::start() {
-  ingress_core_->start();
-  if (egress_core_) egress_core_->start();
+  for (auto& c : cores_) c->start();
 }
 
 void ChainNf::stop() {
-  ingress_core_->stop();
-  if (egress_core_) egress_core_->stop();
+  for (auto& c : cores_) c->stop();
 }
 
 std::vector<sim::Lcore*> ChainNf::cores() {
-  std::vector<sim::Lcore*> out{ingress_core_.get()};
-  if (egress_core_) out.push_back(egress_core_.get());
+  std::vector<sim::Lcore*> out;
+  for (auto& c : cores_) out.push_back(c.get());
   return out;
 }
 
@@ -179,9 +193,7 @@ bool ChainNf::segment_usable(FusedSegment& seg) {
   return runtime_->acc_ready(seg.handle);
 }
 
-void ChainNf::run_from(Mbuf* m, std::size_t stage, double& cycles,
-                       std::vector<Mbuf*>& to_send,
-                       std::vector<Mbuf*>& to_tx) {
+void ChainNf::run_from(Mbuf* m, std::size_t stage, double& cycles) {
   for (std::size_t i = stage; i < stages_.size(); ++i) {
     ChainStage& s = stages_[i];
     if (s.is_offload()) {
@@ -191,109 +203,97 @@ void ChainNf::run_from(Mbuf* m, std::size_t stage, double& cycles,
         FusedSegment& seg = segments_[static_cast<std::size_t>(seg_at_[i])];
         if (segment_usable(seg)) {
           m->set_user_tag(static_cast<std::uint16_t>(seg.last + 1));
-          m->set_nf_id(nf_id_);
           m->set_acc_id(seg.handle.acc_id);
           ++stats_.offloads;
           ++stats_.fused_offloads;
-          to_send.push_back(m);
+          to_send_.push_back(m);
           return;
         }
       }
       // Ship to the FPGA; resume at stage i+1 when it returns.
       m->set_user_tag(static_cast<std::uint16_t>(i + 1));
-      m->set_nf_id(nf_id_);
       m->set_acc_id(stage_handle_fresh(i).acc_id);
       ++stats_.offloads;
-      to_send.push_back(m);
+      to_send_.push_back(m);
       return;
     }
     cycles += s.cost(*m);
     const Verdict v = s.fn(*m);
     if (v == Verdict::kDrop) {
+      ++stats_.prep_drops;
       ++stats_.dropped;
       m->release();
       return;
     }
     if (v == Verdict::kBypass) break;  // skip the rest of the chain
   }
-  ++stats_.completed;
   cycles += config_.timing.cpu.nic_rxtx_per_pkt_cycles;
-  to_tx.push_back(m);
+  transmit_at(m, cycles);
 }
 
-void ChainNf::deferred_io(double cycles, std::vector<Mbuf*> to_send,
-                          std::vector<Mbuf*> to_tx) {
-  if (to_send.empty() && to_tx.empty()) return;
+void ChainNf::send_at(double cycles) {
+  if (to_send_.empty()) return;
   sim_.schedule_after(
       config_.timing.cpu.core_clock.cycles(cycles),
-      [this, to_send = std::move(to_send), to_tx = std::move(to_tx)] {
-        for (Mbuf* m : to_tx) {
-          netio::NicPort* out = port_by_id(m->port());
-          if (out == nullptr) {
-            // A stage steered the packet to a port this chain doesn't own:
-            // drop loudly instead of silently mis-TXing via ports_.front().
-            ++stats_.bad_port_drops;
-            if (bad_port_counter_ != nullptr) bad_port_counter_->add(1);
-            m->release();
-            continue;
-          }
-          Mbuf* pkt = m;
-          out->tx_burst(&pkt, 1);
-        }
-        if (!to_send.empty()) {
-          // Instance API, not the raw shared-IBQ enqueue: chain traffic
-          // must pass the tenant quota admission and be counted like any
-          // other NF's (dhl.tenant.rejected_pkts).
-          auto pkts_copy = to_send;  // send_packets wants Mbuf**
-          const std::size_t sent = DHL_send_packets(
-              *runtime_, nf_id_, pkts_copy.data(), pkts_copy.size());
-          for (std::size_t i = sent; i < pkts_copy.size(); ++i) {
-            ++stats_.ibq_drops;
-            pkts_copy[i]->release();
-          }
+      [this, pkts = std::vector<Mbuf*>(to_send_)]() mutable {
+        // Admission stamps our nf_id and charges the tenant quota.
+        const std::size_t sent =
+            DHL_send_packets(*runtime_, nf_id_, pkts.data(), pkts.size());
+        for (std::size_t i = sent; i < pkts.size(); ++i) {
+          ++stats_.ibq_drops;
+          pkts[i]->release();
         }
       });
+  to_send_.clear();
 }
 
-sim::PollResult ChainNf::ingress_poll() {
+void ChainNf::transmit_at(Mbuf* m, double cycles) {
+  sim_.schedule_after(config_.timing.cpu.core_clock.cycles(cycles), [this, m] {
+    netio::NicPort* out = port_by_id(m->port());
+    if (out == nullptr) {
+      // A stage steered the packet to a port this NF doesn't own.
+      ++stats_.bad_port_drops;
+      if (bad_port_counter_ != nullptr) bad_port_counter_->add(1);
+      m->release();
+      return;
+    }
+    Mbuf* pkt = m;
+    out->tx_burst(&pkt, 1);
+    ++stats_.completed;
+  });
+}
+
+sim::PollResult ChainNf::ingress_poll(std::size_t first, std::size_t count) {
   const auto& cpu = config_.timing.cpu;
   double cycles = 0;
-  std::vector<Mbuf*> pkts(config_.io_burst);
-  std::vector<Mbuf*> to_send;
-  std::vector<Mbuf*> to_tx;
-
-  for (netio::NicPort* port : ports_) {
-    const std::size_t n = port->rx_burst(pkts.data(), pkts.size());
+  for (std::size_t p = first; p < first + count; ++p) {
+    const std::size_t n = ports_[p]->rx_burst(burst_.data(), burst_.size());
     if (n == 0) continue;
     stats_.rx_pkts += n;
     cycles += cpu.nic_rxtx_fixed_cycles +
               cpu.nic_rxtx_per_pkt_cycles * static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      run_from(pkts[i], 0, cycles, to_send, to_tx);
+    for (std::size_t i = 0; i < n; ++i) run_from(burst_[i], 0, cycles);
+    if (!to_send_.empty()) {
+      // This port's offloads reach the IBQ once its prep cycles and the
+      // ring op have elapsed (prep time is part of their latency).
+      cycles += cpu.ring_op_fixed_cycles +
+                cpu.ring_op_per_pkt_cycles *
+                    static_cast<double>(to_send_.size());
+      send_at(cycles);
     }
   }
-
-  if (!to_send.empty()) {
-    cycles += cpu.ring_op_fixed_cycles +
-              cpu.ring_op_per_pkt_cycles * static_cast<double>(to_send.size());
-  }
-  deferred_io(cycles, std::move(to_send), std::move(to_tx));
   return {cycles, false};
 }
 
 sim::PollResult ChainNf::egress_poll() {
   const auto& cpu = config_.timing.cpu;
-  double cycles = 0;
-  std::vector<Mbuf*> pkts(config_.io_burst);
-  const std::size_t n = DHL_receive_packets(*obq_, pkts.data(), pkts.size());
+  const std::size_t n =
+      DHL_receive_packets(*obq_, burst_.data(), burst_.size());
   if (n == 0) return {0, false};
-  cycles += cpu.ring_op_fixed_cycles +
-            cpu.ring_op_per_pkt_cycles * static_cast<double>(n);
-
-  std::vector<Mbuf*> to_send;
-  std::vector<Mbuf*> to_tx;
+  double cycles = cpu.ring_op_fixed_cycles +
+                  cpu.ring_op_per_pkt_cycles * static_cast<double>(n);
   for (std::size_t i = 0; i < n; ++i) {
-    Mbuf* m = pkts[i];
+    Mbuf* m = burst_[i];
     const std::size_t resume = m->user_tag();
     DHL_CHECK_MSG(resume >= 1 && resume <= stages_.size(),
                   "returned packet has a bogus resume stage");
@@ -302,14 +302,15 @@ sim::PollResult ChainNf::egress_poll() {
     // fused run, the run's last stage).
     if (s.post_cost) cycles += s.post_cost(*m);
     if (s.post && s.post(*m) == Verdict::kDrop) {
+      ++stats_.post_drops;
       ++stats_.dropped;
       m->release();
       continue;
     }
-    run_from(m, resume, cycles, to_send, to_tx);
+    run_from(m, resume, cycles);
   }
-
-  deferred_io(cycles, std::move(to_send), std::move(to_tx));
+  send_at(cycles);
+  cycles += cpu.nic_rxtx_fixed_cycles;
   return {cycles, false};
 }
 

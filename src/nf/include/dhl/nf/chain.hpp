@@ -1,12 +1,14 @@
 #pragma once
 
-// NF service chains over DHL.
+// The DHL NF engine: every NF that offloads to the FPGA runs on ChainNf.
 //
 // The NFV service chains of the paper's introduction ("it is thus inflexible
 // to use FPGA to implement the entire NFV service chain") are exactly where
 // the CPU-FPGA split pays off: each chain stage keeps its control logic on
 // CPU and may offload its deep processing to a hardware function, and one
-// FPGA serves all the stages' modules simultaneously.
+// FPGA serves all the stages' modules simultaneously.  The paper's own NFs
+// are the two-stage case (DhlOffloadNf, dhl_nf.hpp): a CPU prep stage, then
+// an offload stage with a post step.
 //
 // A ChainNf runs an ordered list of stages per packet:
 //   * CPU stages execute a packet function inline on the chain's cores;
@@ -14,9 +16,26 @@
 //     chain at the next stage when it returns (the resume point rides the
 //     mbuf's user_tag, and each offload stage has its own acc_id).
 //
-// Core layout mirrors DhlOffloadNf: an ingress core (NIC RX -> stages until
-// the first offload) and an egress core (OBQ -> remaining stages -> NIC TX).
-// Chains without offload stages never touch the runtime.
+// Core layouts (ChainConfig::split_ingress_egress), the paper's two
+// experiment shapes (Table IV):
+//   * split (single NF on a 40G port, V-C): one ingress core polls every
+//     port (NIC RX -> stages until the first offload) and one egress core
+//     drains the private OBQ (remaining stages -> NIC TX);
+//   * per-port (multi-NF on 10G ports, V-D): one ingress core per port;
+//     core 0 also drains the OBQ (a single-consumer ring) after its ingress.
+// Chains without offload stages never touch the runtime or the OBQ.
+//
+// Cycle accounting.  A poll charges its cycles in order and every effect
+// happens at the cumulative offset (from the poll's start) at which its
+// cycles have elapsed:
+//   * ingress flushes a port's offloads to the IBQ once, after that port's
+//     RX, stage work and ring-op charge;
+//   * a packet that finishes its last stage (on ingress or egress) is
+//     transmitted at its own offset, after its NIC TX charge;
+//   * an egress poll that dequeued packets flushes its re-offloads, then
+//     charges the NIC TX burst's fixed cost.
+// TX resolves the packet's port by id; a port the NF does not own is a
+// counted drop (bad_port_drops), never a transmit on some other port.
 //
 // Fabric fusion (DESIGN.md 3.7): maximal runs of >= 2 consecutive offload
 // stages are fused through DHL_compose_chain into one chain handle, so the
@@ -85,12 +104,17 @@ struct ChainConfig {
   TenantId tenant = kDefaultTenant;
   /// Fuse maximal eligible offload runs via DHL_compose_chain.
   bool fuse = true;
+  /// Core layout: true = one ingress + one egress core; false = one core
+  /// per port, core 0 also egress (see the header comment).
+  bool split_ingress_egress = true;
 };
 
 struct ChainStats {
   std::uint64_t rx_pkts = 0;
-  std::uint64_t completed = 0;  // traversed every stage and left via TX
-  std::uint64_t dropped = 0;    // dropped by some stage
+  std::uint64_t completed = 0;  // traversed every stage and left via NIC TX
+  std::uint64_t dropped = 0;    // every verdict drop: prep_drops + post_drops
+  std::uint64_t prep_drops = 0;  // kDrop from a CPU stage
+  std::uint64_t post_drops = 0;  // kDrop from an offload stage's post step
   std::uint64_t offloads = 0;   // packets shipped to the FPGA (any stage)
   std::uint64_t fused_offloads = 0;  // of which: via a fused chain handle
   std::uint64_t ibq_drops = 0;  // refused by quota admission or a full IBQ
@@ -133,24 +157,24 @@ class ChainNf {
   const std::vector<FusedSegment>& segments() const { return segments_; }
 
  private:
-  sim::PollResult ingress_poll();
+  /// NIC RX on ports [first, first + count), one IBQ flush per port.
+  sim::PollResult ingress_poll(std::size_t first, std::size_t count);
   sim::PollResult egress_poll();
 
   /// Run stages starting at `stage` until the packet drops, offloads, or
-  /// completes.  Appends cycle cost to `cycles`; completed packets are
-  /// deferred-TXed, offloads deferred-sent.
-  void run_from(netio::Mbuf* m, std::size_t stage, double& cycles,
-                std::vector<netio::Mbuf*>& to_send,
-                std::vector<netio::Mbuf*>& to_tx);
+  /// completes.  Appends cycle cost to `cycles`; offloads queue for the
+  /// next send_at(), completed packets are transmitted at `cycles`.
+  void run_from(netio::Mbuf* m, std::size_t stage, double& cycles);
+
+  /// Admit the queued offloads through DHL_send_packets once `cycles` core
+  /// cycles have elapsed; refusals count as ibq_drops.
+  void send_at(double cycles);
+  /// Transmit `m` on the port it names once `cycles` have elapsed.
+  void transmit_at(netio::Mbuf* m, double cycles);
 
   /// The chain's port for `port_id`, or nullptr when it owns no such port
   /// (the packet must be counted and dropped, never mis-TXed).
   netio::NicPort* port_by_id(std::uint16_t port_id);
-
-  /// Flush `to_send` through the tenant-aware instance API and TX `to_tx`,
-  /// after `cycles` core cycles (the deferred half of both poll loops).
-  void deferred_io(double cycles, std::vector<netio::Mbuf*> to_send,
-                   std::vector<netio::Mbuf*> to_tx);
 
   /// Detect maximal fusable offload runs and compose them (constructor).
   void compose_segments();
@@ -173,10 +197,11 @@ class ChainNf {
   std::vector<int> seg_at_;
   telemetry::Counter* bad_port_counter_ = nullptr;
   netio::NfId nf_id_ = netio::kInvalidNfId;
-  netio::MbufRing* ibq_ = nullptr;
   netio::MbufRing* obq_ = nullptr;
-  std::unique_ptr<sim::Lcore> ingress_core_;
-  std::unique_ptr<sim::Lcore> egress_core_;
+  std::vector<std::unique_ptr<sim::Lcore>> cores_;
+  /// Poll scratch: the RX/OBQ burst and the offloads awaiting send_at().
+  std::vector<netio::Mbuf*> burst_;
+  std::vector<netio::Mbuf*> to_send_;
   ChainStats stats_;
 };
 

@@ -57,6 +57,7 @@ struct NfStats {
   std::uint64_t processed = 0;
   std::uint64_t dropped = 0;     // verdict kDrop
   std::uint64_t ring_drops = 0;  // internal ring overflow
+  std::uint64_t bad_port_drops = 0;  // TX to a port id the NF doesn't own
   std::uint64_t tx_pkts = 0;
 };
 
@@ -132,6 +133,7 @@ class CpuPipelineNf {
   sim::PollResult rx_io_poll();
   sim::PollResult tx_io_poll();
   sim::PollResult worker_poll();
+  /// The NF's port for `port_id`, or nullptr when it owns no such port.
   netio::NicPort* port_by_id(std::uint16_t port_id);
 
   sim::Simulator& sim_;

@@ -138,8 +138,7 @@ netio::NicPort* CpuPipelineNf::port_by_id(std::uint16_t port_id) {
   for (netio::NicPort* p : ports_) {
     if (p->port_id() == port_id) return p;
   }
-  // Unknown origin (e.g. locally generated): use the first port.
-  return ports_.front();
+  return nullptr;
 }
 
 sim::PollResult CpuPipelineNf::rx_io_poll() {
@@ -171,14 +170,20 @@ sim::PollResult CpuPipelineNf::tx_io_poll() {
   if (n > 0) {
     cycles += cpu.ring_op_fixed_cycles +
               cpu.ring_op_per_pkt_cycles * static_cast<double>(n);
-    // Return each packet through the port it arrived on.
+    // Return each packet through the port it names; a port this NF does
+    // not own is a counted drop, never a transmit on some other port.
     for (std::size_t i = 0; i < n; ++i) {
       netio::NicPort* port = port_by_id(pkts[i]->port());
+      if (port == nullptr) {
+        ++stats_.bad_port_drops;
+        pkts[i]->release();
+        continue;
+      }
       cycles += cpu.nic_rxtx_per_pkt_cycles;
       port->tx_burst(&pkts[i], 1);
+      ++stats_.tx_pkts;
     }
     cycles += cpu.nic_rxtx_fixed_cycles;
-    stats_.tx_pkts += n;
   }
   return {cycles, false};
 }

@@ -5,7 +5,7 @@
 //
 // Ownership: configs carry a `std::shared_ptr<Telemetry>`; a component whose
 // config leaves it null creates a private context so its instruments always
-// exist (the RuntimeStats compatibility shim depends on that).  The Testbed
+// exist (registry reads are how callers see runtime counters).  The Testbed
 // creates a single shared context and injects it into the runtime, FPGAs and
 // NIC ports, so one snapshot covers the whole experiment.
 

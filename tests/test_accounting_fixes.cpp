@@ -93,11 +93,10 @@ TEST(AccountingFixes, OversizeRecordDroppedWithoutFallback) {
   h.wait_ready(acc);
   h.rt->start();
 
-  auto& ibq = h.rt->get_shared_ibq(nf);
   Mbuf* big = h.make_pkt(nf, acc.acc_id, 7000, 0xab);  // 7016 B record > 6144
   Mbuf* ok = h.make_pkt(nf, acc.acc_id, 100, 0xcd);
   Mbuf* pkts[2] = {big, ok};
-  ASSERT_EQ(DhlRuntime::send_packets(ibq, pkts, 2), 2u);
+  ASSERT_EQ(h.rt->send_packets(nf, pkts, 2), 2u);
   h.sim.run_until(h.sim.now() + milliseconds(1));
 
   EXPECT_EQ(h.metric("dhl.runtime.oversize_drops"), 1);
@@ -117,9 +116,8 @@ TEST(AccountingFixes, OversizeRecordRoutedToFallback) {
   h.rt->register_fallback(nf, "loopback", [](Mbuf&) {});
   h.rt->start();
 
-  auto& ibq = h.rt->get_shared_ibq(nf);
   Mbuf* big = h.make_pkt(nf, acc.acc_id, 7000, 0xab);
-  ASSERT_EQ(DhlRuntime::send_packets(ibq, &big, 1), 1u);
+  ASSERT_EQ(h.rt->send_packets(nf, &big, 1), 1u);
   h.sim.run_until(h.sim.now() + milliseconds(1));
 
   // Rejected from the batching path but served in software: the packet
@@ -168,9 +166,8 @@ TEST(AccountingFixes, StaleBatchAfterUnloadRoutedToFallback) {
   h.rt->start();
 
   const Picos t0 = h.sim.now();
-  auto& ibq = h.rt->get_shared_ibq(nf);
   Mbuf* m = h.make_pkt(nf, acc.acc_id, 200, 0x42);
-  ASSERT_EQ(DhlRuntime::send_packets(ibq, &m, 1), 1u);
+  ASSERT_EQ(h.rt->send_packets(nf, &m, 1), 1u);
 
   // Timeline: timeout flush at ~t0+15us, submit attempts at +0/2/6/14us
   // after the flush (backoff << attempt), exhaustion right after the last
@@ -296,11 +293,10 @@ TEST(AccountingFixes, DeliveryBufferRecycledAcrossPolls) {
   h.wait_ready(acc);
   h.rt->start();
 
-  auto& ibq = h.rt->get_shared_ibq(nf);
   auto wave = [&] {
     for (int i = 0; i < 4; ++i) {
       Mbuf* m = h.make_pkt(nf, acc.acc_id, 256, 0x33);
-      EXPECT_EQ(DhlRuntime::send_packets(ibq, &m, 1), 1u);
+      EXPECT_EQ(h.rt->send_packets(nf, &m, 1), 1u);
     }
     h.sim.run_until(h.sim.now() + microseconds(200));
     EXPECT_EQ(h.drain_obq(nf), 4u);
@@ -333,11 +329,10 @@ TEST(AccountingFixes, AdaptiveCapClampsAndDecays) {
 
   // Sustained ~12 GB/s arrival rate: the EWMA must push the cap to the
   // ceiling (and never past it).
-  auto& ibq = h.rt->get_shared_ibq(nf);
   for (int i = 0; i < 200; ++i) {
     for (int p = 0; p < 8; ++p) {
       Mbuf* m = h.make_pkt(nf, acc.acc_id, 1500, 0x55);
-      ASSERT_EQ(DhlRuntime::send_packets(ibq, &m, 1), 1u);
+      ASSERT_EQ(h.rt->send_packets(nf, &m, 1), 1u);
     }
     h.rt->packer().poll(0);
     h.sim.run_until(h.sim.now() + microseconds(1));
@@ -380,8 +375,7 @@ TEST(AccountingFixes, BatchFillMeasuredAgainstEffectiveCap) {
   // flush-before-append at 408 bytes.
   for (int p = 0; p < 4; ++p) {
     Mbuf* m = h.make_pkt(nf, acc.acc_id, 120, 0x66);
-    auto& ibq = h.rt->get_shared_ibq(nf);
-    ASSERT_EQ(DhlRuntime::send_packets(ibq, &m, 1), 1u);
+    ASSERT_EQ(h.rt->send_packets(nf, &m, 1), 1u);
   }
   h.rt->packer().poll(0);
   ASSERT_EQ(h.rt->packer().effective_batch_cap(0),

@@ -175,7 +175,7 @@ TEST(BatchFuzz, RuntimeIngestParsesCleanlyOrCountsDrop) {
       m->set_nf_id(nf);
       m->set_acc_id(a.acc_id);
       m->set_rx_timestamp(sim.now() == 0 ? 1 : sim.now());
-      if (DhlRuntime::send_packets(rt.get_shared_ibq(nf), &m, 1) == 1) {
+      if (rt.send_packets(nf, &m, 1) == 1) {
         ++sent;
       } else {
         m->release();

@@ -109,9 +109,10 @@ TEST_F(ChainFixture, NidsThenIpsecChainEndToEnd) {
                                              ? ipsec->stats().encapsulated
                                              : 0u);
   EXPECT_GT(ipsec->stats().encapsulated, 5'000u);
-  EXPECT_EQ(rt.stats().error_records, 0u);
+  EXPECT_EQ(
+      rt.telemetry().metrics.snapshot().sum("dhl.runtime.error_records"), 0);
   // Both modules live on the same FPGA.
-  EXPECT_EQ(rt.hardware_function_table().size(), 2u);
+  EXPECT_EQ(rt.function_table().snapshot().size(), 2u);
 }
 
 TEST_F(ChainFixture, DropStageStopsTheChain) {

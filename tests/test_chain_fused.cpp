@@ -1,13 +1,15 @@
 // Fabric-level service chaining (DESIGN.md section 3.7): ChainModule unit
 // behaviour, DHL_compose_chain validation, fused-vs-per-stage bit parity,
 // live reconfiguration under a running chain, tenant quota policing of
-// chain traffic, and the nc-encode -> aes256-ctr chain with decode-side
-// verification at the host.
+// chain traffic, the nc-encode -> aes256-ctr chain with decode-side
+// verification at the host, and the engine's bad-port and stale-handle
+// fixes under every core layout and NF shape.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "dhl/crypto/aes.hpp"
 #include "dhl/fpga/chain_module.hpp"
 #include "dhl/nf/chain.hpp"
+#include "dhl/nf/dhl_nf.hpp"
 #include "dhl/nf/nids.hpp"
 #include "dhl/nf/testbed.hpp"
 
@@ -134,6 +137,9 @@ TEST(ChainModuleUnit, ConfigureRoutesFramedBlobsToStages) {
 // --- runtime-level fixtures -------------------------------------------------
 
 struct FusedChainFixture : public ::testing::Test {
+  explicit FusedChainFixture(TestbedConfig config = {})
+      : tb{std::move(config)} {}
+
   Testbed tb;
   netio::NicPort* port0 = tb.add_port("p0", Bandwidth::gbps(10));
   std::shared_ptr<match::RuleSet> rules = std::make_shared<match::RuleSet>(
@@ -268,7 +274,8 @@ TEST_F(FusedChainFixture, FusedAndPerStageChainsAreBitIdentical) {
                  {{"chain", "compression+aes256-ctr"}, {"idx", "1"}}),
             0.0);
 
-  EXPECT_EQ(rt.stats().error_records, 0u);
+  EXPECT_EQ(
+      rt.telemetry().metrics.snapshot().sum("dhl.runtime.error_records"), 0);
   EXPECT_TRUE(tb.quiesce_ledger().clean());
 }
 
@@ -309,37 +316,6 @@ TEST_F(FusedChainFixture, FusedChainSurvivesDaemonUnloadMidRun) {
   EXPECT_TRUE(tb.quiesce_ledger().clean());
 }
 
-TEST_F(FusedChainFixture, PerStageHandleReresolvedAfterUnload) {
-  auto& rt = tb.init_runtime(automaton);
-  ChainNf chain{tb.sim(),
-                ChainConfig{.name = "cc-stale", .timing = tb.timing(),
-                            .fuse = false},
-                {port0},
-                &rt,
-                {encrypt_stage()}};
-  tb.run_for(milliseconds(60));
-  ASSERT_TRUE(chain.ready());
-  rt.start();
-  chain.start();
-
-  port0->start_traffic(text_traffic(), 0.2);
-  tb.run_for(milliseconds(3));
-  const std::uint64_t done_before = chain.stats().completed;
-  EXPECT_GT(done_before, 0u);
-
-  ASSERT_GE(rt.unload_function("aes256-ctr"), 1u);
-  tb.run_for(milliseconds(40));  // re-resolve + PR reload + resume
-
-  EXPECT_GE(chain.stats().handle_refreshes, 1u);
-  EXPECT_GT(chain.stats().completed, done_before);
-  // Packets shipped during the reload window are counted unready drops,
-  // never crashes or mis-routes.
-  EXPECT_GT(msum("dhl.runtime.unready_drops"), 0.0);
-
-  port0->stop_traffic();
-  EXPECT_TRUE(tb.quiesce_ledger().clean());
-}
-
 TEST_F(FusedChainFixture, ChainOffloadsPassTenantQuotaAdmission) {
   auto& rt = tb.init_runtime(automaton);
   const TenantId tenant =
@@ -369,28 +345,6 @@ TEST_F(FusedChainFixture, ChainOffloadsPassTenantQuotaAdmission) {
   EXPECT_GT(msum("dhl.tenant.admitted_pkts", {{"tenant", "chains"}}), 0.0);
   EXPECT_GT(chain.stats().completed, 0u);
   EXPECT_TRUE(tb.quiesce_ledger().clean());
-}
-
-TEST_F(FusedChainFixture, BadPortIsCountedAndDroppedNotMisTxed) {
-  // A stage steers packets to a port id this chain does not own: the chain
-  // must drop and count, never fall back to ports_.front().
-  std::vector<ChainStage> stages;
-  stages.push_back(ChainStage::cpu(
-      "missteer",
-      [](netio::Mbuf& m) {
-        m.set_port(77);
-        return Verdict::kForward;
-      },
-      [](const netio::Mbuf&) { return 5.0; }));
-  ChainNf chain{tb.sim(), ChainConfig{.timing = tb.timing()}, {port0}, nullptr,
-                std::move(stages)};
-  chain.start();
-  port0->start_traffic(text_traffic(), 0.3);
-  tb.measure(milliseconds(1), milliseconds(2));
-  port0->stop_traffic();
-
-  EXPECT_GT(chain.stats().bad_port_drops, 0u);
-  EXPECT_EQ(port0->tx_meter().frames(), 0u);
 }
 
 TEST_F(FusedChainFixture, NcEncodeThenEncryptChainDecodesAtTheHost) {
@@ -471,9 +425,141 @@ TEST_F(FusedChainFixture, NcEncodeThenEncryptChainDecodesAtTheHost) {
         << "decoded symbol " << i << " differs from the source";
   }
 
-  EXPECT_EQ(rt.stats().error_records, 0u);
+  EXPECT_EQ(
+      rt.telemetry().metrics.snapshot().sum("dhl.runtime.error_records"), 0);
   EXPECT_TRUE(tb.quiesce_ledger().clean());
 }
+
+// --- engine fixes under every core layout and NF shape ----------------------
+
+// One engine runs every DHL NF, so its fixes must hold for each NF shape --
+// a plain ChainNf and the paper's two-stage DhlOffloadNf -- in both core
+// layouts (split ingress/egress, one core per port).
+enum class NfShape { kChain, kDhlOffload };
+
+struct EngineCase {
+  NfShape shape;
+  bool split_ingress_egress;
+};
+
+class EngineRegression : public FusedChainFixture,
+                         public ::testing::WithParamInterface<EngineCase> {
+ protected:
+  // One socket halves the runtime's transfer cores and loopback's small
+  // bitstream reloads in ~5 ms: these tests run in every layout and shape,
+  // and every simulated idle poll costs host time (sanitizer builds most).
+  static TestbedConfig one_socket() {
+    TestbedConfig config;
+    config.runtime.num_sockets = 1;
+    return config;
+  }
+  EngineRegression() : FusedChainFixture{one_socket()} {}
+
+  netio::NicPort* port1 = tb.add_port("p1", Bandwidth::gbps(10));
+
+  /// The NF under test, on both ports.  The chain shape runs `stages`; the
+  /// DhlOffloadNf shape runs `prep`, then loopback with a forwarding post.
+  std::unique_ptr<ChainNf> make_nf(runtime::DhlRuntime* rt,
+                                   std::vector<ChainStage> stages,
+                                   PacketFn prep) {
+    const CostFn cost = [](const netio::Mbuf&) { return 5.0; };
+    const bool split = GetParam().split_ingress_egress;
+    if (GetParam().shape == NfShape::kChain) {
+      return std::make_unique<ChainNf>(
+          tb.sim(),
+          ChainConfig{.name = "nf-under-test",
+                      .timing = tb.timing(),
+                      .split_ingress_egress = split},
+          std::vector<netio::NicPort*>{port0, port1}, rt, std::move(stages));
+    }
+    DhlNfConfig cfg;
+    cfg.name = "nf-under-test";
+    cfg.timing = tb.timing();
+    cfg.split_ingress_egress = split;
+    cfg.hf_name = "loopback";
+    return std::make_unique<DhlOffloadNf>(
+        tb.sim(), cfg, std::vector<netio::NicPort*>{port0, port1}, *rt,
+        std::move(prep), cost, [](netio::Mbuf&) { return Verdict::kForward; },
+        cost);
+  }
+
+  void start_traffic(double load) {
+    port0->start_traffic(text_traffic(), load);
+    netio::TrafficConfig other = text_traffic();
+    other.seed = 2;
+    port1->start_traffic(other, load);
+  }
+};
+
+TEST_P(EngineRegression, BadPortIsCountedAndDroppedNotMisTxed) {
+  // A stage steers packets to a port id the NF does not own: the engine
+  // must drop and count, never transmit on some other port.  The chain
+  // shape stays CPU-only; the DhlOffloadNf shape missteers in prep and
+  // transmits after the FPGA round trip.
+  const PacketFn missteer = [](netio::Mbuf& m) {
+    m.set_port(77);
+    return Verdict::kForward;
+  };
+  const bool offload = GetParam().shape == NfShape::kDhlOffload;
+  runtime::DhlRuntime* rt = offload ? &tb.init_runtime() : nullptr;
+  const auto nf = make_nf(
+      rt,
+      {ChainStage::cpu("missteer", missteer,
+                       [](const netio::Mbuf&) { return 5.0; })},
+      missteer);
+  if (rt != nullptr) {
+    tb.run_for(milliseconds(10));
+    ASSERT_TRUE(nf->ready());
+    rt->start();
+  }
+  nf->start();
+  start_traffic(0.3);
+  tb.measure(milliseconds(1), milliseconds(2));
+
+  EXPECT_GT(nf->stats().bad_port_drops, 0u);
+  EXPECT_EQ(nf->stats().completed, 0u);
+  EXPECT_EQ(port0->tx_meter().frames(), 0u);
+  EXPECT_EQ(port1->tx_meter().frames(), 0u);
+  EXPECT_TRUE(tb.quiesce_ledger(milliseconds(1)).clean());
+}
+
+TEST_P(EngineRegression, PerStageHandleReresolvedAfterUnload) {
+  auto& rt = tb.init_runtime();
+  const auto nf = make_nf(
+      &rt, {ChainStage::offload("loop", "loopback", {}, nullptr, nullptr)},
+      [](netio::Mbuf&) { return Verdict::kForward; });
+  tb.run_for(milliseconds(10));
+  ASSERT_TRUE(nf->ready());
+  rt.start();
+  nf->start();
+
+  start_traffic(0.2);
+  tb.run_for(milliseconds(2));
+  const std::uint64_t done_before = nf->stats().completed;
+  EXPECT_GT(done_before, 0u);
+
+  ASSERT_GE(rt.unload_function("loopback"), 1u);
+  tb.run_for(milliseconds(8));  // re-resolve + PR reload + resume
+
+  EXPECT_GE(nf->stats().handle_refreshes, 1u);
+  EXPECT_GT(nf->stats().completed, done_before);
+  // Packets shipped during the reload window are counted unready drops,
+  // never crashes or mis-routes.
+  EXPECT_GT(msum("dhl.runtime.unready_drops"), 0.0);
+  EXPECT_TRUE(tb.quiesce_ledger(milliseconds(1)).clean());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, EngineRegression,
+    ::testing::Values(EngineCase{NfShape::kChain, true},
+                      EngineCase{NfShape::kChain, false},
+                      EngineCase{NfShape::kDhlOffload, true},
+                      EngineCase{NfShape::kDhlOffload, false}),
+    [](const ::testing::TestParamInfo<EngineCase>& info) {
+      return std::string{info.param.shape == NfShape::kChain ? "Chain"
+                                                             : "DhlOffload"} +
+             (info.param.split_ingress_egress ? "Split" : "PerPort");
+    });
 
 }  // namespace
 }  // namespace dhl::nf

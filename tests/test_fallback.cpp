@@ -113,7 +113,7 @@ std::map<std::uint8_t, std::uint64_t> run_workload(
   std::map<std::uint8_t, std::uint64_t> results;
   for (int i = 0; i < n; ++i) {
     Mbuf* m = h.make_pkt(nf, a.acc_id, payload_for(i, make_payload_len));
-    EXPECT_EQ(DhlRuntime::send_packets(h.rt->get_shared_ibq(nf), &m, 1), 1u);
+    EXPECT_EQ(h.rt->send_packets(nf, &m, 1), 1u);
     h.sim.run_until(h.sim.now() + microseconds(50));
   }
   h.sim.run_until(h.sim.now() + milliseconds(2));

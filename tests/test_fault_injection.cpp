@@ -71,7 +71,7 @@ struct Harness {
     std::size_t accepted = 0;
     for (std::size_t i = 0; i < n; ++i) {
       Mbuf* m = make_pkt(nf, acc, len);
-      if (DhlRuntime::send_packets(rt->get_shared_ibq(nf), &m, 1) == 1) {
+      if (rt->send_packets(nf, &m, 1) == 1) {
         ++accepted;
       } else {
         m->release();
@@ -222,7 +222,7 @@ TEST(FaultPrLoad, FailureRollsTableSlotBackCleanly) {
 
   // ICAP failed: the slot rolled back, the handle never becomes ready.
   EXPECT_FALSE(h.rt->acc_ready(a));
-  EXPECT_TRUE(h.rt->hardware_function_table().empty());
+  EXPECT_TRUE(h.rt->function_table().snapshot().empty());
   EXPECT_EQ(h.fpgas[0]->pr_failures(), 1u);
   EXPECT_EQ(inj.injected(FaultSite::kPrLoad), 1u);
   // The part reverted to empty: resources are back to the static region.

@@ -71,7 +71,8 @@ TEST(Integration, DhlIpsecGatewayEncryptsAtHighRateWithLowLatency) {
   EXPECT_GT(gbps, 30.0);  // ~0.9 x 40G, input-traffic basis
   // Paper V-C: DHL latency below 10 us at any packet size.
   EXPECT_LT(to_microseconds(port->latency().percentile(0.5)), 12.0);
-  EXPECT_EQ(rt.stats().error_records, 0u);
+  EXPECT_EQ(
+      rt.telemetry().metrics.snapshot().sum("dhl.runtime.error_records"), 0);
   EXPECT_GT(proc->stats().encapsulated, 50'000u);
   EXPECT_EQ(proc->stats().auth_failures, 0u);
   const auto audit = tb.quiesce_ledger();
@@ -219,8 +220,8 @@ TEST(Integration, TwoNfsShareOneModuleWithoutCrosstalk) {
   auto nf_b = make_nf("ipsec-b", port_b, proc_b);
 
   // One shared hardware-function entry (the second search hits the table).
-  EXPECT_EQ(nf_a->handle().acc_id, nf_b->handle().acc_id);
-  EXPECT_EQ(rt.hardware_function_table().size(), 1u);
+  EXPECT_EQ(nf_a->stage_handle(1).acc_id, nf_b->stage_handle(1).acc_id);
+  EXPECT_EQ(rt.function_table().snapshot().size(), 1u);
 
   tb.run_for(milliseconds(30));
   rt.start();
@@ -238,8 +239,10 @@ TEST(Integration, TwoNfsShareOneModuleWithoutCrosstalk) {
   // Both NFs run at ~9 Gbps; the shared module (65 Gbps) is not a bottleneck.
   EXPECT_NEAR(forwarded_wire_gbps(*port_a, 512, milliseconds(5)), 9.0, 0.5);
   EXPECT_NEAR(forwarded_wire_gbps(*port_b, 512, milliseconds(5)), 9.0, 0.5);
-  EXPECT_EQ(rt.stats().obq_drops, 0u);
-  EXPECT_EQ(rt.stats().error_records, 0u);
+  EXPECT_EQ(
+      rt.telemetry().metrics.snapshot().sum("dhl.runtime.obq_drops"), 0);
+  EXPECT_EQ(
+      rt.telemetry().metrics.snapshot().sum("dhl.runtime.error_records"), 0);
   EXPECT_EQ(proc_a->stats().auth_failures, 0u);
   EXPECT_EQ(proc_b->stats().auth_failures, 0u);
   const auto audit = tb.quiesce_ledger();
@@ -292,7 +295,8 @@ TEST(Integration, PartialReconfigurationDoesNotDisturbRunningNf) {
   const double during = port->tx_meter().wire_rate(milliseconds(3)).gbps();
 
   EXPECT_NEAR(during, before, before * 0.02);  // no degradation
-  EXPECT_EQ(rt.stats().error_records, 0u);
+  EXPECT_EQ(
+      rt.telemetry().metrics.snapshot().sum("dhl.runtime.error_records"), 0);
   tb.run_for(milliseconds(40));
   EXPECT_TRUE(rt.acc_ready(handle));
   const auto audit = tb.quiesce_ledger();

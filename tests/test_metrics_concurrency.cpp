@@ -26,9 +26,13 @@ TEST(MetricsConcurrency, SnapshotsAreCoherentWhileWriterRuns) {
   Gauge* level = reg.gauge("dhl.test.level");
 
   constexpr int kIterations = 50'000;
+  std::atomic<bool> started{false};
   std::atomic<bool> done{false};
 
   std::thread writer([&] {
+    // Start latch: the writer must not finish before the reader is
+    // snapshotting, or the test exercises nothing concurrent.
+    while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
     for (int i = 0; i < kIterations; ++i) {
       hot->add(1);
       level->set(static_cast<double>(i));
@@ -46,7 +50,8 @@ TEST(MetricsConcurrency, SnapshotsAreCoherentWhileWriterRuns) {
 
   std::uint64_t snapshots_taken = 0;
   double last_hot = 0;
-  while (!done.load(std::memory_order_acquire)) {
+  started.store(true, std::memory_order_release);
+  do {
     const MetricsSnapshot snap = reg.snapshot(123);
     snapshots_taken++;
     for (const MetricSample& s : snap.samples) {
@@ -63,7 +68,7 @@ TEST(MetricsConcurrency, SnapshotsAreCoherentWhileWriterRuns) {
     // Counters are monotone: a later snapshot can never show less.
     ASSERT_GE(h->value, last_hot);
     last_hot = h->value;
-  }
+  } while (!done.load(std::memory_order_acquire));
   writer.join();
 
   EXPECT_GT(snapshots_taken, 0u);

@@ -62,7 +62,7 @@ TEST(Replication, FacadeExposesPolicyAndReplicaRows) {
   EXPECT_EQ(DHL_replicate(*h.rt, "loopback", 2), 2u);
   h.settle(milliseconds(50));
 
-  const auto table = h.rt->hardware_function_table();
+  const auto table = h.rt->function_table().snapshot();
   ASSERT_EQ(table.size(), 2u);
   EXPECT_NE(table[0].fpga_id, table[1].fpga_id);
   EXPECT_NE(table[0].acc_id, table[1].acc_id);  // replicas keep distinct ids
@@ -89,7 +89,7 @@ TEST(Replication, RoundRobinSpreadsTrafficAndPacketsSurviveRetag) {
   for (int i = 0; i < kPkts; ++i) {
     Mbuf* m = h.make_pkt(nf, acc.acc_id, 1000,
                          static_cast<std::uint8_t>(i));
-    ASSERT_EQ(DhlRuntime::send_packets(h.rt->get_shared_ibq(nf), &m, 1), 1u);
+    ASSERT_EQ(h.rt->send_packets(nf, &m, 1), 1u);
   }
   h.settle(milliseconds(2));
 
@@ -111,11 +111,13 @@ TEST(Replication, RoundRobinSpreadsTrafficAndPacketsSurviveRetag) {
   EXPECT_GT(h.fpgas[1]->dma().tx_transfers(), 0u);
   EXPECT_EQ(h.fpgas[0]->dispatch_drops(), 0u);
   EXPECT_EQ(h.fpgas[1]->dispatch_drops(), 0u);
-  EXPECT_EQ(h.rt->stats().error_records, 0u);
+  EXPECT_EQ(h.rt->telemetry().metrics.snapshot().sum(
+                "dhl.runtime.error_records"),
+            0);
   EXPECT_EQ(h.pool.in_use(), 0u);
 
   // Per-replica dispatch accounting sees both replicas.
-  for (const auto& row : h.rt->hardware_function_table()) {
+  for (const auto& row : h.rt->function_table().snapshot()) {
     ASSERT_NE(row.dispatch_batches, nullptr);
     EXPECT_GT(row.dispatch_batches->value(), 0u)
         << "replica on fpga " << row.fpga_id;
@@ -134,13 +136,13 @@ TEST(Replication, LeastOutstandingBalancesAndDrains) {
 
   for (int i = 0; i < 64; ++i) {
     Mbuf* m = h.make_pkt(nf, acc.acc_id, 1000);
-    ASSERT_EQ(DhlRuntime::send_packets(h.rt->get_shared_ibq(nf), &m, 1), 1u);
+    ASSERT_EQ(h.rt->send_packets(nf, &m, 1), 1u);
   }
   h.settle(milliseconds(2));
 
   // Back-to-back full batches alternate between the two replicas: flushing
   // to one raises its outstanding bytes above the other's.
-  for (const auto& row : h.rt->hardware_function_table()) {
+  for (const auto& row : h.rt->function_table().snapshot()) {
     EXPECT_GT(row.dispatch_batches->value(), 0u)
         << "replica on fpga " << row.fpga_id;
     // Fully drained once the Distributor retired every completion.
@@ -165,7 +167,7 @@ TEST(Replication, NumaLocalDefaultKeepsTrafficOnLocalBoard) {
 
   for (int i = 0; i < 32; ++i) {
     Mbuf* m = h.make_pkt(nf, acc.acc_id, 500);
-    DhlRuntime::send_packets(h.rt->get_shared_ibq(nf), &m, 1);
+    h.rt->send_packets(nf, &m, 1);
   }
   h.settle(milliseconds(2));
 
@@ -189,18 +191,18 @@ TEST(Replication, AutoReplicateAddsReplicaUnderPressure) {
   const netio::NfId nf = h.rt->register_nf("nf0", 0);
   const AccHandle acc = h.rt->search_by_name("loopback", 0);
   h.settle(milliseconds(50));
-  ASSERT_EQ(h.rt->hardware_function_table().size(), 1u);
+  ASSERT_EQ(h.rt->function_table().snapshot().size(), 1u);
   h.rt->start();
 
   for (int i = 0; i < 64; ++i) {
     Mbuf* m = h.make_pkt(nf, acc.acc_id, 1000);
-    DhlRuntime::send_packets(h.rt->get_shared_ibq(nf), &m, 1);
+    h.rt->send_packets(nf, &m, 1);
   }
   // The pressure valve fires at flush time; the new replica then finishes
   // its PR load in the background.
   h.settle(milliseconds(50));
-  EXPECT_EQ(h.rt->hardware_function_table().size(), 2u);
-  for (const auto& row : h.rt->hardware_function_table()) {
+  EXPECT_EQ(h.rt->function_table().snapshot().size(), 2u);
+  for (const auto& row : h.rt->function_table().snapshot()) {
     EXPECT_TRUE(row.ready);
   }
 
@@ -223,7 +225,7 @@ TEST(Replication, UnloadRacingOpenBatchDropsPacketsLoudly) {
   // One small packet: far below the 6 KB cap, so the batch stays open until
   // the timeout flush (~15 us away).
   Mbuf* m = h.make_pkt(nf, acc.acc_id, 64);
-  ASSERT_EQ(DhlRuntime::send_packets(h.rt->get_shared_ibq(nf), &m, 1), 1u);
+  ASSERT_EQ(h.rt->send_packets(nf, &m, 1), 1u);
   h.settle(microseconds(3));  // packed into an open batch, not yet flushed
   ASSERT_EQ(h.rt->in_flight(), 1u);
 

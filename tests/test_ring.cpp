@@ -116,6 +116,9 @@ TEST_P(RingConcurrency, ExactlyOnceDelivery) {
         if (n == 0 && done.load(std::memory_order_acquire) && ring.empty()) {
           break;
         }
+        // Yield on an empty poll: with more spinning threads than cores,
+        // a busy consumer can starve the producer it is waiting for.
+        if (n == 0) std::this_thread::yield();
       }
     });
   }
@@ -126,8 +129,7 @@ TEST_P(RingConcurrency, ExactlyOnceDelivery) {
       for (std::uint64_t i = 0; i < kPerProducer; ++i) {
         const std::uint64_t v =
             (static_cast<std::uint64_t>(p) << 32) | i;
-        while (!ring.enqueue(v)) {
-        }
+        while (!ring.enqueue(v)) std::this_thread::yield();
       }
     });
   }

@@ -52,6 +52,11 @@ struct Harness {
     m->set_rx_timestamp(sim.now() == 0 ? 1 : sim.now());
     return m;
   }
+
+  /// Current value of a registry series, summed over its labels.
+  double metric(const std::string& name) {
+    return rt->telemetry().metrics.snapshot(sim.now()).sum(name);
+  }
 };
 
 TEST(Runtime, RegisterAssignsSequentialIds) {
@@ -70,8 +75,9 @@ TEST(Runtime, SearchByNameLoadsFromDatabase) {
   ASSERT_TRUE(handle.valid());
   EXPECT_FALSE(h.rt->acc_ready(handle));  // PR still in flight
   h.wait_ready(handle);
-  ASSERT_EQ(h.rt->hardware_function_table().size(), 1u);
-  EXPECT_EQ(h.rt->hardware_function_table()[0].hf_name, "loopback");
+  const auto table = h.rt->function_table().snapshot();
+  ASSERT_EQ(table.size(), 1u);
+  EXPECT_EQ(table[0].hf_name, "loopback");
 }
 
 TEST(Runtime, SearchByNameSharesExistingEntry) {
@@ -79,7 +85,7 @@ TEST(Runtime, SearchByNameSharesExistingEntry) {
   const AccHandle a = h.rt->search_by_name("loopback", 0);
   const AccHandle b = h.rt->search_by_name("loopback", 0);
   EXPECT_EQ(a.acc_id, b.acc_id);  // same module shared, no second PR load
-  EXPECT_EQ(h.rt->hardware_function_table().size(), 1u);
+  EXPECT_EQ(h.rt->function_table().snapshot().size(), 1u);
 }
 
 TEST(Runtime, SearchByNameUnknownFunctionFails) {
@@ -115,7 +121,6 @@ TEST(Runtime, EndToEndLoopback) {
   h.wait_ready(handle);
   h.rt->start();
 
-  auto& ibq = h.rt->get_shared_ibq(nf);
   auto& obq = h.rt->get_private_obq(nf);
 
   std::vector<Mbuf*> pkts;
@@ -124,8 +129,7 @@ TEST(Runtime, EndToEndLoopback) {
     m->set_seq(static_cast<std::uint64_t>(i));
     pkts.push_back(m);
   }
-  ASSERT_EQ(DhlRuntime::send_packets(ibq, pkts.data(), pkts.size()),
-            pkts.size());
+  ASSERT_EQ(h.rt->send_packets(nf, pkts.data(), pkts.size()), pkts.size());
   h.sim.run_until(h.sim.now() + milliseconds(1));
 
   Mbuf* out[64];
@@ -137,8 +141,8 @@ TEST(Runtime, EndToEndLoopback) {
     EXPECT_EQ(out[i]->data()[0], static_cast<std::uint8_t>(i));
     out[i]->release();
   }
-  EXPECT_EQ(h.rt->stats().pkts_to_fpga, 40u);
-  EXPECT_EQ(h.rt->stats().pkts_from_fpga, 40u);
+  EXPECT_EQ(h.metric("dhl.runtime.pkts_to_fpga"), 40);
+  EXPECT_EQ(h.metric("dhl.runtime.pkts_from_fpga"), 40);
   EXPECT_EQ(h.rt->in_flight(), 0u);
 }
 
@@ -151,19 +155,18 @@ TEST(Runtime, PackerRespectsBatchSizeCap) {
   h.wait_ready(handle);
   h.rt->start();
 
-  auto& ibq = h.rt->get_shared_ibq(nf);
   // 40 x 500 B > 2 KB: must split into multiple DMA batches.
   std::vector<Mbuf*> pkts;
   for (int i = 0; i < 40; ++i) {
     pkts.push_back(h.make_pkt(nf, handle.acc_id, 500, 0));
   }
-  DhlRuntime::send_packets(ibq, pkts.data(), pkts.size());
+  h.rt->send_packets(nf, pkts.data(), pkts.size());
   h.sim.run_until(h.sim.now() + milliseconds(1));
 
-  const auto& stats = h.rt->stats();
-  EXPECT_EQ(stats.pkts_to_fpga, 40u);
-  EXPECT_GE(stats.batches_to_fpga, 10u);  // 500+16 B records, <= 3 per batch
-  EXPECT_LE(stats.bytes_to_fpga / stats.batches_to_fpga, 2048u);
+  const double batches = h.metric("dhl.runtime.batches_to_fpga");
+  EXPECT_EQ(h.metric("dhl.runtime.pkts_to_fpga"), 40);
+  EXPECT_GE(batches, 10);  // 500+16 B records, <= 3 per batch
+  EXPECT_LE(h.metric("dhl.runtime.bytes_to_fpga") / batches, 2048);
 
   Mbuf* out[64];
   auto& obq = h.rt->get_private_obq(nf);
@@ -182,16 +185,15 @@ TEST(Runtime, DataIsolationBetweenNfs) {
   h.wait_ready(handle);
   h.rt->start();
 
-  auto& ibq = h.rt->get_shared_ibq(nf_a);  // same socket -> same shared IBQ
-  ASSERT_EQ(&ibq, &h.rt->get_shared_ibq(nf_b));
+  // Same socket -> same shared IBQ.
+  ASSERT_EQ(&h.rt->get_shared_ibq(nf_a), &h.rt->get_shared_ibq(nf_b));
 
   // Interleave the two NFs' packets on the shared IBQ.
   for (int i = 0; i < 100; ++i) {
-    const bool is_a = i % 2 == 0;
-    Mbuf* m = h.make_pkt(is_a ? nf_a : nf_b, handle.acc_id, 100,
-                         is_a ? 0xaa : 0xbb);
+    const netio::NfId nf = i % 2 == 0 ? nf_a : nf_b;
+    Mbuf* m = h.make_pkt(nf, handle.acc_id, 100, nf == nf_a ? 0xaa : 0xbb);
     m->set_seq(static_cast<std::uint64_t>(i));
-    ASSERT_EQ(DhlRuntime::send_packets(ibq, &m, 1), 1u);
+    ASSERT_EQ(h.rt->send_packets(nf, &m, 1), 1u);
   }
   h.sim.run_until(h.sim.now() + milliseconds(2));
 
@@ -225,7 +227,7 @@ TEST(Runtime, BatchTimeoutFlushesUnderfullBatch) {
   // A single small packet: far below 6 KB, must still come back quickly
   // (drain-flush / timeout policy bounds latency at low load).
   Mbuf* m = h.make_pkt(nf, handle.acc_id, 64, 0x7e);
-  DhlRuntime::send_packets(h.rt->get_shared_ibq(nf), &m, 1);
+  h.rt->send_packets(nf, &m, 1);
   h.sim.run_until(h.sim.now() + microseconds(100));
 
   Mbuf* out[4];
@@ -247,9 +249,9 @@ TEST(Runtime, ObqOverflowCountsDrops) {
   for (int i = 0; i < 64; ++i) {
     pkts.push_back(h.make_pkt(nf, handle.acc_id, 64, 0));
   }
-  DhlRuntime::send_packets(h.rt->get_shared_ibq(nf), pkts.data(), pkts.size());
+  h.rt->send_packets(nf, pkts.data(), pkts.size());
   h.sim.run_until(h.sim.now() + milliseconds(1));  // nobody drains the OBQ
-  EXPECT_GT(h.rt->stats().obq_drops, 0u);
+  EXPECT_GT(h.metric("dhl.runtime.obq_drops"), 0);
   EXPECT_EQ(h.rt->in_flight(), 0u);  // every mbuf accounted for
 
   Mbuf* out[64];
@@ -261,10 +263,10 @@ TEST(Runtime, ObqOverflowCountsDrops) {
   EXPECT_EQ(h.pool.in_use(), 0u);
 }
 
-TEST(Runtime, StatsShimMatchesRegistry) {
-  // The flat RuntimeStats view is assembled from the metrics registry; after
-  // an end-to-end run with failures injected, every field must agree with
-  // its dhl.runtime.* series.
+TEST(Runtime, RegistryCountsDropsAndErrorRecords) {
+  // The metrics registry is the runtime's only stats surface: after an
+  // end-to-end run with failures injected, the global dhl.runtime.* series
+  // and the per-NF series must tell the same story.
   RuntimeConfig cfg;
   cfg.obq_size = 16;  // tiny OBQ: forces obq_drops
   Harness h{cfg};
@@ -273,14 +275,12 @@ TEST(Runtime, StatsShimMatchesRegistry) {
   h.wait_ready(handle);
   h.rt->start();
 
-  // Phase 1: overflow the private OBQ, with one corrupted tag thrown in --
-  // nf_id 7 is unregistered, so its record must count as an obq_drop.
+  // Phase 1: overflow the private OBQ.
   std::vector<Mbuf*> pkts;
   for (int i = 0; i < 64; ++i) {
     pkts.push_back(h.make_pkt(nf, handle.acc_id, 64, 0));
   }
-  pkts[5]->set_nf_id(7);
-  DhlRuntime::send_packets(h.rt->get_shared_ibq(nf), pkts.data(), pkts.size());
+  h.rt->send_packets(nf, pkts.data(), pkts.size());
   h.sim.run_until(h.sim.now() + milliseconds(1));
 
   // Phase 2: unmap the accelerator on the device while the hardware-function
@@ -290,43 +290,28 @@ TEST(Runtime, StatsShimMatchesRegistry) {
   for (int i = 0; i < 8; ++i) {
     more.push_back(h.make_pkt(nf, handle.acc_id, 64, 0));
   }
-  DhlRuntime::send_packets(h.rt->get_shared_ibq(nf), more.data(), more.size());
+  h.rt->send_packets(nf, more.data(), more.size());
   h.sim.run_until(h.sim.now() + milliseconds(1));
 
-  const RuntimeStats s = h.rt->stats();
-  EXPECT_EQ(s.pkts_to_fpga, 72u);
-  EXPECT_GT(s.obq_drops, 0u);
-  EXPECT_EQ(s.error_records, 8u);
+  const double obq_drops = h.metric("dhl.runtime.obq_drops");
+  EXPECT_EQ(h.metric("dhl.runtime.pkts_to_fpga"), 72);
+  EXPECT_EQ(h.metric("dhl.runtime.pkts_from_fpga"), 72);
+  EXPECT_GT(obq_drops, 0);
+  EXPECT_EQ(h.metric("dhl.runtime.error_records"), 8);
 
+  // Per-(nf, acc) series agree with the global ones: nf0 carried every
+  // packet, owns every error record and every OBQ-full drop.
   const auto snap = h.rt->telemetry().metrics.snapshot(h.sim.now());
-  const auto value = [&](const char* name) {
-    const auto* sample = snap.find(name);
-    return sample != nullptr ? static_cast<std::uint64_t>(sample->value) : 0u;
-  };
-  EXPECT_EQ(s.pkts_to_fpga, value("dhl.runtime.pkts_to_fpga"));
-  EXPECT_EQ(s.batches_to_fpga, value("dhl.runtime.batches_to_fpga"));
-  EXPECT_EQ(s.bytes_to_fpga, value("dhl.runtime.bytes_to_fpga"));
-  EXPECT_EQ(s.pkts_from_fpga, value("dhl.runtime.pkts_from_fpga"));
-  EXPECT_EQ(s.batches_from_fpga, value("dhl.runtime.batches_from_fpga"));
-  EXPECT_EQ(s.obq_drops, value("dhl.runtime.obq_drops"));
-  EXPECT_EQ(s.error_records, value("dhl.runtime.error_records"));
-
-  // Per-(nf, acc) series: nf0 carried everything except the corrupted tag,
-  // which was accounted to the unregistered id it claimed.
   const auto* nf0 = snap.find("dhl.runtime.nf_pkts", {{"nf", "nf0"}});
   ASSERT_NE(nf0, nullptr);
-  EXPECT_DOUBLE_EQ(nf0->value, 71.0);
-  const auto* nf7 = snap.find("dhl.runtime.nf_pkts", {{"nf", "nf7"}});
-  ASSERT_NE(nf7, nullptr);
-  EXPECT_DOUBLE_EQ(nf7->value, 1.0);
+  EXPECT_DOUBLE_EQ(nf0->value, 72.0);
   const auto* nf0_err =
       snap.find("dhl.runtime.nf_error_records", {{"nf", "nf0"}});
   ASSERT_NE(nf0_err, nullptr);
   EXPECT_DOUBLE_EQ(nf0_err->value, 8.0);
-  // The per-NF drop counter only counts OBQ-full drops for registered NFs.
   const auto* nf0_drops = snap.find("dhl.nf.obq_drops", {{"nf", "nf0"}});
   ASSERT_NE(nf0_drops, nullptr);
-  EXPECT_EQ(static_cast<std::uint64_t>(nf0_drops->value) + 1, s.obq_drops);
+  EXPECT_DOUBLE_EQ(nf0_drops->value, obq_drops);
 
   // Drain what made it through.
   Mbuf* out[64];
@@ -347,7 +332,7 @@ TEST(Runtime, TraceSessionRecordsBatchSpans) {
   for (int i = 0; i < 20; ++i) {
     pkts.push_back(h.make_pkt(nf, handle.acc_id, 200, 0));
   }
-  DhlRuntime::send_packets(h.rt->get_shared_ibq(nf), pkts.data(), pkts.size());
+  h.rt->send_packets(nf, pkts.data(), pkts.size());
   h.sim.run_until(h.sim.now() + milliseconds(1));
 
   const auto& trace = h.rt->telemetry().trace;
@@ -359,7 +344,7 @@ TEST(Runtime, TraceSessionRecordsBatchSpans) {
   // Every batch that completed the round trip has one lifecycle span, and it
   // covers the whole journey (duration > 0 on the virtual clock).
   EXPECT_EQ(trace.count_named("batch.lifecycle"),
-            h.rt->stats().batches_from_fpga);
+            h.metric("dhl.runtime.batches_from_fpga"));
   for (const auto& e : trace.events()) {
     if (e.name == "batch.lifecycle") EXPECT_GT(e.duration, 0u);
   }
@@ -379,7 +364,6 @@ TEST(Runtime, AdaptiveBatchingShrinksBatchesAtLowRate) {
   h.wait_ready(handle);
   h.rt->start();
 
-  auto& ibq = h.rt->get_shared_ibq(nf);
   auto& obq = h.rt->get_private_obq(nf);
 
   // Trickle: one 200 B packet every 10 us -> EWMA rate ~20 MB/s -> the
@@ -387,16 +371,14 @@ TEST(Runtime, AdaptiveBatchingShrinksBatchesAtLowRate) {
   // own small batch instead of waiting for a 6 KB fill.
   for (int i = 0; i < 200; ++i) {
     Mbuf* m = h.make_pkt(nf, handle.acc_id, 200, 0x3c);
-    ASSERT_EQ(DhlRuntime::send_packets(ibq, &m, 1), 1u);
+    ASSERT_EQ(h.rt->send_packets(nf, &m, 1), 1u);
     h.sim.run_until(h.sim.now() + microseconds(10));
   }
   h.sim.run_until(h.sim.now() + microseconds(200));
 
-  const auto& stats = h.rt->stats();
-  EXPECT_EQ(stats.pkts_to_fpga, 200u);
-  const double avg_batch =
-      static_cast<double>(stats.bytes_to_fpga) /
-      static_cast<double>(stats.batches_to_fpga);
+  EXPECT_EQ(h.metric("dhl.runtime.pkts_to_fpga"), 200);
+  const double avg_batch = h.metric("dhl.runtime.bytes_to_fpga") /
+                           h.metric("dhl.runtime.batches_to_fpga");
   EXPECT_LT(avg_batch, 1024.0);  // far below the 6 KB fixed cap
 
   Mbuf* out[256];
@@ -414,7 +396,6 @@ TEST(Runtime, AdaptiveBatchingGrowsBatchesAtHighRate) {
   h.wait_ready(handle);
   h.rt->start();
 
-  auto& ibq = h.rt->get_shared_ibq(nf);
   auto& obq = h.rt->get_private_obq(nf);
 
   // Flood: bursts of 64 x 1000 B packets every microsecond (~64 GB/s
@@ -424,7 +405,7 @@ TEST(Runtime, AdaptiveBatchingGrowsBatchesAtHighRate) {
     for (int i = 0; i < 64; ++i) {
       if (h.pool.available() == 0) break;  // backlog in flight
       Mbuf* m = h.make_pkt(nf, handle.acc_id, 1000, 0x11);
-      if (DhlRuntime::send_packets(ibq, &m, 1) == 1) {
+      if (h.rt->send_packets(nf, &m, 1) == 1) {
         ++sent;
       } else {
         m->release();
@@ -447,11 +428,9 @@ TEST(Runtime, AdaptiveBatchingGrowsBatchesAtHighRate) {
     }
   }
 
-  const auto& stats = h.rt->stats();
   EXPECT_GT(sent, 5000u);
-  const double avg_batch =
-      static_cast<double>(stats.bytes_to_fpga) /
-      static_cast<double>(stats.batches_to_fpga);
+  const double avg_batch = h.metric("dhl.runtime.bytes_to_fpga") /
+                           h.metric("dhl.runtime.batches_to_fpga");
   EXPECT_GT(avg_batch, 4000.0);  // near the 6 KB cap
   EXPECT_EQ(h.rt->in_flight(), 0u);
 }

@@ -5,6 +5,7 @@
 
 #include "dhl/accel/catalog.hpp"
 #include "dhl/accel/ipsec_crypto.hpp"
+#include "dhl/fpga/batch.hpp"
 #include "dhl/fpga/loopback.hpp"
 #include "dhl/netio/mempool.hpp"
 #include "dhl/runtime/api.hpp"
@@ -52,11 +53,11 @@ TEST(RuntimeEviction, UnloadFreesRegionForReuse) {
   const AccHandle a = h.rt->search_by_name("loopback", 0);
   h.sim.run_until(h.sim.now() + milliseconds(10));
   ASSERT_TRUE(h.rt->acc_ready(a));
-  ASSERT_EQ(h.rt->hardware_function_table().size(), 1u);
+  ASSERT_EQ(h.rt->function_table().snapshot().size(), 1u);
   const auto used_before = h.fpgas[0]->used_resources().luts;
 
   EXPECT_EQ(h.rt->unload_function("loopback"), 1u);
-  EXPECT_TRUE(h.rt->hardware_function_table().empty());
+  EXPECT_TRUE(h.rt->function_table().snapshot().empty());
   EXPECT_LT(h.fpgas[0]->used_resources().luts, used_before);
 
   // The part is immediately reusable, with a fresh acc_id.
@@ -96,7 +97,7 @@ TEST(RuntimeEviction, PacketsToUnloadedFunctionComeBackFlagged) {
   const netio::AccId stale = a.acc_id;
   h.rt->unload_function("loopback");
   Mbuf* m = h.make_pkt(nf, stale, 100);
-  DhlRuntime::send_packets(h.rt->get_shared_ibq(nf), &m, 1);
+  h.rt->send_packets(nf, &m, 1);
   h.sim.run_until(h.sim.now() + microseconds(200));
   // Nothing delivered; no leak.
   Mbuf* out[4];
@@ -148,8 +149,8 @@ TEST(RuntimeMultiFpga, TrafficFlowsThroughBothFpgas) {
   for (int i = 0; i < 20; ++i) {
     Mbuf* a = h.make_pkt(nf0, acc0.acc_id, 128);
     Mbuf* b = h.make_pkt(nf1, acc1.acc_id, 128);
-    DhlRuntime::send_packets(h.rt->get_shared_ibq(nf0), &a, 1);
-    DhlRuntime::send_packets(h.rt->get_shared_ibq(nf1), &b, 1);
+    h.rt->send_packets(nf0, &a, 1);
+    h.rt->send_packets(nf1, &b, 1);
   }
   h.sim.run_until(h.sim.now() + milliseconds(1));
 
@@ -165,21 +166,28 @@ TEST(RuntimeMultiFpga, TrafficFlowsThroughBothFpgas) {
 }
 
 TEST(RuntimeFailure, CorruptedNfIdTagIsContained) {
-  // Inject a packet whose nf_id claims an unregistered NF: the Distributor
-  // must drop it (counted) instead of delivering it to anyone.
-  MultiHarness h;
+  // A returned record whose wire nf_id claims an unregistered NF: the
+  // Distributor must drop it (counted) instead of delivering it to anyone.
+  // Admission stamps the sender's nf_id, so the corruption is injected on
+  // the return path, in a hand-built completion.
+  RuntimeConfig cfg;
+  cfg.ledger = false;  // the packet never passed the Packer's tracking
+  MultiHarness h{1, cfg};
   const netio::NfId nf = h.rt->register_nf("victim", 0);
   const AccHandle acc = h.rt->search_by_name("loopback", 0);
   h.sim.run_until(h.sim.now() + milliseconds(10));
   h.rt->start();
 
-  Mbuf* evil = h.make_pkt(/*nf=*/77, acc.acc_id, 64);  // 77 never registered
-  DhlRuntime::send_packets(h.rt->get_shared_ibq(nf), &evil, 1);
+  Mbuf* evil = h.make_pkt(nf, acc.acc_id, 64);
+  auto batch = std::make_unique<fpga::DmaBatch>(acc.acc_id);
+  batch->append(/*nf_id=*/77, evil->payload(), evil);  // 77 never registered
+  h.rt->distributor().enqueue_completion(0, std::move(batch));
   h.sim.run_until(h.sim.now() + microseconds(500));
 
   Mbuf* out[4];
   EXPECT_EQ(DhlRuntime::receive_packets(h.rt->get_private_obq(nf), out, 4), 0u);
-  EXPECT_EQ(h.rt->stats().obq_drops, 1u);
+  EXPECT_EQ(
+      h.rt->telemetry().metrics.snapshot().sum("dhl.runtime.obq_drops"), 1);
   EXPECT_EQ(h.pool.in_use(), 0u);  // no leak
 }
 
@@ -194,7 +202,7 @@ TEST(RuntimeFailure, UnconfiguredModuleFlagsWithoutCrashing) {
   h.rt->start();
 
   Mbuf* m = h.make_pkt(nf, acc.acc_id, 200);
-  DhlRuntime::send_packets(h.rt->get_shared_ibq(nf), &m, 1);
+  h.rt->send_packets(nf, &m, 1);
   h.sim.run_until(h.sim.now() + microseconds(500));
 
   Mbuf* out[4];
@@ -218,7 +226,7 @@ TEST(RuntimeFailure, IbqBackpressureWhenTransferCoresStopped) {
   std::size_t accepted = 0;
   for (int i = 0; i < 100; ++i) {
     Mbuf* m = h.make_pkt(nf, acc.acc_id, 64);
-    if (DhlRuntime::send_packets(h.rt->get_shared_ibq(nf), &m, 1) == 1) {
+    if (h.rt->send_packets(nf, &m, 1) == 1) {
       ++accepted;
     } else {
       m->release();

@@ -132,6 +132,32 @@ TEST(Tenancy, RegistryAdmitsAndUnwindsAgainstCap) {
   EXPECT_FALSE(reg.drained());
 }
 
+TEST(Tenancy, AdmissionStampsTheSendingNf) {
+  // Admission is the only way into an IBQ and it names the NF: a packet
+  // carrying another NF's tag is admitted, charged, debited and delivered
+  // as the sender's, so both tenants drain back to zero.
+  Harness h;
+  const TenantId a = h.rt->register_tenant(
+      "alpha", {.outstanding_bytes_cap = 64 * 1024});
+  const TenantId b = h.rt->register_tenant("bravo", {});
+  const netio::NfId nf_a = DHL_register(*h.rt, "alpha.nf", 0, a);
+  const netio::NfId nf_b = DHL_register(*h.rt, "bravo.nf", 0, b);
+  const AccHandle acc = h.rt->search_by_name("loopback", 0);
+  h.wait_ready(acc);
+  h.rt->start();
+
+  Mbuf* m = h.make_pkt(nf_b, acc.acc_id, 256, 0x5a);  // bravo's tag...
+  ASSERT_EQ(h.rt->send_packets(nf_a, &m, 1), 1u);     // ...sent by alpha
+  EXPECT_EQ(m->nf_id(), nf_a);
+  h.sim.run_until(h.sim.now() + milliseconds(1));
+
+  EXPECT_EQ(h.drain(nf_a), 1u);
+  EXPECT_EQ(h.drain(nf_b), 0u);
+  EXPECT_EQ(h.counter("dhl.tenant.delivered_pkts", "alpha"), 1u);
+  EXPECT_EQ(h.counter("dhl.tenant.delivered_pkts", "bravo"), 0u);
+  EXPECT_TRUE(h.rt->tenants().drained());
+}
+
 TEST(Tenancy, BatchBudgetChargesAndRetires) {
   telemetry::MetricsRegistry metrics;
   TenantRegistry reg{&metrics};

@@ -83,7 +83,8 @@ TEST(TunnelE2E, EncryptThenDecryptRestoresPayloads) {
 
   EXPECT_GT(restored, 1000u);
   EXPECT_EQ(mismatches, 0u);
-  EXPECT_EQ(rt.stats().error_records, 0u);
+  EXPECT_EQ(
+      rt.telemetry().metrics.snapshot().sum("dhl.runtime.error_records"), 0);
   const auto audit = tb.quiesce_ledger();
   EXPECT_TRUE(audit.clean()) << audit.to_string();
 }
@@ -132,7 +133,7 @@ TEST(TunnelE2E, WrongKeyDecryptDropsEverything) {
 
   // Every frame fails authentication under the wrong key.
   EXPECT_GT(auth_failures, 500u);
-  EXPECT_EQ(gw.stats().tx_pkts, 0u);
+  EXPECT_EQ(gw.stats().completed, 0u);
   const auto audit = tb.quiesce_ledger();
   EXPECT_TRUE(audit.clean()) << audit.to_string();
 }

@@ -90,9 +90,7 @@ std::vector<Mbuf*> round_trip(Harness& h, const std::string& hf_name,
   for (Mbuf* m : pkts) m->set_acc_id(handle.acc_id);
   h.rt->start();
 
-  auto& ibq = h.rt->get_shared_ibq(nf);
-  EXPECT_EQ(DhlRuntime::send_packets(ibq, pkts.data(), pkts.size()),
-            pkts.size());
+  EXPECT_EQ(h.rt->send_packets(nf, pkts.data(), pkts.size()), pkts.size());
   h.sim.run_until(h.sim.now() + milliseconds(5));
 
   std::vector<Mbuf*> out(pkts.size() + 8, nullptr);
@@ -184,7 +182,6 @@ TEST(ZeroCopy, PoolReachesSteadyStateHits) {
   const AccHandle handle = h.rt->search_by_name("loopback", 0);
   h.wait_ready(handle);
   h.rt->start();
-  auto& ibq = h.rt->get_shared_ibq(nf);
   auto& obq = h.rt->get_private_obq(nf);
 
   const auto payload = text_payload("x", 128);
@@ -193,8 +190,7 @@ TEST(ZeroCopy, PoolReachesSteadyStateHits) {
     std::vector<Mbuf*> pkts;
     for (int i = 0; i < 64; ++i)
       pkts.push_back(h.make_pkt(nf, handle.acc_id, payload));
-    ASSERT_EQ(DhlRuntime::send_packets(ibq, pkts.data(), pkts.size()),
-              pkts.size());
+    ASSERT_EQ(h.rt->send_packets(nf, pkts.data(), pkts.size()), pkts.size());
     h.sim.run_until(h.sim.now() + milliseconds(1));
     std::vector<Mbuf*> out(128, nullptr);
     const std::size_t n =
