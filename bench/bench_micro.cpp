@@ -5,10 +5,11 @@
 // the raw software costs that motivate offloading in the first place.
 //
 // With `--micro-out=<path>` the binary instead runs the transfer-layer
-// micro-bench (zero-copy vs legacy batch path, see bench_common.hpp) and
-// writes a machine-readable JSON -- the artifact behind BENCH_micro.json
-// and the CI perf smoke.  `--crc-ab` runs the interleaved on/off pairing
-// that isolates the Distributor CRC gate's cost on the zero-copy path.
+// micro-bench (host ns/pkt of the Packer and Distributor polls on the one
+// SG/pooled transfer path, see bench_common.hpp) plus the introspection
+// on/off A/B, and writes a machine-readable JSON -- the artifact the CI perf
+// smoke checks.  `--crc-ab` runs the interleaved on/off pairing that
+// isolates the Distributor CRC gate's cost.
 // `--kernel-ab` pairs each registered CPU vector kernel (common/simd.hpp)
 // against its scalar reference and measures the quarantine fallback path
 // end to end under both ISA caps.

@@ -98,7 +98,8 @@ class NcDecoder {
 /// nc-encode: one coded packet from a full source window.
 ///   in : header{window, count=0, sym_len, seed} + window*sym_len bytes
 ///   out: header{count=1} + coeffs[window] + coded symbol   (shrinks)
-///   result: kOk, or kMalformed (record untouched)
+///   result: kOk, or kMalformed (record untouched; also when the coded row
+///           would not fit, i.e. window == 1 or sym_len == 1)
 class NcEncodeModule final : public fpga::AcceleratorModule {
  public:
   static constexpr std::uint64_t kOk = 0;

@@ -158,6 +158,12 @@ fpga::ProcessResult NcEncodeModule::process(std::span<std::uint8_t> data) {
   if (!h.has_value()) return untouched(data, kMalformed);
   const std::size_t block = static_cast<std::size_t>(h->window) * h->sym_len;
   if (data.size() != kNcHeaderBytes + block) return untouched(data, kMalformed);
+  // The coded row (window coefficients + one symbol) must fit where the
+  // source block was; with window == 1 or sym_len == 1 it is one byte
+  // longer, and writing it would run past the record.
+  if (static_cast<std::size_t>(h->window) + h->sym_len > block) {
+    return untouched(data, kMalformed);
+  }
 
   const std::vector<std::uint8_t> coeffs =
       nc_draw_coefficients(h->seed, h->window);

@@ -1,7 +1,5 @@
 #include "dhl/runtime/distributor.hpp"
 
-#include <bit>
-
 #include "dhl/common/check.hpp"
 #include "dhl/common/log.hpp"
 
@@ -25,12 +23,8 @@ Distributor::Distributor(sim::Simulator& simulator,
       pools_{pools},
       tenants_{tenants},
       sockets_(static_cast<std::size_t>(config.num_sockets)) {
-  const std::size_t ring_size = std::bit_ceil(
-      std::max<std::size_t>(config_.completion_ring_size, 2));
-  ring_mask_ = ring_size - 1;
   for (int s = 0; s < config_.num_sockets; ++s) {
     SocketState& state = sockets_[static_cast<std::size_t>(s)];
-    state.ring.resize(ring_size);
     state.completions_depth = telemetry_.metrics.gauge(
         "dhl.runtime.completions_depth",
         telemetry::Labels{{"socket", std::to_string(s)}});
@@ -104,16 +98,17 @@ void Distributor::enqueue_completion(int socket, fpga::DmaBatchPtr batch) {
     return;
   }
   SocketState& state = sockets_[static_cast<std::size_t>(socket)];
-  if (state.overflow_head < state.overflow.size() ||
-      state.ring_count() == state.ring.size()) {
-    // Ring full (or an earlier delivery already spilled and the poll loop
-    // has not refilled yet): never drop a completion, take the slow path.
-    metrics_.completion_overflow->add(1);
-    state.overflow.push_back(std::move(batch));
-    return;
+  if (state.pending() == state.ring.size()) {
+    // Full: double the ring.  The pending run [head, tail) is one ring's
+    // worth of consecutive indices, so it lands on distinct slots of the
+    // larger mask with head and tail unchanged.
+    std::vector<fpga::DmaBatchPtr> grown(state.ring.size() * 2);
+    for (std::uint64_t i = state.head; i != state.tail; ++i) {
+      grown[i & (grown.size() - 1)] = std::move(state.slot(i));
+    }
+    state.ring = std::move(grown);
   }
-  state.ring[state.tail & ring_mask_] = std::move(batch);
-  ++state.tail;
+  state.slot(state.tail++) = std::move(batch);
 }
 
 std::unique_ptr<Distributor::DeliveryVec> Distributor::take_buffer(
@@ -135,25 +130,9 @@ sim::PollResult Distributor::poll(int socket) {
   double cycles = 0;
   std::unique_ptr<DeliveryVec> deliveries;
 
-  // Refill the ring from the overflow slow path (FIFO preserved: spilled
-  // batches re-enter in arrival order, ahead of any new deliveries).
-  if (state.overflow_head < state.overflow.size()) {
-    while (state.overflow_head < state.overflow.size() &&
-           state.ring_count() < state.ring.size()) {
-      state.ring[state.tail & ring_mask_] =
-          std::move(state.overflow[state.overflow_head++]);
-      ++state.tail;
-    }
-    if (state.overflow_head == state.overflow.size()) {
-      state.overflow.clear();
-      state.overflow_head = 0;
-    }
-  }
-
-  for (std::uint32_t b = 0; b < config_.rx_burst && state.ring_count() > 0;
+  for (std::uint32_t b = 0; b < config_.rx_burst && state.pending() > 0;
        ++b) {
-    fpga::DmaBatchPtr batch = std::move(state.ring[state.head & ring_mask_]);
-    ++state.head;
+    fpga::DmaBatchPtr batch = std::move(state.slot(state.head++));
     metrics_.batches_from_fpga->add(1);
     const double batch_start_cycles = cycles;
     cycles += rt.distributor_per_batch_cycles;
@@ -213,8 +192,7 @@ sim::PollResult Distributor::poll(int socket) {
       // already holds exactly these bytes, so the write-back memcpy is
       // skipped (the length check keeps a corrupted wire flag from ever
       // desynchronizing mbuf and record lengths).
-      if (config_.zero_copy &&
-          (v.header.flags & fpga::kRecordFlagDataUnmodified) != 0 &&
+      if ((v.header.flags & fpga::kRecordFlagDataUnmodified) != 0 &&
           v.header.data_len == m->data_len()) {
         metrics_.zero_copy_bytes->add(v.header.data_len);
       } else {

@@ -89,53 +89,31 @@ void FallbackRouter::register_fallback(netio::NfId nf_id,
                                        const std::string& hf_name,
                                        FallbackFn fn) {
   DHL_CHECK_MSG(fn != nullptr, "register_fallback: null callback");
-  fns_[{nf_id, hf_name}] = std::move(fn);
+  fns_[{nf_id, hf_name}] = [fn = std::move(fn)](
+                               std::span<netio::Mbuf* const> pkts) {
+    for (netio::Mbuf* m : pkts) fn(*m);
+  };
 }
 
 void FallbackRouter::register_fallback_batch(netio::NfId nf_id,
                                              const std::string& hf_name,
                                              FallbackBatchFn fn) {
   DHL_CHECK_MSG(fn != nullptr, "register_fallback_batch: null callback");
-  batch_fns_[{nf_id, hf_name}] = std::move(fn);
+  fns_[{nf_id, hf_name}] = std::move(fn);
 }
 
 bool FallbackRouter::has(netio::NfId nf_id, const std::string& hf_name) const {
-  return fns_.count({nf_id, hf_name}) != 0 ||
-         batch_fns_.count({nf_id, hf_name}) != 0;
-}
-
-bool FallbackRouter::process(netio::NfId nf_id, const std::string& hf_name,
-                             netio::Mbuf* m) {
-  const auto it = fns_.find({nf_id, hf_name});
-  if (it == fns_.end()) {
-    // Single packets can still ride a batch-only registration.
-    const auto bit = batch_fns_.find({nf_id, hf_name});
-    if (bit == batch_fns_.end()) return false;
-    bit->second({&m, 1});
-    deliver(nf_id, m);
-    return true;
-  }
-  it->second(*m);
-  deliver(nf_id, m);
-  return true;
+  return fns_.count({nf_id, hf_name}) != 0;
 }
 
 bool FallbackRouter::process_batch(netio::NfId nf_id,
                                    const std::string& hf_name,
                                    std::span<netio::Mbuf* const> pkts) {
   if (pkts.empty()) return true;
-  if (const auto bit = batch_fns_.find({nf_id, hf_name});
-      bit != batch_fns_.end()) {
-    bit->second(pkts);
-    for (netio::Mbuf* m : pkts) deliver(nf_id, m);
-    return true;
-  }
   const auto it = fns_.find({nf_id, hf_name});
   if (it == fns_.end()) return false;
-  for (netio::Mbuf* m : pkts) {
-    it->second(*m);
-    deliver(nf_id, m);
-  }
+  it->second(pkts);
+  for (netio::Mbuf* m : pkts) deliver(nf_id, m);
   return true;
 }
 

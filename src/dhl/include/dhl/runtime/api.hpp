@@ -127,7 +127,7 @@ inline void DHL_register_fallback(runtime::DhlRuntime& rt, netio::NfId nf_id,
 /// failed same-NF batch run in one call -- the shape the vectorized CPU
 /// kernels want (multi-lane Aho-Corasick, pipelined AES-CTR; DESIGN.md
 /// section 3.5).  Per-packet contract is identical to DHL_register_fallback;
-/// when both forms are registered the batch form wins.
+/// either form replaces an earlier registration for the same (nf, hf).
 inline void DHL_register_fallback_batch(runtime::DhlRuntime& rt,
                                         netio::NfId nf_id,
                                         const std::string& hf_name,

@@ -29,6 +29,10 @@
 
 namespace dhl::runtime {
 
+/// Per-socket free-list capacity of the runtime's pools.  Batches in
+/// flight beyond this fall back to the allocator (dhl.pool.misses).
+inline constexpr std::uint32_t kBatchPoolCapacity = 64;
+
 class BatchPool {
  public:
   /// `reserve_bytes` is the buffer capacity given to every pool-owned

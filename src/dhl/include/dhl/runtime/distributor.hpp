@@ -73,29 +73,29 @@ class Distributor {
   };
   using DeliveryVec = std::vector<Delivery>;
 
+  /// Initial completion-ring slots per socket.
+  static constexpr std::size_t kCompletionRingSlots = 1024;
+
   struct SocketState {
-    /// Fixed-capacity completion ring (power-of-two slots, monotonic
-    /// head/tail indices masked on access): the DMA delivery hook and the
-    /// RX poll loop touch preallocated slots only -- the former std::deque
-    /// chunk churn is gone.  `overflow` is the never-drop slow path: once a
-    /// delivery spills there, later deliveries follow it (FIFO preserved)
-    /// until the poll loop refills the ring from it.
-    std::vector<fpga::DmaBatchPtr> ring;
+    /// Completion ring: power-of-two slots, monotonic head/tail indices
+    /// masked on access, so the DMA delivery hook and the RX poll loop
+    /// touch preallocated slots only.  A delivery into a full ring doubles
+    /// it in FIFO order: no completion is ever dropped.
+    std::vector<fpga::DmaBatchPtr> ring =
+        std::vector<fpga::DmaBatchPtr>(kCompletionRingSlots);
     std::uint64_t head = 0;
     std::uint64_t tail = 0;
-    std::vector<fpga::DmaBatchPtr> overflow;
-    std::size_t overflow_head = 0;
     /// Recycled delivery buffers: the deferred-enqueue closures hand their
     /// vector back here, so steady-state polling never heap-allocates.
     std::vector<std::unique_ptr<DeliveryVec>> free_buffers;
     telemetry::Gauge* completions_depth = nullptr;
     std::string rx_track;
 
-    std::size_t ring_count() const {
-      return static_cast<std::size_t>(tail - head);
+    fpga::DmaBatchPtr& slot(std::uint64_t i) {
+      return ring[i & (ring.size() - 1)];
     }
     std::size_t pending() const {
-      return ring_count() + (overflow.size() - overflow_head);
+      return static_cast<std::size_t>(tail - head);
     }
   };
 
@@ -120,8 +120,6 @@ class Distributor {
   LifecycleLedger* ledger_ = nullptr;
   TenantRegistry& tenants_;
   std::vector<SocketState> sockets_;
-  /// ring.size() - 1; rings are num_sockets copies of the same size.
-  std::uint64_t ring_mask_ = 0;
 };
 
 }  // namespace dhl::runtime

@@ -121,26 +121,28 @@ class FallbackRouter {
   FallbackRouter(const FallbackRouter&) = delete;
   FallbackRouter& operator=(const FallbackRouter&) = delete;
 
-  /// DHL_register_fallback(): software path for (nf, hf_name).
+  /// DHL_register_fallback(): software path for (nf, hf_name), stored as
+  /// a batch callback that loops over `fn`.  Like
+  /// register_fallback_batch, it replaces any earlier registration for
+  /// the same (nf, hf_name).
   void register_fallback(netio::NfId nf_id, const std::string& hf_name,
                          FallbackFn fn);
 
   /// DHL_register_fallback_batch(): batched software path for
-  /// (nf, hf_name).  Preferred by process_batch when both forms exist.
+  /// (nf, hf_name).
   void register_fallback_batch(netio::NfId nf_id, const std::string& hf_name,
                                FallbackBatchFn fn);
 
   bool has(netio::NfId nf_id, const std::string& hf_name) const;
 
-  /// Run the registered callback on `m` and deliver it to the NF's private
-  /// OBQ (with the usual OBQ-full drop accounting).  False when no
-  /// callback is registered -- the packet stays with the caller.
-  bool process(netio::NfId nf_id, const std::string& hf_name, netio::Mbuf* m);
+  /// Serve one packet as a one-element batch (see process_batch).
+  bool process(netio::NfId nf_id, const std::string& hf_name, netio::Mbuf* m) {
+    return process_batch(nf_id, hf_name, {&m, 1});
+  }
 
-  /// Serve a whole same-NF run of packets: one FallbackBatchFn call if a
-  /// batch callback is registered (falling back to the per-packet callback
-  /// otherwise), then the usual per-packet OBQ delivery/accounting.  False
-  /// when neither form is registered -- the packets stay with the caller.
+  /// Serve a whole same-NF run of packets: one callback call, then the
+  /// usual per-packet OBQ delivery (with the OBQ-full drop accounting).
+  /// False when nothing is registered -- the packets stay with the caller.
   bool process_batch(netio::NfId nf_id, const std::string& hf_name,
                      std::span<netio::Mbuf* const> pkts);
 
@@ -166,8 +168,7 @@ class FallbackRouter {
   TenantRegistry& tenants_;
   sim::Simulator* sim_ = nullptr;
   telemetry::Telemetry* telemetry_ = nullptr;
-  std::map<std::pair<netio::NfId, std::string>, FallbackFn> fns_;
-  std::map<std::pair<netio::NfId, std::string>, FallbackBatchFn> batch_fns_;
+  std::map<std::pair<netio::NfId, std::string>, FallbackBatchFn> fns_;
 };
 
 }  // namespace dhl::runtime

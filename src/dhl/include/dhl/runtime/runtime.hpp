@@ -207,7 +207,7 @@ class DhlRuntime {
   LifecycleLedger& ledger() { return ledger_; }
   const LifecycleLedger& ledger() const { return ledger_; }
 
-  /// Per-socket DmaBatch recycling pools (zero-copy path introspection).
+  /// Per-socket DmaBatch recycling pools.
   BatchPoolSet& batch_pools() { return pools_; }
   /// Transfer-layer components, exposed for benches/tests that drive the
   /// poll loops directly instead of through start()'s lcores.

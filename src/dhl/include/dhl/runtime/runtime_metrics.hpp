@@ -60,13 +60,10 @@ struct RuntimeMetrics {
   /// histogram needs integer samples >= 1000 for resolution.)
   telemetry::Histogram* batch_fill_ppm = nullptr;
   // Zero-copy data-plane accounting: payload bytes that were memcpy'd on
-  // the host path (TX copy-append + RX write-back) vs. bytes that moved by
-  // SG descriptor / skipped write-back.
+  // the host path (RX write-back) vs. bytes that moved by SG descriptor or
+  // skipped the write-back.
   telemetry::Counter* copy_bytes = nullptr;       // dhl.copy_bytes
   telemetry::Counter* zero_copy_bytes = nullptr;  // dhl.zero_copy_bytes
-  /// Completions that missed the fixed ring and took the overflow
-  /// slow path (never dropped, just slower).
-  telemetry::Counter* completion_overflow = nullptr;
   // Failure model (DESIGN.md section 3.3).
   /// DMA TX submits retried after an injected/observed submit failure.
   telemetry::Counter* dma_retries = nullptr;  // dhl.dma.retries

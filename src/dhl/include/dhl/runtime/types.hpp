@@ -116,19 +116,6 @@ struct RuntimeConfig {
   std::uint32_t ibq_burst = 64;
   /// Batches the RX core drains per iteration.
   std::uint32_t rx_burst = 8;
-  /// Zero-copy data plane (paper IV-A2/IV-A3): the Packer appends by SG
-  /// descriptor (linearized by the DMA engine at submit), DmaBatches are
-  /// recycled through per-socket pools, and the Distributor skips the RX
-  /// write-back for records the accelerator marked data-unmodified.  Off =
-  /// the legacy copy-twice/alloc-per-batch path, kept for the ablation
-  /// bench and as a safety fallback.
-  bool zero_copy = true;
-  /// Per-socket BatchPool free-list capacity.  Batches in flight beyond
-  /// this fall back to the allocator (counted as dhl.pool.misses).
-  std::uint32_t batch_pool_capacity = 64;
-  /// Per-socket completion-ring capacity (rounded up to a power of two);
-  /// deliveries beyond it take a counted slow path, never dropped.
-  std::uint32_t completion_ring_size = 1024;
   /// Paper IV-A2: allocate DMA buffers/queues on the FPGA's NUMA node.
   /// When false, everything lives on socket 0 and transfers to FPGAs on
   /// other sockets pay the remote penalty (the Fig 4 "different NUMA node"
@@ -154,11 +141,6 @@ struct RuntimeConfig {
   /// teardown.  Only effective in ledger-compiled builds (DHL_LEDGER=1,
   /// i.e. every build type except Release); compiled to no-ops otherwise.
   bool ledger = true;
-  /// Live introspection layer (DESIGN.md section 7): per-stage latency
-  /// histograms and the flight recorder.  Always-on by design -- unlike the
-  /// ledger it survives Release builds; the off position exists for the
-  /// bench_micro overhead A/B and costs one predicted branch per seam.
-  bool introspection = true;
   /// Shared telemetry context; when null the runtime creates a private one.
   telemetry::TelemetryPtr telemetry;
 };

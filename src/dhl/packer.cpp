@@ -218,12 +218,7 @@ void Packer::submit_with_retry(fpga::FpgaDevice* dev, fpga::DmaBatchPtr batch,
 }
 
 fpga::DmaBatchPtr Packer::acquire_batch(int socket, AccId acc_id) {
-  const auto& rt = config_.timing.runtime;
-  fpga::DmaBatchPtr batch =
-      config_.zero_copy
-          ? pools_.acquire(socket, acc_id)
-          : std::make_unique<fpga::DmaBatch>(
-                acc_id, rt.max_batch_bytes + fpga::kRecordHeaderBytes);
+  fpga::DmaBatchPtr batch = pools_.acquire(socket, acc_id);
   batch->created_at = sim_.now();
   return batch;
 }
@@ -442,15 +437,10 @@ sim::PollResult Packer::poll(int socket) {
       open.opened_at = sim_.now();
     }
     if (open.batch->empty()) open.batch->first_pkt_enqueued_at = sim_.now();
-    if (config_.zero_copy) {
-      // Scatter-gather append: stage a descriptor, no payload copy until
-      // the DMA engine gathers at the submit boundary.
-      open.batch->append_sg(m->nf_id(), m);
-      metrics_.zero_copy_bytes->add(m->data_len());
-    } else {
-      open.batch->append(m->nf_id(), m->payload(), m);
-      metrics_.copy_bytes->add(m->data_len());
-    }
+    // Scatter-gather append: stage a descriptor, no payload copy until the
+    // DMA engine gathers at the submit boundary.
+    open.batch->append_sg(m->nf_id(), m);
+    metrics_.zero_copy_bytes->add(m->data_len());
     if (ledger_ != nullptr) ledger_->on_stage(m, LedgerStage::kPackerAppend);
     RuntimeMetrics::NfAccCounters& c = metrics_.nf_acc(m->nf_id(), acc_id);
     c.pkts->add(1);

@@ -21,7 +21,7 @@ DhlRuntime::DhlRuntime(sim::Simulator& simulator, RuntimeConfig config,
       policy_{make_dispatch_policy(config_.dispatch_policy)},
       tenants_{&telemetry_->metrics},
       fallback_{nfs_, metrics_, tenants_},
-      pools_{config_.num_sockets, config_.batch_pool_capacity,
+      pools_{config_.num_sockets, kBatchPoolCapacity,
              config_.timing.runtime.max_batch_bytes + fpga::kRecordHeaderBytes,
              *telemetry_},
       packer_{simulator, config_, *telemetry_, metrics_,
@@ -37,11 +37,6 @@ DhlRuntime::DhlRuntime(sim::Simulator& simulator, RuntimeConfig config,
   ledger_.set_tenant_resolver(
       [this](NfId nf_id) { return tenants_.tenant_of(nf_id); },
       [this](std::uint8_t id) { return tenants_.tenant_name(id); });
-  // Introspection layer (DESIGN.md section 7): one master switch covers the
-  // stage recorder and the flight recorder; the A/B bench flips it to
-  // measure the layer's hot-path overhead.
-  telemetry_->stages.set_enabled(config_.introspection);
-  telemetry_->recorder.set_enabled(config_.introspection);
   fallback_.set_introspection(&sim_, telemetry_.get());
   table_.set_health_params(config_.timing.runtime.replica_quarantine_failures,
                            config_.timing.runtime.replica_quarantine_period);

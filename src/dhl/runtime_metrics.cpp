@@ -19,7 +19,6 @@ RuntimeMetrics::RuntimeMetrics(telemetry::Telemetry& telemetry)
   batch_fill_ppm = registry.histogram("dhl.runtime.batch_fill_ppm");
   copy_bytes = registry.counter("dhl.copy_bytes");
   zero_copy_bytes = registry.counter("dhl.zero_copy_bytes");
-  completion_overflow = registry.counter("dhl.runtime.completion_overflow");
   dma_retries = registry.counter("dhl.dma.retries");
   submit_drop_pkts = registry.counter("dhl.runtime.submit_drop_pkts");
   crc_drop_batches = registry.counter("dhl.batch.crc_drops");

@@ -89,8 +89,9 @@ class DmaBatch {
   std::vector<std::uint8_t>& buffer() { return buffer_; }
   const std::vector<std::uint8_t>& buffer() const { return buffer_; }
 
-  /// Append one record; copies `data` into the batch buffer immediately
-  /// (legacy copy path; also used by tests that build raw batches).
+  /// Append one record; copies `data` into the batch buffer immediately.
+  /// Used to build raw batches outside the runtime (tests, device benches)
+  /// and as the wire-format reference for append_sg().
   void append(netio::NfId nf_id, std::span<const std::uint8_t> data,
               netio::Mbuf* origin);
 

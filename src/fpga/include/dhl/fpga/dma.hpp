@@ -196,7 +196,7 @@ class DmaEngine {
     const bool is_tx = &ch == &tx_;
     // The submit boundary is where the hardware SG engine gathers the
     // descriptor list into one wire transfer; staged records become bytes
-    // here.  No-op for batches built with the copy path.
+    // here.  No-op for batches built with append().
     batch->linearize();
     // Stamp the per-transfer checksum over the final wire bytes; whatever
     // corrupts them downstream (injected or real) fails verification at

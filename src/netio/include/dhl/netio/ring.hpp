@@ -130,8 +130,10 @@ class Ring {
       slots_[(head + i) & mask_] = items[i];
     }
 
-    // Multi-producer: wait for earlier reservations to publish first.
-    while (prod_tail_.load(std::memory_order_relaxed) != head) {
+    // Multi-producer: wait for earlier reservations to publish first.  The
+    // acquire pairs with the earlier producer's release, so the release
+    // store below carries that producer's slot writes to the consumer too.
+    while (prod_tail_.load(std::memory_order_acquire) != head) {
       std::this_thread::yield();
     }
     prod_tail_.store(next, std::memory_order_release);
@@ -169,7 +171,9 @@ class Ring {
       out[i] = slots_[(head + i) & mask_];
     }
 
-    while (cons_tail_.load(std::memory_order_relaxed) != head) {
+    // Multi-consumer: same chain on the consumer side, so a producer that
+    // sees our tail also sees every earlier consumer's slot reads done.
+    while (cons_tail_.load(std::memory_order_acquire) != head) {
       std::this_thread::yield();
     }
     cons_tail_.store(next, std::memory_order_release);

@@ -66,7 +66,8 @@ void FlightRecorder::log(FlightComponent comp, Picos at, FlightEventKind kind,
   slot.b = b;
   slot.c = c;
   const std::size_t n = std::min(tag.size(), sizeof(slot.tag) - 1);
-  std::memcpy(slot.tag, tag.data(), n);
+  // An empty view may carry a null data(), which memcpy must never see.
+  if (n > 0) std::memcpy(slot.tag, tag.data(), n);
   slot.tag[n] = '\0';
   ring.written++;
 

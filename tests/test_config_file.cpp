@@ -18,7 +18,7 @@ tick_us = 50
 
 [runtime]
 ibq_size = 8192
-zero_copy = true
+crc_check = true
 dispatch_policy = numa_local
 
 [tenant alpha]
@@ -38,7 +38,7 @@ TEST(ConfigFile, ParsesSectionsAndValues) {
   EXPECT_EQ(f.get_string("daemon", "socket"), "/tmp/x.sock");
   EXPECT_EQ(f.get_int("daemon", "tick_us"), 50);
   EXPECT_EQ(f.get_uint("runtime", "ibq_size"), 8192u);
-  EXPECT_TRUE(f.get_bool("runtime", "zero_copy"));
+  EXPECT_TRUE(f.get_bool("runtime", "crc_check"));
   EXPECT_EQ(f.get_string("runtime", "dispatch_policy"), "numa_local");
 }
 

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -64,6 +65,19 @@ TEST(FlightRecorder, LongTagsAreTruncatedNotOverflowed) {
   const auto events = rec.recent();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(std::string(events[0].tag), std::string(23, 'x'));
+}
+
+TEST(FlightRecorder, EmptyTagLeavesAnEmptyLabel) {
+  FlightRecorder rec{2};
+  // Wrap the ring so the slot reused by the untagged event held a label.
+  rec.log(FlightComponent::kPacker, 1, FlightEventKind::kBatchFlush, "first");
+  rec.log(FlightComponent::kPacker, 2, FlightEventKind::kBatchFlush, "second");
+  rec.log(FlightComponent::kPacker, 3, FlightEventKind::kBatchFlush,
+          std::string_view{});  // null data(), zero size
+  const auto events = rec.recent();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(std::string(events[1].tag), "");
+  EXPECT_EQ(events[1].at, 3u);
 }
 
 TEST(FlightRecorder, DisabledRecorderDropsEverything) {

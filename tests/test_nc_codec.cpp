@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "dhl/accel/network_coding.hpp"
@@ -232,11 +233,28 @@ TEST(NcCodec, MalformedRecordsAreFlaggedNotCrashed) {
   std::vector<std::uint8_t> rec(kNcHeaderBytes + 10, 0);
   accel::nc_write_header(rec, NcHeader{4, 7, 32, 0});
   EXPECT_EQ(dec.process(rec).result, accel::NcDecodeModule::kMalformed);
+
+  // Degenerate generations: with window == 1 or sym_len == 1 the coded row
+  // (window + sym_len bytes) is one byte longer than the source block, so
+  // the encoder must refuse instead of writing past the record.
+  for (const auto& [window, sym_len] :
+       {std::pair{1u, 1u}, std::pair{1u, 64u}, std::pair{8u, 1u}}) {
+    const std::vector<std::uint8_t> block(window * sym_len, 0x5a);
+    auto src = accel::nc_encode_record(block, window, sym_len, 3);
+    const auto before = src;
+    const auto res = enc.process(src);
+    EXPECT_EQ(res.result, accel::NcEncodeModule::kMalformed)
+        << "window=" << window << " sym=" << sym_len;
+    EXPECT_TRUE(res.data_unmodified);
+    EXPECT_EQ(res.new_len, src.size());
+    EXPECT_EQ(src, before);
+  }
 }
 
 TEST(NcCodec, FuzzSweepDecodeEqualsSource) {
   // The acceptance-criteria sweep: random window / symbol-length / seed
-  // combinations, every one must round-trip bit-exactly.  DHL_FUZZ_SEED
+  // combinations, every one must round-trip bit-exactly (or, when the
+  // coded row cannot fit, be refused untouched).  DHL_FUZZ_SEED
   // reseeds the whole schedule (the CI sanitizer legs sweep several).
   Xoshiro256 rng{fuzz_seed() ^ 0xfeedULL};
   for (int trial = 0; trial < 40; ++trial) {
@@ -249,6 +267,17 @@ TEST(NcCodec, FuzzSweepDecodeEqualsSource) {
     // the all-random-rows rank deficit astronomically unlikely: the chance
     // of window+2+ random GF(256) rows not spanning is ~256^-3).
     const unsigned count = window + 2 + static_cast<unsigned>(rng.bounded(3));
+    if (window == 1 || sym_len == 1) {
+      // No room for the coded row: the encoder flags the record and leaves
+      // it untouched.
+      auto src = accel::nc_encode_record(block, window, sym_len, seed);
+      const auto before = src;
+      accel::NcEncodeModule enc;
+      ASSERT_EQ(enc.process(src).result, accel::NcEncodeModule::kMalformed)
+          << "trial " << trial << " window=" << window << " sym=" << sym_len;
+      ASSERT_EQ(src, before);
+      continue;
+    }
     const auto rows = encode_generation(block, window, sym_len, seed, count);
 
     auto rec = accel::nc_rows_record(rows, window, sym_len, 0);

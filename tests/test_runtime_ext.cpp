@@ -191,6 +191,58 @@ TEST(RuntimeFailure, CorruptedNfIdTagIsContained) {
   EXPECT_EQ(h.pool.in_use(), 0u);  // no leak
 }
 
+TEST(RuntimeDistributor, CompletionRingGrowsWithoutDropping) {
+  // More completions land before the first RX poll than the initial ring
+  // holds (1024 slots), and again after a partial drain has moved the
+  // ring's head and wrapped its tail: each time the ring must grow in
+  // place, and the drain must deliver every packet exactly once, in enqueue
+  // order.  Completions are hand-built so nothing else is in flight.
+  RuntimeConfig cfg;
+  cfg.ledger = false;  // the packets never passed the Packer's tracking
+  MultiHarness h{1, cfg};
+  const netio::NfId nf = h.rt->register_nf("sink", 0);
+  const AccHandle acc = h.rt->search_by_name("loopback", 0);
+  h.sim.run_until(h.sim.now() + milliseconds(10));
+  ASSERT_TRUE(h.rt->acc_ready(acc));
+
+  Distributor& dist = h.rt->distributor();
+  std::vector<Mbuf*> sent;
+  auto enqueue = [&](std::size_t batches) {
+    for (std::size_t b = 0; b < batches; ++b) {
+      auto batch = std::make_unique<fpga::DmaBatch>(acc.acc_id);
+      for (int i = 0; i < 2; ++i) {
+        Mbuf* m = h.make_pkt(nf, acc.acc_id, 64);
+        batch->append(nf, m->payload(), m);
+        sent.push_back(m);
+      }
+      dist.enqueue_completion(0, std::move(batch));
+    }
+  };
+  enqueue(1500);  // grows 1024 -> 2048 with the head at 0
+  ASSERT_EQ(dist.completions_pending(0), 1500u);
+  for (int i = 0; i < 100; ++i) dist.poll(0);  // rx_burst 8: head at 800
+  ASSERT_EQ(dist.completions_pending(0), 700u);
+  enqueue(1500);  // wraps, then grows 2048 -> 4096 with the head at 800
+  ASSERT_EQ(dist.completions_pending(0), 2200u);
+
+  h.rt->start();
+  h.sim.run_until(h.sim.now() + milliseconds(20));
+  EXPECT_EQ(dist.completions_pending(0), 0u);
+
+  std::vector<Mbuf*> got(sent.size() + 1, nullptr);
+  const std::size_t n = DhlRuntime::receive_packets(
+      h.rt->get_private_obq(nf), got.data(), got.size());
+  got.resize(n);
+  EXPECT_EQ(got, sent);  // each once, FIFO across both growths
+  const auto snap = h.rt->telemetry().metrics.snapshot();
+  EXPECT_EQ(snap.sum("dhl.runtime.pkts_from_fpga"),
+            static_cast<double>(sent.size()));
+  EXPECT_EQ(snap.sum("dhl.runtime.obq_drops"), 0);
+  h.rt->stop();
+  for (Mbuf* m : got) m->release();
+  EXPECT_EQ(h.pool.in_use(), 0u);
+}
+
 TEST(RuntimeFailure, UnconfiguredModuleFlagsWithoutCrashing) {
   // ipsec-crypto without acc_configure: every record returns kNotConfigured;
   // the system keeps running.

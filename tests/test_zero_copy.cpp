@@ -1,10 +1,12 @@
 // Zero-copy batch path: SG append through the runtime, the Distributor's
-// unmodified-flag write-back skip, pooled batch recycling, and the legacy
-// copy path staying byte-equivalent.
+// unmodified-flag write-back skip, pooled batch recycling, and results
+// matching the accelerator module run directly.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <set>
 
 #include "dhl/accel/catalog.hpp"
 #include "dhl/accel/pattern_matching.hpp"
@@ -102,7 +104,7 @@ std::vector<Mbuf*> round_trip(Harness& h, const std::string& hf_name,
 }
 
 TEST(ZeroCopy, UnmodifiedFlagSkipsWriteBackButKeepsResult) {
-  Harness h;  // zero_copy defaults on
+  Harness h;
   const auto payload = text_payload("launch the attack now", 256);
   std::vector<Mbuf*> pkts;
   for (int i = 0; i < 32; ++i) pkts.push_back(h.make_pkt(0, 0, payload));
@@ -146,34 +148,46 @@ TEST(ZeroCopy, MutatingModuleStillPaysTheCopy) {
   EXPECT_GE(h.counter("dhl.copy_bytes"), 8u);
 }
 
-TEST(ZeroCopy, LegacyModeMatchesZeroCopyResults) {
-  RuntimeConfig legacy_cfg;
-  legacy_cfg.zero_copy = false;
-  Harness legacy{legacy_cfg};
-  Harness zc;
-
-  const auto payload = text_payload("buffer overflow attack", 200);
-  std::vector<Mbuf*> lp, zp;
-  for (int i = 0; i < 16; ++i) {
-    lp.push_back(legacy.make_pkt(0, 0, payload));
-    zp.push_back(zc.make_pkt(0, 0, payload));
+TEST(ZeroCopy, PatternMatchingResultsMatchTheModule) {
+  // Every delivered packet carries exactly what the accelerator module
+  // computes on a private copy of its input: the same result word, and the
+  // payload bytes it was sent with.
+  Harness h;
+  accel::PatternMatchingModule reference{test_automaton()};
+  const std::vector<std::string> texts{"buffer overflow attack",
+                                       "nothing to see here", "attack",
+                                       "overflow, then overflow again"};
+  struct Expected {
+    std::vector<std::uint8_t> payload;
+    std::uint64_t result;
+  };
+  std::map<const Mbuf*, Expected> expected;
+  std::set<std::uint64_t> distinct_results;
+  std::vector<Mbuf*> pkts;
+  for (std::size_t i = 0; i < 16; ++i) {
+    const auto payload = text_payload(texts[i % texts.size()], 64 + 24 * i);
+    std::vector<std::uint8_t> copy = payload;
+    pkts.push_back(h.make_pkt(0, 0, payload));
+    expected[pkts.back()] = {payload, reference.process(copy).result};
+    distinct_results.insert(expected[pkts.back()].result);
   }
-  const auto lout = round_trip(legacy, "pattern-matching", lp);
-  const auto zout = round_trip(zc, "pattern-matching", zp);
-  ASSERT_EQ(lout.size(), zout.size());
-  for (std::size_t i = 0; i < lout.size(); ++i) {
-    EXPECT_EQ(lout[i]->accel_result(), zout[i]->accel_result());
-    ASSERT_EQ(lout[i]->data_len(), zout[i]->data_len());
-    EXPECT_EQ(std::memcmp(lout[i]->payload().data(),
-                          zout[i]->payload().data(), lout[i]->data_len()),
+  // The texts hit no pattern, one, and both: a result mix-up shows.
+  ASSERT_GE(distinct_results.size(), 3u);
+  const auto out = round_trip(h, "pattern-matching", pkts);
+  ASSERT_EQ(out.size(), pkts.size());
+  for (Mbuf* m : out) {
+    const auto it = expected.find(m);
+    ASSERT_NE(it, expected.end()) << "unknown or duplicate delivery";
+    EXPECT_EQ(m->accel_result(), it->second.result);
+    ASSERT_EQ(m->data_len(), it->second.payload.size());
+    EXPECT_EQ(std::memcmp(m->payload().data(), it->second.payload.data(),
+                          m->data_len()),
               0);
-    lout[i]->release();
-    zout[i]->release();
+    expected.erase(it);
+    m->release();
   }
-  // Legacy path copies on both TX and RX; zero-copy path never does.
-  EXPECT_GT(legacy.counter("dhl.copy_bytes"), 0u);
-  EXPECT_EQ(legacy.counter("dhl.zero_copy_bytes"), 0u);
-  EXPECT_EQ(zc.counter("dhl.copy_bytes"), 0u);
+  // SG append on TX and the write-back skip on RX: no payload byte copied.
+  EXPECT_EQ(h.counter("dhl.copy_bytes"), 0u);
 }
 
 TEST(ZeroCopy, PoolReachesSteadyStateHits) {
