@@ -3,8 +3,9 @@
 // Connects to a running dhl-daemon, admits itself as a tenant, registers an
 // NF, leases the loopback hardware function, pushes a few bursts through
 // the runtime-as-a-service, drains the results and prints the per-tenant
-// accounting plus its ledger audit.  Exit code 0 requires a clean audit --
-// the CI daemon smoke job leans on that.
+// accounting plus its per-tenant conservation audit.  Exit code 0 requires
+// a clean audit that counted the accepted packets -- the CI daemon smoke job
+// leans on that.
 //
 // Usage:
 //   ./examples/daemon_client_app --tenant=alpha
@@ -112,7 +113,14 @@ int main(int argc, char** argv) {
               tenant.c_str(), audit->clean ? 1 : 0, audit->tracked,
               audit->delivered, audit->dropped, audit->live);
   if (!audit->clean) {
-    std::fprintf(stderr, "client: tenant ledger audit NOT clean\n");
+    std::fprintf(stderr, "client: tenant audit NOT clean\n");
+    return 1;
+  }
+  if (accepted > 0 && audit->tracked == 0) {
+    // An audit that counted nothing proves nothing: the daemon accepted
+    // packets, so the tenant's conservation check must have seen them.
+    std::fprintf(stderr, "client: daemon accepted %lld packets but the "
+                         "audit tracked none\n", accepted);
     return 1;
   }
   if (expect_rejections && rejected == 0) {

@@ -517,27 +517,21 @@ void DhlDaemon::on_audit(Conn& conn, const Frame& frame) {
   const std::string name =
       kv_get(kv, "tenant").value_or(conn.tenant_name);
   if (name != conn.tenant_name) {
-    // A tenant may audit only itself (stats are aggregate by design; the
-    // ledger is per-packet evidence).
+    // A tenant may audit only itself.
     reply_error(conn, "not_your_tenant", name);
     return;
   }
   // Settle in-flight work before auditing, same protocol as
   // Testbed::quiesce_ledger -- virtual time is cheap.
   pump(milliseconds(5));
-  const runtime::LedgerAudit audit = runtime_->ledger().audit();
-  const runtime::LedgerAudit::TenantTally* tally = audit.tenant(name);
-  if (tally == nullptr) {
-    send_frame(conn, MsgType::kOk,
-               "clean=1 tracked=0 delivered=0 dropped=0 live=0");
-    return;
-  }
+  // The per-tenant conservation check, from the registry's counters.
+  const TenantAudit a = runtime_->tenants().context(conn.tenant)->audit();
   send_frame(conn, MsgType::kOk,
-             std::string("clean=") + (tally->clean() ? "1" : "0") +
-                 " tracked=" + std::to_string(tally->tracked) +
-                 " delivered=" + std::to_string(tally->delivered) +
-                 " dropped=" + std::to_string(tally->dropped) +
-                 " live=" + std::to_string(tally->live));
+             std::string("clean=") + (a.clean() ? "1" : "0") +
+                 " tracked=" + std::to_string(a.admitted) +
+                 " delivered=" + std::to_string(a.delivered) +
+                 " dropped=" + std::to_string(a.dropped) +
+                 " live=" + std::to_string(a.live()));
 }
 
 void DhlDaemon::on_heartbeat(Conn& conn) {

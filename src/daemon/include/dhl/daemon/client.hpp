@@ -70,8 +70,9 @@ class DaemonClient {
     long long dropped = 0;
     long long live = 0;
   };
-  /// This tenant's ledger conservation tally (daemon settles in-flight
-  /// work first).
+  /// This tenant's conservation check, from the runtime's tenant counters
+  /// (daemon settles in-flight work first); `tracked` is the admitted
+  /// count.
   std::optional<AuditResult> audit();
 
   /// Liveness probe; returns the daemon's virtual time in picoseconds.

@@ -8,7 +8,7 @@
 // are admitted as *tenants*: the first frame must be kHello naming a tenant
 // from the daemon's config, and every later request (register NFs, lease /
 // replicate / unload hardware functions, drive traffic, read stats and
-// ledger audits) runs in that tenant's scope.  Quotas are the runtime's
+// conservation audits) runs in that tenant's scope.  Quotas are the runtime's
 // TenantRegistry machinery; the daemon adds the connection lifecycle on
 // top:
 //

@@ -38,7 +38,7 @@ enum class MsgType : std::uint8_t {
                    ///< -> "accepted=<n> rejected=<n>" (admission-gated)
   kDrain,          ///< "nf=<id>" -> "drained=<n>" (consume the private OBQ)
   kStats,          ///< "" -> per-tenant JSON (TenantRegistry::to_json)
-  kAudit,          ///< "tenant=<name>" -> per-tenant ledger tally
+  kAudit,          ///< "tenant=<name>" -> per-tenant conservation check
   kHeartbeat,      ///< "" -> "now_ps=<virtual time>"
   kBye,            ///< graceful close; daemon replies kOk then disconnects
   // -- replies (daemon -> client) -------------------------------------------

@@ -71,12 +71,9 @@ void Distributor::drop_corrupt_batch(fpga::DmaBatchPtr batch) {
   auto& pkts = batch->pkts();
   for (Mbuf* m : pkts) {
     --metrics_.in_flight;
-    if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kCrc);
-    tenants_.count_drop(m->nf_id());
-    m->release();
+    metrics_.drop(m, DropSite::kCrc);
   }
   metrics_.crc_drop_batches->add(1);
-  metrics_.crc_drop_pkts->add(pkts.size());
   telemetry_.recorder.log(telemetry::FlightComponent::kDistributor, sim_.now(),
                           telemetry::FlightEventKind::kCrcDrop, batch->hf_name,
                           static_cast<std::int16_t>(batch->acc_id()),
@@ -88,9 +85,7 @@ void Distributor::drop_corrupt_batch(fpga::DmaBatchPtr batch) {
 }
 
 void Distributor::enqueue_completion(int socket, fpga::DmaBatchPtr batch) {
-  if (ledger_ != nullptr) {
-    ledger_->on_batch_stage(*batch, LedgerStage::kDmaRx);
-  }
+  metrics_.ledger.on_batch_stage(*batch, LedgerStage::kDmaRx);
   // Integrity gate at the DMA boundary (untimed: this hook runs inside the
   // delivery event, not the RX core's timed poll loop).
   if (!batch_intact(*batch)) {
@@ -176,7 +171,7 @@ sim::PollResult Distributor::poll(int socket) {
                     "batch record/mbuf count mismatch");
       Mbuf* m = pkts[records++];
       --metrics_.in_flight;
-      if (ledger_ != nullptr) ledger_->on_stage(m, LedgerStage::kDistributor);
+      metrics_.ledger.on_stage(m, LedgerStage::kDistributor);
       metrics_.pkts_from_fpga->add(1);
       cycles += rt.distributor_per_pkt_cycles;
       RuntimeMetrics::NfAccCounters& c =
@@ -205,10 +200,7 @@ sim::PollResult Distributor::poll(int socket) {
       // Isolation: route on the wire-format nf_id (paper IV-B1).
       const NfId nf = v.header.nf_id;
       if (nf >= nfs_.size()) {
-        metrics_.obq_drops->add(1);
-        if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kObq);
-        tenants_.count_drop(m->nf_id());
-        m->release();
+        metrics_.drop(m, DropSite::kObq);
         continue;
       }
       if (deliveries == nullptr) deliveries = take_buffer(state);
@@ -264,16 +256,13 @@ sim::PollResult Distributor::poll(int socket) {
           for (const Delivery& d : **shared) {
             NfInfo& info = nfs_[d.nf];
             if (!info.obq->enqueue(d.m)) {
-              metrics_.obq_drops->add(1);
               info.obq_drops->add(1);
-              if (ledger_ != nullptr) ledger_->on_drop(d.m, LedgerDrop::kObq);
-              tenants_.count_drop(static_cast<NfId>(d.nf));
               telemetry_.recorder.log(telemetry::FlightComponent::kDistributor,
                                       now, telemetry::FlightEventKind::kDrop,
                                       "obq", static_cast<std::int16_t>(d.nf));
-              d.m->release();
+              metrics_.drop(d.m, DropSite::kObq);
             } else {
-              if (ledger_ != nullptr) ledger_->on_delivered(d.m);
+              metrics_.ledger.on_delivered(d.m);
               tenants_.count_delivered(static_cast<NfId>(d.nf));
               if (stages_on &&
                   d.m->rx_timestamp() != netio::kNoRxTimestamp) {

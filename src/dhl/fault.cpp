@@ -81,9 +81,8 @@ std::uint64_t FaultInjector::injected(fpga::FaultSite site) const {
 }
 
 FallbackRouter::FallbackRouter(std::vector<NfInfo>& nfs,
-                               RuntimeMetrics& metrics,
-                               TenantRegistry& tenants)
-    : nfs_{nfs}, metrics_{metrics}, tenants_{tenants} {}
+                               RuntimeMetrics& metrics)
+    : nfs_{nfs}, metrics_{metrics} {}
 
 void FallbackRouter::register_fallback(netio::NfId nf_id,
                                        const std::string& hf_name,
@@ -119,25 +118,19 @@ bool FallbackRouter::process_batch(netio::NfId nf_id,
 
 void FallbackRouter::deliver(netio::NfId nf_id, netio::Mbuf* m) {
   metrics_.fallback_pkts->add(1);
-  if (ledger_ != nullptr) ledger_->on_stage(m, LedgerStage::kFallback);
+  metrics_.ledger.on_stage(m, LedgerStage::kFallback);
   if (nf_id >= nfs_.size()) {
-    metrics_.obq_drops->add(1);
-    if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kObq);
-    tenants_.count_drop(nf_id);
-    m->release();
+    metrics_.drop(m, DropSite::kObq);
     return;
   }
   NfInfo& nf = nfs_[nf_id];
   if (!nf.obq->enqueue(m)) {
-    metrics_.obq_drops->add(1);
     nf.obq_drops->add(1);
-    if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kObq);
-    tenants_.count_drop(nf_id);
-    m->release();
+    metrics_.drop(m, DropSite::kObq);
   } else {
     nf.obq_depth->set(static_cast<double>(nf.obq->count()));
-    if (ledger_ != nullptr) ledger_->on_delivered(m);
-    tenants_.count_delivered(nf_id);
+    metrics_.ledger.on_delivered(m);
+    metrics_.tenants.count_delivered(nf_id);
     if (sim_ != nullptr && telemetry_ != nullptr &&
         telemetry_->stages.enabled() &&
         m->rx_timestamp() != netio::kNoRxTimestamp) {

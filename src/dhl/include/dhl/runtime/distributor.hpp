@@ -49,9 +49,6 @@ class Distributor {
     return sockets_[static_cast<std::size_t>(socket)].pending();
   }
 
-  /// Packet-lifecycle ledger (null = not auditing).  Owned by the facade.
-  void set_ledger(LifecycleLedger* ledger) { ledger_ = ledger; }
-
   /// Test hook: identities of the pooled delivery buffers currently parked
   /// on `socket`'s free list.  Pins the recycling behaviour -- steady-state
   /// polling must hand the *same* heap vector back, not allocate per event.
@@ -117,7 +114,6 @@ class Distributor {
   HwFunctionTable& table_;
   std::vector<NfInfo>& nfs_;
   BatchPoolSet& pools_;
-  LifecycleLedger* ledger_ = nullptr;
   TenantRegistry& tenants_;
   std::vector<SocketState> sockets_;
 };

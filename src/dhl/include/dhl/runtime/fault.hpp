@@ -38,7 +38,6 @@
 #include "dhl/fpga/fault_hook.hpp"
 #include "dhl/runtime/ledger.hpp"
 #include "dhl/runtime/runtime_metrics.hpp"
-#include "dhl/runtime/tenant.hpp"
 #include "dhl/runtime/types.hpp"
 #include "dhl/sim/simulator.hpp"
 
@@ -115,8 +114,7 @@ using FallbackBatchFn = std::function<void(std::span<netio::Mbuf* const>)>;
 
 class FallbackRouter {
  public:
-  FallbackRouter(std::vector<NfInfo>& nfs, RuntimeMetrics& metrics,
-                 TenantRegistry& tenants);
+  FallbackRouter(std::vector<NfInfo>& nfs, RuntimeMetrics& metrics);
 
   FallbackRouter(const FallbackRouter&) = delete;
   FallbackRouter& operator=(const FallbackRouter&) = delete;
@@ -146,9 +144,6 @@ class FallbackRouter {
   bool process_batch(netio::NfId nf_id, const std::string& hf_name,
                      std::span<netio::Mbuf* const> pkts);
 
-  /// Packet-lifecycle ledger (null = not auditing).  Owned by the facade.
-  void set_ledger(LifecycleLedger* ledger) { ledger_ = ledger; }
-
   /// Introspection wiring (both null = not recording): fallback deliveries
   /// record the kFallback stage and the packet's end-to-end latency.
   void set_introspection(sim::Simulator* simulator,
@@ -164,8 +159,6 @@ class FallbackRouter {
 
   std::vector<NfInfo>& nfs_;
   RuntimeMetrics& metrics_;
-  LifecycleLedger* ledger_ = nullptr;
-  TenantRegistry& tenants_;
   sim::Simulator* sim_ = nullptr;
   telemetry::Telemetry* telemetry_ = nullptr;
   std::map<std::pair<netio::NfId, std::string>, FallbackBatchFn> fns_;

@@ -12,10 +12,12 @@
 //   dma.rx -> distributor -> obq -> nf
 //
 // and must end its life in exactly one terminal -- delivered to an OBQ, or
-// counted at one of the drop sites (unready, submit, crc, obq, oversize).
-// audit() reports anything else: leaks (tracked but never terminated),
-// double terminals, premature releases (freed while the ledger still has
-// the packet in flight), and terminal events for packets never tracked.
+// dropped at one of the DropSites (telemetry/drop_site.hpp) through the
+// runtime's one drop seam, RuntimeMetrics::drop.  audit() reports anything
+// else: leaks (tracked but never terminated), double terminals, premature
+// releases (freed while the ledger still has the packet in flight), and
+// terminal events for packets never tracked.  Per-tenant conservation is
+// not the ledger's: TenantRegistry checks it from counters in every build.
 //
 // The ledger is compiled to no-ops when DHL_LEDGER=0 (the Release
 // default): the class collapses to empty inline methods so every call
@@ -23,7 +25,6 @@
 // RuntimeConfig::ledger gates it at runtime (default on).
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "dhl/fpga/batch.hpp"
 #include "dhl/netio/mbuf.hpp"
 #include "dhl/netio/mbuf_observer.hpp"
+#include "dhl/telemetry/drop_site.hpp"
 #include "dhl/telemetry/telemetry.hpp"
 
 #ifndef DHL_LEDGER
@@ -38,6 +40,8 @@
 #endif
 
 namespace dhl::runtime {
+
+using telemetry::DropSite;
 
 /// True when this build carries the ledger (tests skip audit-mutation
 /// checks in ledger-off builds instead of vacuously passing).
@@ -60,24 +64,7 @@ enum class LedgerStage : std::uint8_t {
   kCount,
 };
 
-/// Drop sites (terminals).  Each mirrors an existing dhl.runtime.* /
-/// dhl.batch.* drop counter.
-enum class LedgerDrop : std::uint8_t {
-  kUnready,   // unknown/unready acc_id, or an unload raced an open batch
-  kSubmit,    // retry budget + redirect + fallback all exhausted
-  kCrc,       // batch failed the Distributor's integrity gate
-  kObq,       // OBQ full or nf_id out of range
-  kOversize,  // record over the DMA hardware cap, no fallback registered
-  kQuota,     // tenant batch budget exhausted at a capacity flush
-  kCount,
-};
-
-/// Ceiling on tenant lanes the ledger shards by (mirrors kMaxTenants in
-/// tenant.hpp without coupling the headers).
-inline constexpr std::size_t kLedgerTenantLanes = 16;
-
 const char* to_string(LedgerStage stage);
-const char* to_string(LedgerDrop drop);
 
 /// Result of LifecycleLedger::audit().  `clean()` is the invariant every
 /// well-behaved run must satisfy after draining: no packet still open, no
@@ -91,7 +78,7 @@ struct LedgerAudit {
 
   std::uint64_t tracked = 0;    // lifecycles opened (on_ingress)
   std::uint64_t delivered = 0;  // terminal: delivered to an OBQ
-  std::uint64_t dropped[static_cast<std::size_t>(LedgerDrop::kCount)] = {};
+  std::uint64_t dropped[telemetry::kDropSites.size()] = {};  // by DropSite
   std::uint64_t live = 0;  // still open (in flight if mid-run, leaks after)
   std::uint64_t double_track = 0;      // on_ingress on a still-open packet
   std::uint64_t double_terminal = 0;   // second terminal for one lifecycle
@@ -103,31 +90,11 @@ struct LedgerAudit {
   /// Sample of still-open records (capped; `live` is the true count).
   std::vector<Leak> leaks;
 
-  /// Per-tenant conservation shard: every tracked lifecycle is attributed
-  /// to the tenant its NF was bound to at ingress.
-  struct TenantTally {
-    std::string tenant;
-    std::uint64_t tracked = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t live = 0;
-    bool clean() const {
-      return live == 0 && tracked == delivered + dropped;
-    }
-  };
-  std::vector<TenantTally> tenants;
-  const TenantTally* tenant(const std::string& name) const;
-
   std::uint64_t dropped_total() const;
   bool clean() const;
   /// Multi-line human-readable report for test failure messages.
   std::string to_string() const;
 };
-
-/// NF -> tenant-id and tenant-id -> display-name hooks, injected by the
-/// runtime so the ledger can shard without depending on tenant.hpp.
-using LedgerTenantIdFn = std::function<std::uint8_t(netio::NfId)>;
-using LedgerTenantNameFn = std::function<std::string(std::uint8_t)>;
 
 #if DHL_LEDGER
 
@@ -157,12 +124,8 @@ class LifecycleLedger final : public netio::MbufLifecycleObserver {
   void on_batch_stage(const fpga::DmaBatch& batch, LedgerStage stage);
   /// Terminal: delivered to its NF's private OBQ.
   void on_delivered(const netio::Mbuf* m);
-  /// Terminal: dropped at `site`.
-  void on_drop(const netio::Mbuf* m, LedgerDrop site);
-
-  /// Install the tenant attribution hooks (both or neither).  Without
-  /// them every lifecycle lands in lane 0 ("default").
-  void set_tenant_resolver(LedgerTenantIdFn id_of, LedgerTenantNameFn name_of);
+  /// Terminal: dropped at `site` (called only by RuntimeMetrics::drop).
+  void on_drop(const netio::Mbuf* m, DropSite site);
 
   /// Snapshot the conservation state.  After a drained run, clean().
   LedgerAudit audit() const;
@@ -174,7 +137,6 @@ class LifecycleLedger final : public netio::MbufLifecycleObserver {
   struct Record {
     LedgerStage stage = LedgerStage::kIbq;
     bool closed = false;
-    std::uint8_t tenant = 0;  // attribution lane, resolved at ingress
   };
 
   /// Close the record as a terminal; returns false (and counts) on a
@@ -189,7 +151,7 @@ class LifecycleLedger final : public netio::MbufLifecycleObserver {
   std::uint64_t open_ = 0;  // lifecycles with no terminal yet
   std::uint64_t tracked_ = 0;
   std::uint64_t delivered_ = 0;
-  std::uint64_t dropped_[static_cast<std::size_t>(LedgerDrop::kCount)] = {};
+  std::uint64_t dropped_[telemetry::kDropSites.size()] = {};
   std::uint64_t double_track_ = 0;
   std::uint64_t double_terminal_ = 0;
   std::uint64_t premature_release_ = 0;
@@ -197,16 +159,8 @@ class LifecycleLedger final : public netio::MbufLifecycleObserver {
   std::uint64_t stage_entries_[static_cast<std::size_t>(LedgerStage::kCount)] =
       {};
 
-  LedgerTenantIdFn tenant_id_of_;
-  LedgerTenantNameFn tenant_name_of_;
-  std::uint64_t tenant_tracked_[kLedgerTenantLanes] = {};
-  std::uint64_t tenant_delivered_[kLedgerTenantLanes] = {};
-  std::uint64_t tenant_dropped_[kLedgerTenantLanes] = {};
-
   telemetry::Counter* tracked_counter_ = nullptr;
   telemetry::Counter* delivered_counter_ = nullptr;
-  telemetry::Counter* drop_counters_[static_cast<std::size_t>(
-      LedgerDrop::kCount)] = {};
   telemetry::Counter* violation_counter_ = nullptr;
   telemetry::Gauge* live_gauge_ = nullptr;
 };
@@ -227,8 +181,7 @@ class LifecycleLedger {
   void on_stage(const netio::Mbuf*, LedgerStage) {}
   void on_batch_stage(const fpga::DmaBatch&, LedgerStage) {}
   void on_delivered(const netio::Mbuf*) {}
-  void on_drop(const netio::Mbuf*, LedgerDrop) {}
-  void set_tenant_resolver(LedgerTenantIdFn, LedgerTenantNameFn) {}
+  void on_drop(const netio::Mbuf*, DropSite) {}
   LedgerAudit audit() const { return {}; }
 };
 

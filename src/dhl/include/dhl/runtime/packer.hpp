@@ -49,8 +49,6 @@ class Packer {
   /// Software-fallback registry consulted when no replica of a hardware
   /// function is dispatchable.  Owned by the facade.
   void set_fallback_router(FallbackRouter* router) { fallback_ = router; }
-  /// Packet-lifecycle ledger (null = not auditing).  Owned by the facade.
-  void set_ledger(LifecycleLedger* ledger) { ledger_ = ledger; }
 
   /// The batch-size cap currently in effect for `socket` -- max_batch_bytes,
   /// or the adaptive EWMA-driven cap when adaptive batching is on.  Exposed
@@ -148,7 +146,6 @@ class Packer {
   DispatchPolicy* policy_ = nullptr;
   fpga::FaultHook* fault_ = nullptr;
   FallbackRouter* fallback_ = nullptr;
-  LifecycleLedger* ledger_ = nullptr;
   TenantRegistry& tenants_;
   std::vector<SocketState> sockets_;
   /// Flush-time candidate list, reused across flushes (no hot-path alloc).

@@ -134,10 +134,11 @@ class DhlRuntime {
   /// prefix of the burst that fits the NF's tenant under its
   /// outstanding-bytes cap, stamps `nf_id` into each admitted packet (so
   /// the Packer debits the tenant admission charged), and enqueues it onto
-  /// the NF's IBQ.  Rejections (quota or ring-full) are counted against
-  /// the tenant (dhl.tenant.rejected_pkts) and the refused packets stay
-  /// owned by the caller -- never silently dropped.  Returns the number
-  /// accepted.
+  /// the NF's IBQ.  Packets the ring takes count as admitted
+  /// (dhl.tenant.admitted_pkts); rejections (quota or ring-full) are
+  /// counted against the tenant (dhl.tenant.rejected_pkts) and the refused
+  /// packets stay owned by the caller -- never silently dropped.  Returns
+  /// the number accepted.
   std::size_t send_packets(netio::NfId nf_id, netio::Mbuf** pkts,
                            std::size_t n);
 
@@ -226,15 +227,16 @@ class DhlRuntime {
   sim::Simulator& sim_;
   RuntimeConfig config_;
   telemetry::TelemetryPtr telemetry_;
-  RuntimeMetrics metrics_;
-  HwFunctionTable table_;
   /// Declared before (destroyed after) the components whose teardown can
   /// still release tracked mbufs through the observer seam.
   LifecycleLedger ledger_;
-  std::unique_ptr<DispatchPolicy> policy_;
-  /// Declared before the components that borrow it (Packer, Distributor,
-  /// FallbackRouter), destroyed after them.
+  /// Declared before the components that borrow it (RuntimeMetrics, Packer,
+  /// Distributor), destroyed after them.
   TenantRegistry tenants_;
+  /// Owns the drop seam, which books into tenants_ and ledger_.
+  RuntimeMetrics metrics_;
+  HwFunctionTable table_;
+  std::unique_ptr<DispatchPolicy> policy_;
   std::vector<NfInfo> nfs_;
   /// Declared after nfs_/metrics_ (it borrows both), before the Packer
   /// that consults it.

@@ -2,21 +2,28 @@
 
 // Shared data-plane instruments and counters of the DHL Runtime.
 //
-// The Packer and Distributor both account packets against the same
-// dhl.runtime.* series and the same lazily-created per-(nf, acc) counters;
-// this object owns them so the two components stay decoupled.
+// The Packer, Distributor and FallbackRouter all account packets against
+// the same dhl.runtime.* series and the same lazily-created per-(nf, acc)
+// counters; this object owns them so the components stay decoupled.  It
+// also carries the runtime's one drop seam, drop(): every packet the
+// runtime drops goes through it.
 
+#include <array>
 #include <functional>
 #include <map>
 #include <string>
 
 #include "dhl/netio/mbuf.hpp"
+#include "dhl/runtime/ledger.hpp"
+#include "dhl/runtime/tenant.hpp"
+#include "dhl/telemetry/drop_site.hpp"
 #include "dhl/telemetry/telemetry.hpp"
 
 namespace dhl::runtime {
 
 struct RuntimeMetrics {
-  explicit RuntimeMetrics(telemetry::Telemetry& telemetry);
+  RuntimeMetrics(telemetry::Telemetry& telemetry, TenantRegistry& tenants,
+                 LifecycleLedger& ledger);
 
   /// Hot-path counters for one (nf_id, acc_id) pair, created lazily on
   /// first packet so the registry only carries live series.
@@ -29,28 +36,30 @@ struct RuntimeMetrics {
 
   NfAccCounters& nf_acc(netio::NfId nf_id, netio::AccId acc_id);
 
+  /// Drop `m` at `site` (DESIGN.md section 7): count it on the site's
+  /// counter (the tenant's dhl.tenant.quota_drops for kQuota) and in the
+  /// dhl.tenant.dropped_pkts of the tenant that admitted it (m->nf_id()),
+  /// close its ledger record, release it.
+  void drop(netio::Mbuf* m, DropSite site);
+
   telemetry::MetricsRegistry& registry;
+  TenantRegistry& tenants;
+  /// Packet-lifecycle ledger (a no-op stub in DHL_LEDGER=0 builds).
+  LifecycleLedger& ledger;
   /// Resolves an NF id to its registered name for counter labels; falls
   /// back to "nf<id>" when unset or out of range.
   std::function<std::string(netio::NfId)> nf_name;
 
-  // dhl.runtime.* packet, batch and drop instruments.
+  // dhl.runtime.* packet and batch instruments.
   telemetry::Counter* pkts_to_fpga = nullptr;
   telemetry::Counter* batches_to_fpga = nullptr;
   telemetry::Counter* bytes_to_fpga = nullptr;
   telemetry::Counter* pkts_from_fpga = nullptr;
   telemetry::Counter* batches_from_fpga = nullptr;
-  telemetry::Counter* obq_drops = nullptr;
   telemetry::Counter* error_records = nullptr;
   // Packer behaviour: why batches shipped and how full they were.
   telemetry::Counter* flush_full = nullptr;
   telemetry::Counter* flush_timeout = nullptr;
-  telemetry::Counter* unready_drops = nullptr;
-  /// Packets whose single record could never fit a batch (record header +
-  /// payload > max_batch_bytes); routed to the software fallback when one
-  /// is registered, dropped otherwise -- never silently wedged in an open
-  /// batch that can't flush.
-  telemetry::Counter* oversize_drops = nullptr;
   /// Batches whose acc_id slot was recycled (unload + reload) while they
   /// were in flight; detected by the generation tag, routed by hf_name.
   telemetry::Counter* stale_acc_batches = nullptr;
@@ -67,13 +76,9 @@ struct RuntimeMetrics {
   // Failure model (DESIGN.md section 3.3).
   /// DMA TX submits retried after an injected/observed submit failure.
   telemetry::Counter* dma_retries = nullptr;  // dhl.dma.retries
-  /// Packets dropped after the submit retry budget, redirect attempt and
-  /// software fallback were all exhausted.
-  telemetry::Counter* submit_drop_pkts = nullptr;
   /// Whole batches dropped by the Distributor's integrity gate (CRC
-  /// mismatch or unparseable wire bytes), and the packets inside them.
+  /// mismatch or unparseable wire bytes); their packets are kCrc drops.
   telemetry::Counter* crc_drop_batches = nullptr;  // dhl.batch.crc_drops
-  telemetry::Counter* crc_drop_pkts = nullptr;     // dhl.batch.crc_drop_pkts
   /// Packets served by a registered software fallback (dhl.fallback.pkts).
   telemetry::Counter* fallback_pkts = nullptr;
 
@@ -84,6 +89,10 @@ struct RuntimeMetrics {
   std::uint64_t next_batch_id = 1;
 
  private:
+  /// Each site's counter from telemetry::kDropSites; null for kQuota, whose
+  /// counter is per tenant (TenantContext::quota_drops).
+  std::array<telemetry::Counter*, telemetry::kDropSites.size()>
+      drop_counters_{};
   /// Keyed on (nf_id << 16) | acc_id.  The shift is 16 (not the ids' 8-bit
   /// width) so a widened AccId -- long-running PR churn pushing past 256 --
   /// can never alias another NF's counters.

@@ -13,7 +13,12 @@
 //  - batch budget: DMA batches in flight.  Enforced at Packer flush: a
 //    timeout flush over budget is deferred (the batch stays open and flushes
 //    when a slot frees); a capacity flush over budget turns the incoming
-//    packet into a counted quota drop (LedgerDrop::kQuota).
+//    packet into a counted quota drop (DropSite::kQuota).
+//
+// Conservation: every admitted packet ends delivered or dropped, and the
+// registry counts all three per tenant in every build type.  audit() turns
+// that into the per-tenant check: after a drain, admitted == delivered +
+// dropped for every tenant.
 //
 // Tenant 0 ("default") always exists with unlimited quota, so single-tenant
 // callers -- every pre-existing test, bench and example -- see no behavior
@@ -54,6 +59,22 @@ struct TenantQuota {
   std::uint32_t max_batches_in_flight = 0;
 };
 
+/// One tenant's conservation row, read from its counters.
+struct TenantAudit {
+  std::string tenant;
+  std::uint64_t admitted = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t dropped = 0;
+
+  /// Admitted packets with no terminal yet: in flight mid-run, leaked after
+  /// a drain; negative when packets were terminated more than once.
+  std::int64_t live() const {
+    return static_cast<std::int64_t>(admitted) -
+           static_cast<std::int64_t>(delivered + dropped);
+  }
+  bool clean() const { return admitted == delivered + dropped; }
+};
+
 /// One tenant's live admission state plus its metric instruments.
 struct TenantContext {
   TenantId id = kDefaultTenant;
@@ -77,17 +98,21 @@ struct TenantContext {
   telemetry::Gauge* batches_gauge = nullptr;
 
   std::uint64_t outstanding_bytes() const { return ibq_bytes + inflight_bytes; }
+  TenantAudit audit() const {
+    return {name, admitted_pkts->value(), delivered_pkts->value(),
+            dropped_pkts->value()};
+  }
 };
 
 /// Registry of tenants plus the NF -> tenant binding used on the hot path.
 ///
 /// The runtime owns one instance; Packer / Distributor / FallbackRouter hold
-/// a reference and consult it at their admission, charge and terminal
-/// sites.  tenant_of() is a dense array lookup, so the per-packet cost is
-/// one index plus one branch.
+/// a reference and consult it at their admission, charge and delivery
+/// sites; drops reach it through RuntimeMetrics::drop.  tenant_of() is a
+/// dense array lookup, so the per-packet cost is one index plus one branch.
 class TenantRegistry {
  public:
-  explicit TenantRegistry(telemetry::MetricsRegistry* metrics);
+  explicit TenantRegistry(telemetry::MetricsRegistry& metrics);
   TenantRegistry(const TenantRegistry&) = delete;
   TenantRegistry& operator=(const TenantRegistry&) = delete;
 
@@ -107,13 +132,17 @@ class TenantRegistry {
   /// Bind an NF id to a tenant (default binding is tenant 0).
   void bind_nf(netio::NfId nf, TenantId tenant) { nf_tenant_[nf] = tenant; }
   TenantId tenant_of(netio::NfId nf) const { return nf_tenant_[nf]; }
+  TenantContext& context_of(netio::NfId nf) {
+    return *tenants_[nf_tenant_[nf]];
+  }
   std::string tenant_name(TenantId id) const;
 
   // -- hot-path helpers ----------------------------------------------------
 
   /// Admission at IBQ ingest: true when `bytes` fits under the tenant's
   /// outstanding-bytes cap (charging ibq_bytes), false when rejected
-  /// (counted).  Unlimited caps always admit.
+  /// (counted).  Unlimited caps always admit.  The caller counts
+  /// admitted_pkts once the IBQ ring has taken the packet.
   bool try_admit(TenantContext& t, std::uint64_t bytes);
 
   /// Undo an admit for packets the IBQ ring itself refused (ring full).
@@ -136,14 +165,17 @@ class TenantRegistry {
   /// No-op when the batch was never charged.
   void retire_batch(fpga::DmaBatch& batch);
 
-  void count_delivered(netio::NfId nf);
-  void count_drop(netio::NfId nf);
-  /// A capacity flush hit the tenant's batch budget: the incoming packet
-  /// became a counted quota drop.
-  void count_quota_drop(netio::NfId nf);
+  void count_delivered(netio::NfId nf) {
+    context_of(nf).delivered_pkts->add();
+  }
 
   /// True when no tenant holds queued or in-flight bytes or batches.
   bool drained() const;
+
+  /// The per-tenant conservation check: one row per tenant that has
+  /// counted a packet, in tenant-id order.  After a drain every row must
+  /// be clean().
+  std::vector<TenantAudit> audit() const;
 
   /// JSON array of per-tenant rows for stream snapshots / dhl-top.
   std::string to_json() const;
@@ -151,7 +183,7 @@ class TenantRegistry {
  private:
   void update_gauges(TenantContext& t);
 
-  telemetry::MetricsRegistry* metrics_ = nullptr;
+  telemetry::MetricsRegistry& metrics_;
   std::vector<std::unique_ptr<TenantContext>> tenants_;
   std::array<TenantId, 256> nf_tenant_{};  // zero-init == kDefaultTenant
 };

@@ -34,34 +34,6 @@ const char* to_string(LedgerStage stage) {
   return "unknown";
 }
 
-const char* to_string(LedgerDrop drop) {
-  switch (drop) {
-    case LedgerDrop::kUnready:
-      return "unready";
-    case LedgerDrop::kSubmit:
-      return "submit";
-    case LedgerDrop::kCrc:
-      return "crc";
-    case LedgerDrop::kObq:
-      return "obq";
-    case LedgerDrop::kOversize:
-      return "oversize";
-    case LedgerDrop::kQuota:
-      return "quota";
-    case LedgerDrop::kCount:
-      break;
-  }
-  return "unknown";
-}
-
-const LedgerAudit::TenantTally* LedgerAudit::tenant(
-    const std::string& name) const {
-  for (const TenantTally& t : tenants) {
-    if (t.tenant == name) return &t;
-  }
-  return nullptr;
-}
-
 std::uint64_t LedgerAudit::dropped_total() const {
   std::uint64_t total = 0;
   for (const std::uint64_t d : dropped) total += d;
@@ -79,10 +51,8 @@ std::string LedgerAudit::to_string() const {
   out << "ledger audit: tracked=" << tracked << " delivered=" << delivered
       << " dropped=" << dropped_total() << " live=" << live << '\n';
   out << "  drops:";
-  for (std::size_t i = 0; i < static_cast<std::size_t>(LedgerDrop::kCount);
-       ++i) {
-    out << ' ' << runtime::to_string(static_cast<LedgerDrop>(i)) << '='
-        << dropped[i];
+  for (std::size_t i = 0; i < telemetry::kDropSites.size(); ++i) {
+    out << ' ' << telemetry::kDropSites[i].name << '=' << dropped[i];
   }
   out << '\n';
   out << "  violations: double_track=" << double_track
@@ -101,11 +71,6 @@ std::string LedgerAudit::to_string() const {
       out << " [" << leak.mbuf << " @ " << runtime::to_string(leak.stage)
           << ']';
     }
-  }
-  for (const TenantTally& t : tenants) {
-    out << "\n  tenant " << t.tenant << ": tracked=" << t.tracked
-        << " delivered=" << t.delivered << " dropped=" << t.dropped
-        << " live=" << t.live << (t.clean() ? " [clean]" : " [DIRTY]");
   }
   return out.str();
 }
@@ -126,13 +91,6 @@ LifecycleLedger::LifecycleLedger(bool enabled,
   }
   tracked_counter_ = telemetry.metrics.counter("dhl.ledger.tracked");
   delivered_counter_ = telemetry.metrics.counter("dhl.ledger.delivered");
-  for (std::size_t i = 0; i < static_cast<std::size_t>(LedgerDrop::kCount);
-       ++i) {
-    drop_counters_[i] = telemetry.metrics.counter(
-        "dhl.ledger.dropped",
-        telemetry::Labels{
-            {"reason", runtime::to_string(static_cast<LedgerDrop>(i))}});
-  }
   violation_counter_ = telemetry.metrics.counter("dhl.ledger.violations");
   live_gauge_ = telemetry.metrics.gauge("dhl.ledger.live");
 }
@@ -141,12 +99,6 @@ LifecycleLedger::~LifecycleLedger() {
   if (installed_ && netio::mbuf_observer() == this) {
     netio::set_mbuf_observer(nullptr);
   }
-}
-
-void LifecycleLedger::set_tenant_resolver(LedgerTenantIdFn id_of,
-                                          LedgerTenantNameFn name_of) {
-  tenant_id_of_ = std::move(id_of);
-  tenant_name_of_ = std::move(name_of);
 }
 
 void LifecycleLedger::on_ingress(const netio::Mbuf* m) {
@@ -165,11 +117,6 @@ void LifecycleLedger::on_ingress(const netio::Mbuf* m) {
     }
     it->second = Record{};
   }
-  std::uint8_t lane = 0;
-  if (tenant_id_of_) lane = tenant_id_of_(m->nf_id());
-  if (lane >= kLedgerTenantLanes) lane = 0;
-  it->second.tenant = lane;
-  ++tenant_tracked_[lane];
   ++tracked_;
   ++open_;
   tracked_counter_->add(1);
@@ -218,23 +165,19 @@ void LifecycleLedger::on_delivered(const netio::Mbuf* m) {
   r->closed = true;
   r->stage = LedgerStage::kObq;
   ++stage_entries_[static_cast<std::size_t>(LedgerStage::kObq)];
-  ++tenant_delivered_[r->tenant];
   ++delivered_;
   --open_;
   delivered_counter_->add(1);
   live_gauge_->set(static_cast<double>(open_));
 }
 
-void LifecycleLedger::on_drop(const netio::Mbuf* m, LedgerDrop site) {
+void LifecycleLedger::on_drop(const netio::Mbuf* m, DropSite site) {
   if (!enabled_ || m == nullptr) return;
-  Record* r = terminal_record(m);
-  if (r == nullptr) return;
-  ++tenant_dropped_[r->tenant];
+  if (terminal_record(m) == nullptr) return;
   // Dropped packets return to the pool right away; the record is done.
   records_.erase(m);
   ++dropped_[static_cast<std::size_t>(site)];
   --open_;
-  drop_counters_[static_cast<std::size_t>(site)]->add(1);
   live_gauge_->set(static_cast<double>(open_));
 }
 
@@ -264,8 +207,7 @@ LedgerAudit LifecycleLedger::audit() const {
   LedgerAudit out;
   out.tracked = tracked_;
   out.delivered = delivered_;
-  for (std::size_t i = 0; i < static_cast<std::size_t>(LedgerDrop::kCount);
-       ++i) {
+  for (std::size_t i = 0; i < telemetry::kDropSites.size(); ++i) {
     out.dropped[i] = dropped_[i];
   }
   out.double_track = double_track_;
@@ -276,26 +218,13 @@ LedgerAudit LifecycleLedger::audit() const {
        ++i) {
     out.stage_entries[i] = stage_entries_[i];
   }
-  std::uint64_t tenant_live[kLedgerTenantLanes] = {};
   constexpr std::size_t kMaxLeakSamples = 16;
   for (const auto& [m, r] : records_) {
     if (r.closed) continue;
     ++out.live;
-    ++tenant_live[r.tenant];
     if (out.leaks.size() < kMaxLeakSamples) {
       out.leaks.push_back({m, r.stage});
     }
-  }
-  for (std::size_t lane = 0; lane < kLedgerTenantLanes; ++lane) {
-    if (tenant_tracked_[lane] == 0 && tenant_live[lane] == 0) continue;
-    LedgerAudit::TenantTally t;
-    t.tenant = tenant_name_of_ ? tenant_name_of_(static_cast<std::uint8_t>(lane))
-                               : "tenant" + std::to_string(lane);
-    t.tracked = tenant_tracked_[lane];
-    t.delivered = tenant_delivered_[lane];
-    t.dropped = tenant_dropped_[lane];
-    t.live = tenant_live[lane];
-    out.tenants.push_back(std::move(t));
   }
   return out;
 }

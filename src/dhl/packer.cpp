@@ -96,10 +96,7 @@ void Packer::drop_batch(fpga::DmaBatchPtr batch) {
   tenants_.retire_batch(*batch);
   for (Mbuf* m : batch->pkts()) {
     --metrics_.in_flight;
-    metrics_.unready_drops->add(1);
-    if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kUnready);
-    tenants_.count_drop(m->nf_id());
-    m->release();
+    metrics_.drop(m, DropSite::kUnready);
   }
   pools_.recycle(std::move(batch));
 }
@@ -127,12 +124,7 @@ void Packer::fallback_or_drop(fpga::DmaBatchPtr batch,
       i = j;  // served in software, delivered to the NF's OBQ
       continue;
     }
-    for (Mbuf* m : run) {
-      metrics_.submit_drop_pkts->add(1);
-      if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kSubmit);
-      tenants_.count_drop(m->nf_id());
-      m->release();
-    }
+    for (Mbuf* m : run) metrics_.drop(m, DropSite::kSubmit);
     i = j;
   }
   pools_.recycle(std::move(batch));
@@ -141,9 +133,7 @@ void Packer::fallback_or_drop(fpga::DmaBatchPtr batch,
 void Packer::submit_with_retry(fpga::FpgaDevice* dev, fpga::DmaBatchPtr batch,
                                std::uint32_t attempt) {
   // Idempotent: retries and redirects re-mark the same stage, a no-op.
-  if (ledger_ != nullptr) {
-    ledger_->on_batch_stage(*batch, LedgerStage::kDmaTx);
-  }
+  metrics_.ledger.on_batch_stage(*batch, LedgerStage::kDmaTx);
   if (dev->dma().try_submit_tx(batch)) return;
   const auto& rt = config_.timing.runtime;
   if (attempt < rt.dma_submit_max_retries) {
@@ -358,7 +348,7 @@ sim::PollResult Packer::poll(int socket) {
   for (std::size_t i = 0; i < n; ++i) {
     Mbuf* m = pkts[i];
     if (stages_on) m->set_stage_ts(ingress_now);
-    if (ledger_ != nullptr) ledger_->on_ingress(m);
+    metrics_.ledger.on_ingress(m);
     const AccId acc_id = m->acc_id();
     const TenantId tenant = tenants_.tenant_of(m->nf_id());
     // Bytes leave the tenant's queued bucket the moment they leave the IBQ,
@@ -370,10 +360,7 @@ sim::PollResult Packer::poll(int socket) {
       // Paper never sends before search/configure; treat as caller error.
       DHL_WARN("dhl", "packet tagged with unknown/unready acc_id "
                           << static_cast<int>(acc_id) << "; dropping");
-      metrics_.unready_drops->add(1);
-      if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kUnready);
-      tenants_.count_drop(m->nf_id());
-      m->release();
+      metrics_.drop(m, DropSite::kUnready);
       continue;
     }
     // Health fast path: one enum compare per packet.  Anything but a
@@ -386,10 +373,7 @@ sim::PollResult Packer::poll(int socket) {
           fallback_->process(m->nf_id(), e->hf_name, m)) {
         continue;  // served in software; never entered a batch
       }
-      metrics_.submit_drop_pkts->add(1);
-      if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kSubmit);
-      tenants_.count_drop(m->nf_id());
-      m->release();
+      metrics_.drop(m, DropSite::kSubmit);
       continue;
     }
     const std::size_t record_bytes = fpga::kRecordHeaderBytes + m->data_len();
@@ -400,15 +384,12 @@ sim::PollResult Packer::poll(int socket) {
       // violating the 6 KB DMA contract.  Judged against max_batch_bytes,
       // not the adaptive cap -- adaptive batching shrinks the target, not
       // the wire-format ceiling.
-      metrics_.oversize_drops->add(1);
       cycles += rt.packer_per_pkt_cycles;
       if (fallback_ != nullptr &&
           fallback_->process(m->nf_id(), e->hf_name, m)) {
         continue;  // served in software, unbatched
       }
-      if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kOversize);
-      tenants_.count_drop(m->nf_id());
-      m->release();
+      metrics_.drop(m, DropSite::kOversize);
       continue;
     }
     const OpenKey key = open_key(tenant, acc_id);
@@ -424,11 +405,9 @@ sim::PollResult Packer::poll(int socket) {
       if (!tenants_.can_flush(tenant)) {
         // Batch budget exhausted and the open batch is full: the incoming
         // packet has nowhere legal to go.  Counted quota drop -- never a
-        // silent one (dhl.tenant.quota_drops + the ledger's quota site).
-        if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kQuota);
-        tenants_.count_quota_drop(m->nf_id());
+        // silent one.
         cycles += rt.packer_per_pkt_cycles;
-        m->release();
+        metrics_.drop(m, DropSite::kQuota);
         continue;
       }
       cycles += flush_batch(socket, acc_id, std::move(open), pending,
@@ -441,7 +420,7 @@ sim::PollResult Packer::poll(int socket) {
     // DMA engine gathers at the submit boundary.
     open.batch->append_sg(m->nf_id(), m);
     metrics_.zero_copy_bytes->add(m->data_len());
-    if (ledger_ != nullptr) ledger_->on_stage(m, LedgerStage::kPackerAppend);
+    metrics_.ledger.on_stage(m, LedgerStage::kPackerAppend);
     RuntimeMetrics::NfAccCounters& c = metrics_.nf_acc(m->nf_id(), acc_id);
     c.pkts->add(1);
     c.bytes->add(m->data_len());

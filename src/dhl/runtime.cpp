@@ -15,12 +15,12 @@ DhlRuntime::DhlRuntime(sim::Simulator& simulator, RuntimeConfig config,
     : sim_{simulator},
       config_{std::move(config)},
       telemetry_{telemetry::ensure(config_.telemetry)},
-      metrics_{*telemetry_},
-      table_{simulator, std::move(database), std::move(fpgas), *telemetry_},
       ledger_{config_.ledger, *telemetry_},
+      tenants_{telemetry_->metrics},
+      metrics_{*telemetry_, tenants_, ledger_},
+      table_{simulator, std::move(database), std::move(fpgas), *telemetry_},
       policy_{make_dispatch_policy(config_.dispatch_policy)},
-      tenants_{&telemetry_->metrics},
-      fallback_{nfs_, metrics_, tenants_},
+      fallback_{nfs_, metrics_},
       pools_{config_.num_sockets, kBatchPoolCapacity,
              config_.timing.runtime.max_batch_bytes + fpga::kRecordHeaderBytes,
              *telemetry_},
@@ -31,12 +31,6 @@ DhlRuntime::DhlRuntime(sim::Simulator& simulator, RuntimeConfig config,
   DHL_CHECK(config_.num_sockets > 0);
   packer_.set_dispatch_policy(policy_.get());
   packer_.set_fallback_router(&fallback_);
-  packer_.set_ledger(&ledger_);
-  distributor_.set_ledger(&ledger_);
-  fallback_.set_ledger(&ledger_);
-  ledger_.set_tenant_resolver(
-      [this](NfId nf_id) { return tenants_.tenant_of(nf_id); },
-      [this](std::uint8_t id) { return tenants_.tenant_name(id); });
   fallback_.set_introspection(&sim_, telemetry_.get());
   table_.set_health_params(config_.timing.runtime.replica_quarantine_failures,
                            config_.timing.runtime.replica_quarantine_period);
@@ -134,12 +128,15 @@ std::size_t DhlRuntime::send_packets(NfId nf_id, netio::Mbuf** pkts,
   while (admit < n && tenants_.try_admit(t, pkts[admit]->data_len())) {
     pkts[admit++]->set_nf_id(nf_id);
   }
-  if (admit < n && n - admit > 1 && t.rejected_pkts != nullptr) {
+  if (admit < n && n - admit > 1) {
     // try_admit counted the first refusal; count the rest of the tail.
     t.rejected_pkts->add(n - admit - 1);
   }
   const std::size_t accepted =
       packer_.admission_ibq(ibq_socket(nf_id)).enqueue_burst({pkts, admit});
+  // Only packets the ring took are admitted: each now owes the tenant one
+  // terminal, delivered or dropped.
+  t.admitted_pkts->add(accepted);
   for (std::size_t i = accepted; i < admit; ++i) {
     // The ring itself refused these: undo their admission (counted).
     tenants_.unwind_admit(t, pkts[i]->data_len());

@@ -2,28 +2,41 @@
 
 namespace dhl::runtime {
 
-RuntimeMetrics::RuntimeMetrics(telemetry::Telemetry& telemetry)
-    : registry{telemetry.metrics} {
+RuntimeMetrics::RuntimeMetrics(telemetry::Telemetry& telemetry,
+                               TenantRegistry& tenants,
+                               LifecycleLedger& ledger)
+    : registry{telemetry.metrics}, tenants{tenants}, ledger{ledger} {
+  for (std::size_t i = 0; i < telemetry::kDropSites.size(); ++i) {
+    if (static_cast<DropSite>(i) != DropSite::kQuota) {
+      drop_counters_[i] = registry.counter(telemetry::kDropSites[i].counter);
+    }
+  }
   pkts_to_fpga = registry.counter("dhl.runtime.pkts_to_fpga");
   batches_to_fpga = registry.counter("dhl.runtime.batches_to_fpga");
   bytes_to_fpga = registry.counter("dhl.runtime.bytes_to_fpga");
   pkts_from_fpga = registry.counter("dhl.runtime.pkts_from_fpga");
   batches_from_fpga = registry.counter("dhl.runtime.batches_from_fpga");
-  obq_drops = registry.counter("dhl.runtime.obq_drops");
   error_records = registry.counter("dhl.runtime.error_records");
   flush_full = registry.counter("dhl.runtime.flush_full_batches");
   flush_timeout = registry.counter("dhl.runtime.flush_timeout_batches");
-  unready_drops = registry.counter("dhl.runtime.unready_drops");
-  oversize_drops = registry.counter("dhl.runtime.oversize_drops");
   stale_acc_batches = registry.counter("dhl.runtime.stale_acc_batches");
   batch_fill_ppm = registry.histogram("dhl.runtime.batch_fill_ppm");
   copy_bytes = registry.counter("dhl.copy_bytes");
   zero_copy_bytes = registry.counter("dhl.zero_copy_bytes");
   dma_retries = registry.counter("dhl.dma.retries");
-  submit_drop_pkts = registry.counter("dhl.runtime.submit_drop_pkts");
   crc_drop_batches = registry.counter("dhl.batch.crc_drops");
-  crc_drop_pkts = registry.counter("dhl.batch.crc_drop_pkts");
   fallback_pkts = registry.counter("dhl.fallback.pkts");
+}
+
+void RuntimeMetrics::drop(netio::Mbuf* m, DropSite site) {
+  TenantContext& t = tenants.context_of(m->nf_id());
+  telemetry::Counter* site_counter =
+      site == DropSite::kQuota ? t.quota_drops
+                               : drop_counters_[static_cast<std::size_t>(site)];
+  site_counter->add(1);
+  t.dropped_pkts->add(1);
+  ledger.on_drop(m, site);
+  m->release();
 }
 
 RuntimeMetrics::NfAccCounters& RuntimeMetrics::nf_acc(netio::NfId nf_id,

@@ -4,10 +4,11 @@
 #include <sstream>
 
 #include "dhl/common/check.hpp"
+#include "dhl/telemetry/drop_site.hpp"
 
 namespace dhl {
 
-TenantRegistry::TenantRegistry(telemetry::MetricsRegistry* metrics)
+TenantRegistry::TenantRegistry(telemetry::MetricsRegistry& metrics)
     : metrics_(metrics) {
   // Tenant 0 always exists with unlimited quota so single-tenant callers
   // (every legacy test / bench / example) see no behavior change.
@@ -23,19 +24,16 @@ TenantId TenantRegistry::create(const std::string& name,
   t->id = static_cast<TenantId>(tenants_.size());
   t->name = name;
   t->quota = quota;
-  if (metrics_ != nullptr) {
-    const telemetry::Labels labels{{"tenant", name}};
-    t->admitted_pkts = metrics_->counter("dhl.tenant.admitted_pkts", labels);
-    t->rejected_pkts = metrics_->counter("dhl.tenant.rejected_pkts", labels);
-    t->delivered_pkts = metrics_->counter("dhl.tenant.delivered_pkts", labels);
-    t->dropped_pkts = metrics_->counter("dhl.tenant.dropped_pkts", labels);
-    t->quota_drops = metrics_->counter("dhl.tenant.quota_drops", labels);
-    t->flush_deferrals =
-        metrics_->counter("dhl.tenant.flush_deferrals", labels);
-    t->outstanding_gauge =
-        metrics_->gauge("dhl.tenant.outstanding_bytes", labels);
-    t->batches_gauge = metrics_->gauge("dhl.tenant.batches_in_flight", labels);
-  }
+  const telemetry::Labels labels{{"tenant", name}};
+  t->admitted_pkts = metrics_.counter("dhl.tenant.admitted_pkts", labels);
+  t->rejected_pkts = metrics_.counter("dhl.tenant.rejected_pkts", labels);
+  t->delivered_pkts = metrics_.counter("dhl.tenant.delivered_pkts", labels);
+  t->dropped_pkts = metrics_.counter("dhl.tenant.dropped_pkts", labels);
+  t->quota_drops = metrics_.counter(
+      telemetry::drop_site(telemetry::DropSite::kQuota).counter, labels);
+  t->flush_deferrals = metrics_.counter("dhl.tenant.flush_deferrals", labels);
+  t->outstanding_gauge = metrics_.gauge("dhl.tenant.outstanding_bytes", labels);
+  t->batches_gauge = metrics_.gauge("dhl.tenant.batches_in_flight", labels);
   const TenantId id = t->id;
   tenants_.push_back(std::move(t));
   return id;
@@ -56,28 +54,22 @@ std::string TenantRegistry::tenant_name(TenantId id) const {
 bool TenantRegistry::try_admit(TenantContext& t, std::uint64_t bytes) {
   if (t.quota.outstanding_bytes_cap != 0 &&
       t.outstanding_bytes() + bytes > t.quota.outstanding_bytes_cap) {
-    if (t.rejected_pkts != nullptr) t.rejected_pkts->add();
+    t.rejected_pkts->add();
     return false;
   }
   t.ibq_bytes += bytes;
-  if (t.admitted_pkts != nullptr) t.admitted_pkts->add();
   update_gauges(t);
   return true;
 }
 
 void TenantRegistry::unwind_admit(TenantContext& t, std::uint64_t bytes) {
   t.ibq_bytes -= std::min(t.ibq_bytes, bytes);
-  if (t.admitted_pkts != nullptr) {
-    // The ring refused the packet after admission: reclassify as rejected.
-    // Counter has no subtract, so the admit stands and the rejection is
-    // counted alongside it; rejected_pkts is the authoritative refusal count.
-    if (t.rejected_pkts != nullptr) t.rejected_pkts->add();
-  }
+  t.rejected_pkts->add();
   update_gauges(t);
 }
 
 void TenantRegistry::on_packer_ingest(netio::NfId nf, std::uint64_t bytes) {
-  TenantContext& t = *tenants_[nf_tenant_[nf]];
+  TenantContext& t = context_of(nf);
   DHL_DCHECK(t.ibq_bytes >= bytes);
   t.ibq_bytes -= bytes;
   update_gauges(t);
@@ -91,7 +83,7 @@ bool TenantRegistry::can_flush(TenantId id) const {
 
 void TenantRegistry::note_flush_deferred(TenantId id) {
   TenantContext* t = context(id);
-  if (t != nullptr && t->flush_deferrals != nullptr) t->flush_deferrals->add();
+  if (t != nullptr) t->flush_deferrals->add();
 }
 
 void TenantRegistry::charge_batch(TenantId id, fpga::DmaBatch& batch) {
@@ -114,23 +106,6 @@ void TenantRegistry::retire_batch(fpga::DmaBatch& batch) {
   update_gauges(*t);
 }
 
-void TenantRegistry::count_delivered(netio::NfId nf) {
-  TenantContext* t = context(nf_tenant_[nf]);
-  if (t != nullptr && t->delivered_pkts != nullptr) t->delivered_pkts->add();
-}
-
-void TenantRegistry::count_drop(netio::NfId nf) {
-  TenantContext* t = context(nf_tenant_[nf]);
-  if (t != nullptr && t->dropped_pkts != nullptr) t->dropped_pkts->add();
-}
-
-void TenantRegistry::count_quota_drop(netio::NfId nf) {
-  TenantContext* t = context(nf_tenant_[nf]);
-  if (t == nullptr) return;
-  if (t->quota_drops != nullptr) t->quota_drops->add();
-  if (t->dropped_pkts != nullptr) t->dropped_pkts->add();
-}
-
 bool TenantRegistry::drained() const {
   for (const auto& t : tenants_) {
     if (t->ibq_bytes != 0 || t->inflight_bytes != 0 ||
@@ -139,6 +114,17 @@ bool TenantRegistry::drained() const {
     }
   }
   return true;
+}
+
+std::vector<TenantAudit> TenantRegistry::audit() const {
+  std::vector<TenantAudit> rows;
+  for (const auto& t : tenants_) {
+    TenantAudit row = t->audit();
+    if (row.admitted + row.delivered + row.dropped != 0) {
+      rows.push_back(std::move(row));
+    }
+  }
+  return rows;
 }
 
 std::string TenantRegistry::to_json() const {
@@ -150,26 +136,19 @@ std::string TenantRegistry::to_json() const {
     first = false;
     os << "{\"tenant\": \"" << t->name << '"'
        << ", \"outstanding_bytes\": " << t->outstanding_bytes()
-       << ", \"batches_in_flight\": " << t->batches_in_flight;
-    const auto val = [](const telemetry::Counter* c) {
-      return c != nullptr ? c->value() : 0;
-    };
-    os << ", \"admitted\": " << val(t->admitted_pkts)
-       << ", \"rejected\": " << val(t->rejected_pkts)
-       << ", \"delivered\": " << val(t->delivered_pkts)
-       << ", \"dropped\": " << val(t->dropped_pkts) << '}';
+       << ", \"batches_in_flight\": " << t->batches_in_flight
+       << ", \"admitted\": " << t->admitted_pkts->value()
+       << ", \"rejected\": " << t->rejected_pkts->value()
+       << ", \"delivered\": " << t->delivered_pkts->value()
+       << ", \"dropped\": " << t->dropped_pkts->value() << '}';
   }
   os << ']';
   return os.str();
 }
 
 void TenantRegistry::update_gauges(TenantContext& t) {
-  if (t.outstanding_gauge != nullptr) {
-    t.outstanding_gauge->set(static_cast<double>(t.outstanding_bytes()));
-  }
-  if (t.batches_gauge != nullptr) {
-    t.batches_gauge->set(static_cast<double>(t.batches_in_flight));
-  }
+  t.outstanding_gauge->set(static_cast<double>(t.outstanding_bytes()));
+  t.batches_gauge->set(static_cast<double>(t.batches_in_flight));
 }
 
 }  // namespace dhl

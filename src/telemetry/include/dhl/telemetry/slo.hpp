@@ -85,9 +85,10 @@ class SloWatchdog {
   void write_verdicts_json(std::ostream& os) const;
   std::string verdicts_json() const;
 
-  /// Every drop-counter family the stack maintains, summed over labels
-  /// (and drop-adjacent admission rejections), as one flat JSON object --
-  /// the per-scenario drop-site breakdown in BENCH_scenarios.json.
+  /// NIC RX drops, every DropSite counter (kDropSites), the per-tenant drop
+  /// totals and the drop-adjacent admission rejections, each summed over
+  /// labels, as one flat JSON object -- the per-scenario drop-site
+  /// breakdown in BENCH_scenarios.json.
   /// Zero-valued families are included so consumers always see the full
   /// site list.
   static void write_drop_sites_json(std::ostream& os,

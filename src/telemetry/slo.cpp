@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "dhl/telemetry/drop_site.hpp"
 #include "dhl/telemetry/flight_recorder.hpp"
 
 namespace dhl::telemetry {
@@ -38,14 +39,8 @@ double SloWatchdog::cumulative_drops(const SloSpec& spec,
     // included); admission rejections are back-pressure, not drops.
     return snap.sum("dhl.tenant.dropped_pkts", {{"tenant", spec.tenant}});
   }
-  if (spec.nf == "*") {
-    // Every bucket a packet can die in between NIC RX and OBQ delivery.
-    return snap.sum("dhl.runtime.unready_drops") +
-           snap.sum("dhl.runtime.submit_drop_pkts") +
-           snap.sum("dhl.runtime.oversize_drops") +
-           snap.sum("dhl.runtime.obq_drops") +
-           snap.sum("dhl.batch.crc_drop_pkts");
-  }
+  // Every site a packet can die at between IBQ admission and OBQ delivery.
+  if (spec.nf == "*") return total_drops(snap);
   return snap.sum("dhl.nf.obq_drops", {{"nf", spec.nf}});
 }
 
@@ -176,23 +171,21 @@ std::string SloWatchdog::verdicts_json() const {
 
 void SloWatchdog::write_drop_sites_json(std::ostream& os,
                                         const MetricsSnapshot& snap) {
-  // Terminal drops first, then admission rejections (back-pressure, not
-  // drops, but a scenario reader wants both in one place).
-  static constexpr const char* kFamilies[] = {
-      "dhl.nic.rx_drops",           "dhl.runtime.unready_drops",
-      "dhl.runtime.submit_drop_pkts", "dhl.runtime.oversize_drops",
-      "dhl.runtime.obq_drops",      "dhl.batch.crc_drop_pkts",
-      "dhl.tenant.dropped_pkts",    "dhl.tenant.rejected_pkts",
-      "dhl.fallback.pkts",
+  // NIC drops (before admission), the runtime's drop sites, then the
+  // per-tenant totals and admission rejections (back-pressure, not drops,
+  // but a scenario reader wants both in one place).
+  const char* sep = "";
+  const auto field = [&](const char* family) {
+    os << sep << "\"" << family << "\": "
+       << static_cast<std::uint64_t>(snap.sum(family));
+    sep = ", ";
   };
   os << "{";
-  bool first = true;
-  for (const char* family : kFamilies) {
-    if (!first) os << ", ";
-    first = false;
-    os << "\"" << family << "\": "
-       << static_cast<std::uint64_t>(snap.sum(family));
-  }
+  field("dhl.nic.rx_drops");
+  for (const DropSiteInfo& s : kDropSites) field(s.counter);
+  field("dhl.tenant.dropped_pkts");
+  field("dhl.tenant.rejected_pkts");
+  field("dhl.fallback.pkts");
   os << "}";
 }
 

@@ -13,8 +13,9 @@
 // Pass semantics: `expect = pass` scenarios must never enter the breached
 // state; `expect = breach` scenarios (designed overloads, e.g. flash-crowd)
 // must trip at least one breach episode AND recover (hysteresis exit) before
-// the run ends.  Every scenario additionally requires a clean ledger audit,
-// clean per-tenant tallies, and a fully drained tenant registry.
+// the run ends.  Every scenario additionally requires a clean ledger audit
+// (ledger builds), clean per-tenant conservation (TenantRegistry::audit, every
+// build), and a fully drained tenant registry.
 
 #include <cstdint>
 #include <iosfwd>

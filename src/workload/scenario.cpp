@@ -386,15 +386,15 @@ void bg_tick(sim::Simulator& sim, BgFlood* f) {
   sim.schedule_after(f->spec.period, [&sim, f] { bg_tick(sim, f); });
 }
 
-std::string tenants_tally_json(const runtime::LedgerAudit& audit) {
+std::string tenants_tally_json(const std::vector<TenantAudit>& rows) {
   std::ostringstream os;
   os << "[";
-  for (std::size_t i = 0; i < audit.tenants.size(); ++i) {
-    const auto& t = audit.tenants[i];
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const TenantAudit& t = rows[i];
     if (i > 0) os << ", ";
-    os << "{\"tenant\": \"" << t.tenant << "\", \"tracked\": " << t.tracked
+    os << "{\"tenant\": \"" << t.tenant << "\", \"tracked\": " << t.admitted
        << ", \"delivered\": " << t.delivered << ", \"dropped\": " << t.dropped
-       << ", \"live\": " << t.live
+       << ", \"live\": " << t.live()
        << ", \"clean\": " << (t.clean() ? "true" : "false") << "}";
   }
   os << "]";
@@ -595,12 +595,12 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
 
   // Conservation protocol: stop injection, drain, audit.
   if (flood != nullptr) flood->injecting = false;
-  const runtime::LedgerAudit audit = tb.quiesce_ledger(spec.settle);
-  r.ledger_clean = audit.clean();
+  r.ledger_clean = tb.quiesce_ledger(spec.settle).clean();
+  const std::vector<TenantAudit> tenant_rows = rt.tenants().audit();
   r.tenants_clean = true;
-  for (const auto& t : audit.tenants) r.tenants_clean &= t.clean();
+  for (const TenantAudit& t : tenant_rows) r.tenants_clean &= t.clean();
   r.tenants_drained = rt.tenants().drained();
-  r.tenants_json = tenants_tally_json(audit);
+  r.tenants_json = tenants_tally_json(tenant_rows);
   if (flood != nullptr) {
     flood->running = false;
     r.background_admitted = flood->admitted;
@@ -648,7 +648,7 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
   } else if (!r.ledger_clean) {
     r.detail = "ledger audit not clean";
   } else if (!r.tenants_clean) {
-    r.detail = "per-tenant ledger tally not clean";
+    r.detail = "per-tenant conservation not clean";
   } else if (!r.tenants_drained) {
     r.detail = "tenant outstanding bytes not drained";
   }

@@ -13,6 +13,7 @@
 #include "dhl/fpga/batch.hpp"
 #include "dhl/netio/mempool.hpp"
 #include "dhl/runtime/runtime.hpp"
+#include "dhl/telemetry/drop_site.hpp"
 
 namespace dhl::runtime {
 namespace {
@@ -79,6 +80,17 @@ struct Harness {
     const LedgerAudit a = rt->ledger().audit();
     EXPECT_TRUE(a.clean()) << a.to_string();
   }
+
+  /// Each drop site's counter equals the ledger's terminal count there.
+  void expect_site_counters_match_ledger() {
+    if (!kLedgerCompiled) return;
+    const LedgerAudit a = rt->ledger().audit();
+    for (std::size_t i = 0; i < telemetry::kDropSites.size(); ++i) {
+      EXPECT_EQ(metric(telemetry::kDropSites[i].counter),
+                static_cast<double>(a.dropped[i]))
+          << telemetry::kDropSites[i].name;
+    }
+  }
 };
 
 // --- oversized-record rejection -------------------------------------------
@@ -105,6 +117,7 @@ TEST(AccountingFixes, OversizeRecordDroppedWithoutFallback) {
   EXPECT_EQ(h.drain_obq(nf), 1u);
   EXPECT_EQ(h.rt->in_flight(), 0u);
   h.expect_clean_audit();
+  h.expect_site_counters_match_ledger();
 }
 
 TEST(AccountingFixes, OversizeRecordRoutedToFallback) {
@@ -121,11 +134,12 @@ TEST(AccountingFixes, OversizeRecordRoutedToFallback) {
   h.sim.run_until(h.sim.now() + milliseconds(1));
 
   // Rejected from the batching path but served in software: the packet
-  // reaches the OBQ and the rejection is still counted.
-  EXPECT_EQ(h.metric("dhl.runtime.oversize_drops"), 1);
+  // reaches the OBQ, so it is not a drop.
+  EXPECT_EQ(h.metric("dhl.runtime.oversize_drops"), 0);
   EXPECT_EQ(h.metric("dhl.fallback.pkts"), 1);
   EXPECT_EQ(h.drain_obq(nf), 1u);
   h.expect_clean_audit();
+  h.expect_site_counters_match_ledger();
 }
 
 // --- acc_id generation safety ---------------------------------------------

@@ -114,6 +114,7 @@ TEST(Daemon, FullSessionLifecycle) {
                             << " delivered=" << audit->delivered
                             << " dropped=" << audit->dropped
                             << " live=" << audit->live;
+  EXPECT_GT(audit->tracked, 0) << "an audit that saw no packet proves nothing";
 
   EXPECT_TRUE(c.unload("loopback").has_value());
   EXPECT_TRUE(c.bye());
@@ -143,11 +144,13 @@ TEST(Daemon, OverQuotaBurstRejectedAndCounted) {
   }
   EXPECT_EQ(drained, sent->accepted);
 
-  // Rejected packets never entered the pipeline, so the ledger still
-  // balances for this tenant.
+  // Rejected packets never entered the pipeline, so the tenant still
+  // balances.
   const auto audit = c.audit();
   ASSERT_TRUE(audit.has_value());
   EXPECT_TRUE(audit->clean);
+  EXPECT_GT(audit->tracked, 0);
+  EXPECT_EQ(audit->tracked, sent->accepted);
   EXPECT_TRUE(c.bye());
 }
 
@@ -254,7 +257,8 @@ TEST(Daemon, ReplicateOverControlChannel) {
 
   const auto audit = c.audit();
   ASSERT_TRUE(audit.has_value());
-  EXPECT_TRUE(audit->clean) << "reconfig mid-stream must keep the ledger clean";
+  EXPECT_TRUE(audit->clean) << "reconfig mid-stream must keep the tenant clean";
+  EXPECT_GT(audit->tracked, 0);
   c.bye();
 }
 

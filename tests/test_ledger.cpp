@@ -36,9 +36,9 @@ std::size_t stage_count(const LedgerAudit& audit, LedgerStage stage) {
       audit.stage_entries[static_cast<std::size_t>(stage)]);
 }
 
-std::size_t drop_count(const LedgerAudit& audit, LedgerDrop drop) {
+std::size_t drop_count(const LedgerAudit& audit, DropSite site) {
   return static_cast<std::size_t>(
-      audit.dropped[static_cast<std::size_t>(drop)]);
+      audit.dropped[static_cast<std::size_t>(site)]);
 }
 
 class LedgerUnit : public ::testing::Test {
@@ -82,14 +82,14 @@ TEST_F(LedgerUnit, DropIsATerminal) {
   LifecycleLedger ledger{true, *telemetry_};
   Mbuf* m = pool_.alloc();
   ledger.on_ingress(m);
-  ledger.on_drop(m, LedgerDrop::kUnready);
+  ledger.on_drop(m, DropSite::kUnready);
   m->release();
 
   const LedgerAudit audit = ledger.audit();
   EXPECT_TRUE(audit.clean()) << audit.to_string();
   EXPECT_EQ(audit.tracked, 1u);
   EXPECT_EQ(audit.delivered, 0u);
-  EXPECT_EQ(drop_count(audit, LedgerDrop::kUnready), 1u);
+  EXPECT_EQ(drop_count(audit, DropSite::kUnready), 1u);
   // No RX timestamp was set, so nic.rx stays zero.
   EXPECT_EQ(stage_count(audit, LedgerStage::kNicRx), 0u);
 }
@@ -108,7 +108,7 @@ TEST_F(LedgerUnit, SeededLeakFailsAudit) {
   EXPECT_EQ(audit.leaks[0].mbuf, m);
   EXPECT_EQ(audit.leaks[0].stage, LedgerStage::kPackerAppend);
 
-  ledger.on_drop(m, LedgerDrop::kUnready);  // resolve before releasing
+  ledger.on_drop(m, DropSite::kUnready);  // resolve before releasing
   m->release();
 }
 
@@ -148,7 +148,7 @@ TEST_F(LedgerUnit, DoubleTrackFlagged) {
   EXPECT_FALSE(audit.clean()) << audit.to_string();
   EXPECT_EQ(audit.double_track, 1u);
 
-  ledger.on_drop(m, LedgerDrop::kUnready);
+  ledger.on_drop(m, DropSite::kUnready);
   m->release();
 }
 
@@ -328,7 +328,7 @@ TEST_F(LedgerRuntime, SeededLeakFailsRuntimeAudit) {
   ASSERT_EQ(audit.leaks.size(), 1u);
   EXPECT_EQ(audit.leaks[0].mbuf, leaked);
 
-  rt.ledger().on_drop(leaked, LedgerDrop::kUnready);
+  rt.ledger().on_drop(leaked, DropSite::kUnready);
   leaked->release();
   EXPECT_TRUE(rt.ledger().audit().clean());
 }

@@ -285,6 +285,11 @@ TEST(RuntimeFailure, IbqBackpressureWhenTransferCoresStopped) {
     }
   }
   EXPECT_EQ(accepted, 63u);  // ring capacity
+  // Only the packets the ring took count as admitted; the rest are
+  // rejections the caller kept.
+  const auto snap = h.rt->telemetry().metrics.snapshot();
+  EXPECT_EQ(snap.sum("dhl.tenant.admitted_pkts"), 63);
+  EXPECT_EQ(snap.sum("dhl.tenant.rejected_pkts"), 37);
 }
 
 }  // namespace

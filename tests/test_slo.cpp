@@ -146,6 +146,26 @@ TEST_F(SloTest, DropRateBudgetUsesStrictInequality) {
   EXPECT_NE(dog_.verdicts()[0].detail.find("drop_rate"), std::string::npos);
 }
 
+TEST_F(SloTest, QuotaDropsCountTowardTheAllNfDropRate) {
+  // The all-NF budget counts every drop site, including a tenant's quota
+  // drops (labelled by tenant, summed over tenants).
+  SloSpec spec;
+  spec.drop_rate_budget = 0.5;
+  dog_.add_slo(spec);
+  dog_.set_hysteresis(1, 1);
+  Counter* quota =
+      registry_.counter("dhl.tenant.quota_drops", {{"tenant", "bravo"}});
+
+  stages_.record_e2e(0, 1);
+  tick();  // baseline
+  // Window: 1 delivered + 3 quota drops = rate 0.75 > 0.5 -- violates.
+  stages_.record_e2e(0, 1);
+  quota->add(3);
+  tick();
+  EXPECT_DOUBLE_EQ(dog_.verdicts()[0].window_drop_rate, 0.75);
+  EXPECT_TRUE(dog_.verdicts()[0].window_violation);
+}
+
 TEST_F(SloTest, PerNfSpecResolvesLazilyByName) {
   stages_.set_nf_name(3, "ipsec");
   SloSpec spec;

@@ -17,7 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
+#include <numeric>
 #include <vector>
 
 #include "dhl/accel/catalog.hpp"
@@ -26,6 +28,7 @@
 #include "dhl/runtime/api.hpp"
 #include "dhl/runtime/fault.hpp"
 #include "dhl/runtime/runtime.hpp"
+#include "dhl/telemetry/drop_site.hpp"
 
 namespace dhl::runtime {
 namespace {
@@ -39,11 +42,8 @@ using netio::MbufPool;
 struct RunOutcome {
   std::uint64_t sent = 0;
   std::uint64_t received = 0;
-  std::uint64_t crc_drop_pkts = 0;
-  std::uint64_t submit_drop_pkts = 0;
-  std::uint64_t unready_drops = 0;
-  std::uint64_t obq_drops = 0;
-  std::uint64_t error_records = 0;
+  /// Per drop site, in telemetry::kDropSites order.
+  std::array<std::uint64_t, telemetry::kDropSites.size()> dropped{};
   std::uint64_t fallback_pkts = 0;
   std::uint64_t dma_retries = 0;
   std::uint64_t injected_total = 0;
@@ -51,8 +51,7 @@ struct RunOutcome {
   std::uint64_t pool_in_use = 0;
 
   std::uint64_t drops() const {
-    return crc_drop_pkts + submit_drop_pkts + unready_drops + obq_drops +
-           error_records;
+    return std::accumulate(dropped.begin(), dropped.end(), std::uint64_t{0});
   }
   bool operator==(const RunOutcome&) const = default;
 };
@@ -150,11 +149,9 @@ RunOutcome run_stress(std::uint64_t seed) {
   const auto count = [&](std::string_view name) {
     return static_cast<std::uint64_t>(snap.sum(name));
   };
-  out.crc_drop_pkts = count("dhl.batch.crc_drop_pkts");
-  out.submit_drop_pkts = count("dhl.runtime.submit_drop_pkts");
-  out.unready_drops = count("dhl.runtime.unready_drops");
-  out.obq_drops = count("dhl.runtime.obq_drops");
-  out.error_records = count("dhl.runtime.error_records");
+  for (std::size_t i = 0; i < out.dropped.size(); ++i) {
+    out.dropped[i] = count(telemetry::kDropSites[i].counter);
+  }
   out.fallback_pkts = count("dhl.fallback.pkts");
   out.dma_retries = count("dhl.dma.retries");
   out.injected_total = inj.injected_total();

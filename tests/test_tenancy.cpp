@@ -1,5 +1,6 @@
 // Tenancy: per-tenant admission, quotas, counted rejections, tenant-scoped
-// SLO verdicts and per-tenant ledger conservation (DESIGN.md section 8).
+// SLO verdicts and per-tenant conservation (DESIGN.md section 8), which the
+// registry checks from its counters in every build type.
 //
 // The ISSUE acceptance property lives in IsolationUnderSaturation: tenant
 // bravo saturating its outstanding-bytes budget must not push tenant alpha
@@ -16,7 +17,6 @@
 #include "dhl/fpga/batch.hpp"
 #include "dhl/netio/mempool.hpp"
 #include "dhl/runtime/api.hpp"
-#include "dhl/runtime/ledger.hpp"
 #include "dhl/runtime/runtime.hpp"
 #include "dhl/telemetry/slo.hpp"
 
@@ -26,6 +26,13 @@ namespace {
 using fpga::FpgaDevice;
 using netio::Mbuf;
 using netio::MbufPool;
+
+std::string describe(const TenantAudit& t) {
+  return t.tenant + ": admitted=" + std::to_string(t.admitted) +
+         " delivered=" + std::to_string(t.delivered) +
+         " dropped=" + std::to_string(t.dropped) +
+         " live=" + std::to_string(t.live());
+}
 
 struct Harness {
   sim::Simulator sim;
@@ -91,6 +98,10 @@ struct Harness {
     return static_cast<std::uint64_t>(
         tel->metrics.snapshot(sim.now()).sum(name, {{"tenant", tenant}}));
   }
+
+  TenantAudit audit(const std::string& tenant) {
+    return rt->tenants().by_name(tenant)->audit();
+  }
 };
 
 TEST(Tenancy, DefaultTenantAlwaysExistsUnlimited) {
@@ -118,7 +129,7 @@ TEST(Tenancy, RegisterTenantBindsNfs) {
 
 TEST(Tenancy, RegistryAdmitsAndUnwindsAgainstCap) {
   telemetry::MetricsRegistry metrics;
-  TenantRegistry reg{&metrics};
+  TenantRegistry reg{metrics};
   const TenantId id = reg.create("capped", {.outstanding_bytes_cap = 1000});
   ASSERT_NE(id, kInvalidTenant);
   TenantContext& t = *reg.context(id);
@@ -130,6 +141,29 @@ TEST(Tenancy, RegistryAdmitsAndUnwindsAgainstCap) {
   EXPECT_EQ(t.outstanding_bytes(), 600u);
   EXPECT_EQ(t.rejected_pkts->value(), 2u);
   EXPECT_FALSE(reg.drained());
+}
+
+TEST(Tenancy, RegistryAuditBalancesFromCounters) {
+  telemetry::MetricsRegistry metrics;
+  TenantRegistry reg{metrics};
+  const TenantId id = reg.create("busy", {});
+  ASSERT_NE(reg.create("idle", {}), kInvalidTenant);
+  TenantContext& t = *reg.context(id);
+  t.admitted_pkts->add(3);
+  t.delivered_pkts->add(2);
+  t.dropped_pkts->add(1);
+  std::vector<TenantAudit> rows = reg.audit();
+  ASSERT_EQ(rows.size(), 1u) << "tenants that counted nothing have no row";
+  EXPECT_EQ(rows[0].tenant, "busy");
+  EXPECT_TRUE(rows[0].clean()) << describe(rows[0]);
+  EXPECT_EQ(rows[0].live(), 0);
+
+  t.admitted_pkts->add(1);  // admitted, never terminated: a leak
+  EXPECT_FALSE(t.audit().clean());
+  EXPECT_EQ(t.audit().live(), 1);
+  t.delivered_pkts->add(2);  // one terminal too many
+  EXPECT_FALSE(t.audit().clean());
+  EXPECT_EQ(t.audit().live(), -1);
 }
 
 TEST(Tenancy, AdmissionStampsTheSendingNf) {
@@ -160,7 +194,7 @@ TEST(Tenancy, AdmissionStampsTheSendingNf) {
 
 TEST(Tenancy, BatchBudgetChargesAndRetires) {
   telemetry::MetricsRegistry metrics;
-  TenantRegistry reg{&metrics};
+  TenantRegistry reg{metrics};
   const TenantId id = reg.create("one-batch", {.max_batches_in_flight = 1});
   ASSERT_NE(id, kInvalidTenant);
   fpga::DmaBatch batch{/*acc_id=*/0};
@@ -280,28 +314,18 @@ TEST(Tenancy, IsolationUnderSaturation) {
   EXPECT_EQ(v.breach_episodes, 0u);
   EXPECT_GT(v.window_count, 0u) << "the tenant window must have seen samples";
 
-  // Per-tenant ledger conservation at teardown.
-  if (kLedgerCompiled) {
-    const LedgerAudit audit = h.rt->ledger().audit();
-    const LedgerAudit::TenantTally* ta = audit.tenant("alpha");
-    const LedgerAudit::TenantTally* tb = audit.tenant("bravo");
-    ASSERT_NE(ta, nullptr);
-    ASSERT_NE(tb, nullptr);
-    EXPECT_TRUE(ta->clean()) << "alpha: tracked=" << ta->tracked
-                             << " delivered=" << ta->delivered
-                             << " dropped=" << ta->dropped
-                             << " live=" << ta->live;
-    EXPECT_TRUE(tb->clean()) << "bravo: tracked=" << tb->tracked
-                             << " delivered=" << tb->delivered
-                             << " dropped=" << tb->dropped
-                             << " live=" << tb->live;
-    EXPECT_EQ(ta->delivered, alpha_sent);
-  }
+  // Per-tenant conservation at teardown, from the registry's counters.
+  const TenantAudit ta = h.audit("alpha");
+  const TenantAudit tb = h.audit("bravo");
+  EXPECT_TRUE(ta.clean()) << describe(ta);
+  EXPECT_TRUE(tb.clean()) << describe(tb);
+  EXPECT_EQ(ta.delivered, alpha_sent);
+  EXPECT_GT(tb.admitted, 0u);
   EXPECT_TRUE(h.rt->tenants().drained());
 }
 
 // Live reconfiguration: replicate and unload a tenant's hardware function
-// while its traffic is in flight; the per-tenant ledger must still balance.
+// while its traffic is in flight; the tenant's conservation must still hold.
 TEST(Tenancy, LiveReconfigMidStreamKeepsLedgerClean) {
   Harness h;
   const TenantId a = h.rt->register_tenant("alpha", {});
@@ -333,15 +357,13 @@ TEST(Tenancy, LiveReconfigMidStreamKeepsLedgerClean) {
   got += h.drain(nf);
 
   EXPECT_GT(got, 0u);
-  if (kLedgerCompiled) {
-    const LedgerAudit audit = h.rt->ledger().audit();
-    const LedgerAudit::TenantTally* ta = audit.tenant("alpha");
-    ASSERT_NE(ta, nullptr);
-    EXPECT_TRUE(ta->clean())
-        << "alpha: tracked=" << ta->tracked << " delivered=" << ta->delivered
-        << " dropped=" << ta->dropped << " live=" << ta->live;
-    EXPECT_EQ(ta->tracked, sent);
-  }
+  const TenantAudit ta = h.audit("alpha");
+  EXPECT_TRUE(ta.clean()) << describe(ta);
+  EXPECT_EQ(ta.admitted, sent);
+  EXPECT_EQ(ta.delivered, got);
+  // The unload drops the packets parked in open batches (unready site): the
+  // check above balances only if each of them reached the tenant's count.
+  EXPECT_GT(ta.dropped, 0u);
   EXPECT_TRUE(h.rt->tenants().drained());
 }
 
