@@ -51,7 +51,6 @@ inline constexpr std::uint32_t kPacketSizes[] = {64, 128, 256, 512, 1024, 1500};
 struct PointResult {
   double throughput_gbps = 0;  // input-traffic basis
   double latency_p50_us = 0;
-  double latency_mean_us = 0;
   double latency_p99_us = 0;
   double latency_p999_us = 0;
 };
@@ -239,7 +238,6 @@ inline PointResult run_single_nf(const SingleNfOptions& opt) {
   PointResult r;
   r.throughput_gbps = nf::forwarded_wire_gbps(*port, opt.frame_len, opt.window);
   r.latency_p50_us = to_microseconds(port->latency().percentile(0.5));
-  r.latency_mean_us = to_microseconds(port->latency().mean());
   r.latency_p99_us = to_microseconds(port->latency().percentile(0.99));
   r.latency_p999_us = to_microseconds(port->latency().percentile(0.999));
 
@@ -545,7 +543,7 @@ inline TransferMicroResult run_transfer_micro(const TransferMicroOptions& opt) {
           : 0;
   r.copied_bytes_ratio = (copied + zeroed) > 0 ? copied / (copied + zeroed) : 0;
   r.pool_hit_rate = (hits + misses) > 0 ? hits / (hits + misses) : 0;
-  const telemetry::HdrHistogram& e2e =
+  const sim::LatencyHistogram& e2e =
       tel.stages.stage(telemetry::Stage::kEndToEnd);
   if (e2e.count() > 0) {
     r.e2e_p50_ns = to_nanoseconds(e2e.percentile(0.50));

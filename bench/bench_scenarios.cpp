@@ -4,8 +4,8 @@
 // breakdowns.
 //
 //   --list               print scenario names and exit
-//   --config=<ini>       scenario matrix file (default: built-in matrix,
-//                        identical to bench/scenarios.conf)
+//   --config=<ini>       scenario matrix file (default: the committed
+//                        bench/scenarios.conf)
 //   --scenario=<name>    run only this scenario (repeatable)
 //   --out=<path>         JSON sidecar path (default BENCH_scenarios.json)
 //   --baseline=<path>    committed baseline; exit 1 on any pass -> fail
@@ -66,7 +66,7 @@ std::map<std::string, bool> read_baseline(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string config_path;
+  std::string config_path = DHL_SCENARIOS_CONF;
   std::string out_path = "BENCH_scenarios.json";
   std::string baseline_path;
   std::vector<std::string> only;
@@ -91,20 +91,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<ScenarioSpec> specs;
-  if (config_path.empty()) {
-    specs = dhl::workload::default_scenarios();
-  } else {
-    dhl::common::ConfigFile file;
-    if (!file.load_file(config_path)) {
-      std::cerr << "bench_scenarios: cannot read " << config_path << "\n";
-      return 2;
-    }
-    for (const std::string& e : file.errors()) {
-      std::cerr << "bench_scenarios: config: " << e << "\n";
-    }
-    specs = dhl::workload::parse_scenarios(file);
+  dhl::common::ConfigFile file;
+  if (!file.load_file(config_path)) {
+    std::cerr << "bench_scenarios: cannot read " << config_path << "\n";
+    return 2;
   }
+  for (const std::string& e : file.errors()) {
+    std::cerr << "bench_scenarios: config: " << e << "\n";
+  }
+  std::vector<ScenarioSpec> specs = dhl::workload::parse_scenarios(file);
   if (!only.empty()) {
     std::vector<ScenarioSpec> filtered;
     for (const std::string& name : only) {

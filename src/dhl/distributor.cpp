@@ -251,34 +251,10 @@ sim::PollResult Distributor::poll(int socket) {
           // Untimed event context: per-packet ibq-wait and end-to-end
           // records cost no modeled cycles and stay out of the benches'
           // timed poll sections.
-          const bool stages_on = telemetry_.stages.enabled();
           const Picos now = sim_.now();
           for (const Delivery& d : **shared) {
-            NfInfo& info = nfs_[d.nf];
-            if (!info.obq->enqueue(d.m)) {
-              info.obq_drops->add(1);
-              telemetry_.recorder.log(telemetry::FlightComponent::kDistributor,
-                                      now, telemetry::FlightEventKind::kDrop,
-                                      "obq", static_cast<std::int16_t>(d.nf));
-              metrics_.drop(d.m, DropSite::kObq);
-            } else {
-              metrics_.ledger.on_delivered(d.m);
-              tenants_.count_delivered(static_cast<NfId>(d.nf));
-              if (stages_on &&
-                  d.m->rx_timestamp() != netio::kNoRxTimestamp) {
-                if (d.m->stage_ts() != netio::kNoRxTimestamp &&
-                    d.m->stage_ts() >= d.m->rx_timestamp()) {
-                  telemetry_.stages.record(
-                      telemetry::Stage::kIbqWait,
-                      d.m->stage_ts() - d.m->rx_timestamp());
-                }
-                if (now >= d.m->rx_timestamp()) {
-                  telemetry_.stages.record_e2e(d.nf,
-                                               now - d.m->rx_timestamp());
-                }
-              }
-            }
-            info.obq_depth->set(static_cast<double>(info.obq->count()));
+            metrics_.deliver(nfs_[d.nf], d.nf, d.m, now,
+                             telemetry::Stage::kIbqWait);
           }
           // Recycle the buffer for a later iteration on this socket.
           (*shared)->clear();

@@ -80,9 +80,10 @@ std::uint64_t FaultInjector::injected(fpga::FaultSite site) const {
   return injected_by_site_[static_cast<std::size_t>(site)];
 }
 
-FallbackRouter::FallbackRouter(std::vector<NfInfo>& nfs,
+FallbackRouter::FallbackRouter(sim::Simulator& simulator,
+                               std::vector<NfInfo>& nfs,
                                RuntimeMetrics& metrics)
-    : nfs_{nfs}, metrics_{metrics} {}
+    : sim_{simulator}, nfs_{nfs}, metrics_{metrics} {}
 
 void FallbackRouter::register_fallback(netio::NfId nf_id,
                                        const std::string& hf_name,
@@ -123,26 +124,9 @@ void FallbackRouter::deliver(netio::NfId nf_id, netio::Mbuf* m) {
     metrics_.drop(m, DropSite::kObq);
     return;
   }
-  NfInfo& nf = nfs_[nf_id];
-  if (!nf.obq->enqueue(m)) {
-    nf.obq_drops->add(1);
-    metrics_.drop(m, DropSite::kObq);
-  } else {
-    nf.obq_depth->set(static_cast<double>(nf.obq->count()));
-    metrics_.ledger.on_delivered(m);
-    metrics_.tenants.count_delivered(nf_id);
-    if (sim_ != nullptr && telemetry_ != nullptr &&
-        telemetry_->stages.enabled() &&
-        m->rx_timestamp() != netio::kNoRxTimestamp) {
-      const Picos now = sim_->now();
-      if (now >= m->rx_timestamp()) {
-        // The fallback side path is the packet's whole post-ingress life.
-        telemetry_->stages.record(telemetry::Stage::kFallback,
-                                  now - m->rx_timestamp());
-        telemetry_->stages.record_e2e(nf_id, now - m->rx_timestamp());
-      }
-    }
-  }
+  // The fallback side path is the packet's whole post-ingress life.
+  metrics_.deliver(nfs_[nf_id], nf_id, m, sim_.now(),
+                   telemetry::Stage::kFallback);
 }
 
 std::optional<fpga::FaultSite> fault_site_from_string(std::string_view name) {

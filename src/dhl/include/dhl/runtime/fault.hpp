@@ -114,7 +114,8 @@ using FallbackBatchFn = std::function<void(std::span<netio::Mbuf* const>)>;
 
 class FallbackRouter {
  public:
-  FallbackRouter(std::vector<NfInfo>& nfs, RuntimeMetrics& metrics);
+  FallbackRouter(sim::Simulator& simulator, std::vector<NfInfo>& nfs,
+                 RuntimeMetrics& metrics);
 
   FallbackRouter(const FallbackRouter&) = delete;
   FallbackRouter& operator=(const FallbackRouter&) = delete;
@@ -144,23 +145,14 @@ class FallbackRouter {
   bool process_batch(netio::NfId nf_id, const std::string& hf_name,
                      std::span<netio::Mbuf* const> pkts);
 
-  /// Introspection wiring (both null = not recording): fallback deliveries
-  /// record the kFallback stage and the packet's end-to-end latency.
-  void set_introspection(sim::Simulator* simulator,
-                         telemetry::Telemetry* telemetry) {
-    sim_ = simulator;
-    telemetry_ = telemetry;
-  }
-
  private:
-  /// Post-callback bookkeeping for one served packet: fallback counters,
-  /// ledger stage, OBQ delivery (or drop accounting), stage/e2e records.
+  /// Post-callback bookkeeping for one served packet: fallback counter,
+  /// ledger stage, then RuntimeMetrics::deliver (kFallback stage).
   void deliver(netio::NfId nf_id, netio::Mbuf* m);
 
+  sim::Simulator& sim_;
   std::vector<NfInfo>& nfs_;
   RuntimeMetrics& metrics_;
-  sim::Simulator* sim_ = nullptr;
-  telemetry::Telemetry* telemetry_ = nullptr;
   std::map<std::pair<netio::NfId, std::string>, FallbackBatchFn> fns_;
 };
 

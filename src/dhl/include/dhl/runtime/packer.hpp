@@ -30,25 +30,23 @@ namespace dhl::runtime {
 
 class Packer {
  public:
+  /// `policy` picks the replica at flush time; `fallback` serves packets
+  /// when no replica of a hardware function is dispatchable.  Both are
+  /// owned by the facade and outlive the Packer's poll loops.
   Packer(sim::Simulator& simulator, const RuntimeConfig& config,
          telemetry::Telemetry& telemetry, RuntimeMetrics& metrics,
-         HwFunctionTable& table, BatchPoolSet& pools,
-         TenantRegistry& tenants);
+         HwFunctionTable& table, BatchPoolSet& pools, TenantRegistry& tenants,
+         DispatchPolicy& policy, FallbackRouter& fallback);
 
   Packer(const Packer&) = delete;
   Packer& operator=(const Packer&) = delete;
 
-  /// Replica-selection policy used at flush time.  Owned by the facade;
-  /// must outlive the Packer's poll loops.
-  void set_dispatch_policy(DispatchPolicy* policy) { policy_ = policy; }
-  DispatchPolicy* dispatch_policy() const { return policy_; }
+  /// Swap the replica-selection policy (DhlRuntime::set_dispatch_policy).
+  void set_dispatch_policy(DispatchPolicy& policy) { policy_ = &policy; }
 
   /// Fault hook sampled at the fpga.device site when a flush picks a
   /// replica (null = perfect devices).  Owned by the facade.
   void set_fault_hook(fpga::FaultHook* hook) { fault_ = hook; }
-  /// Software-fallback registry consulted when no replica of a hardware
-  /// function is dispatchable.  Owned by the facade.
-  void set_fallback_router(FallbackRouter* router) { fallback_ = router; }
 
   /// The batch-size cap currently in effect for `socket` -- max_batch_bytes,
   /// or the adaptive EWMA-driven cap when adaptive batching is on.  Exposed
@@ -143,10 +141,10 @@ class Packer {
   RuntimeMetrics& metrics_;
   HwFunctionTable& table_;
   BatchPoolSet& pools_;
-  DispatchPolicy* policy_ = nullptr;
-  fpga::FaultHook* fault_ = nullptr;
-  FallbackRouter* fallback_ = nullptr;
   TenantRegistry& tenants_;
+  DispatchPolicy* policy_;
+  FallbackRouter& fallback_;
+  fpga::FaultHook* fault_ = nullptr;
   std::vector<SocketState> sockets_;
   /// Flush-time candidate list, reused across flushes (no hot-path alloc).
   std::vector<HwFunctionEntry*> candidates_;

@@ -5,8 +5,8 @@
 // The Packer, Distributor and FallbackRouter all account packets against
 // the same dhl.runtime.* series and the same lazily-created per-(nf, acc)
 // counters; this object owns them so the components stay decoupled.  It
-// also carries the runtime's one drop seam, drop(): every packet the
-// runtime drops goes through it.
+// also carries the runtime's two packet exits: every packet the runtime
+// delivers goes through deliver(), every packet it drops through drop().
 
 #include <array>
 #include <functional>
@@ -16,6 +16,7 @@
 #include "dhl/netio/mbuf.hpp"
 #include "dhl/runtime/ledger.hpp"
 #include "dhl/runtime/tenant.hpp"
+#include "dhl/runtime/types.hpp"
 #include "dhl/telemetry/drop_site.hpp"
 #include "dhl/telemetry/telemetry.hpp"
 
@@ -42,7 +43,17 @@ struct RuntimeMetrics {
   /// close its ledger record, release it.
   void drop(netio::Mbuf* m, DropSite site);
 
-  telemetry::MetricsRegistry& registry;
+  /// Deliver `m` into the private OBQ of NF `nf_id` (`nf`) at virtual time
+  /// `now`.  A full OBQ refuses it: dhl.nf.obq_drops, a Distributor
+  /// flight-recorder "obq" drop event, then drop(m, kObq).  Otherwise its
+  /// ledger record closes as delivered, its tenant counts it, and its
+  /// end-to-end latency and `stage` are recorded -- kIbqWait ends at the
+  /// Packer's dequeue stamp, kFallback at delivery.  Either way the NF's
+  /// dhl.nf.obq_depth gauge is refreshed.
+  void deliver(NfInfo& nf, netio::NfId nf_id, netio::Mbuf* m, Picos now,
+               telemetry::Stage stage);
+
+  telemetry::Telemetry& telemetry;
   TenantRegistry& tenants;
   /// Packet-lifecycle ledger (a no-op stub in DHL_LEDGER=0 builds).
   LifecycleLedger& ledger;
@@ -65,9 +76,8 @@ struct RuntimeMetrics {
   telemetry::Counter* stale_acc_batches = nullptr;
   /// Batch fill at flush in parts-per-million of the *effective* cap at
   /// flush time -- batch_cap(), i.e. the adaptive cap when adaptive
-  /// batching has shrunk it, max_batch_bytes otherwise.  (The log-binned
-  /// histogram needs integer samples >= 1000 for resolution.)
-  telemetry::Histogram* batch_fill_ppm = nullptr;
+  /// batching has shrunk it, max_batch_bytes otherwise.
+  sim::LatencyHistogram* batch_fill_ppm = nullptr;
   // Zero-copy data-plane accounting: payload bytes that were memcpy'd on
   // the host path (RX write-back) vs. bytes that moved by SG descriptor or
   // skipped the write-back.

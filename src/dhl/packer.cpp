@@ -16,7 +16,8 @@ using netio::MbufRing;
 Packer::Packer(sim::Simulator& simulator, const RuntimeConfig& config,
                telemetry::Telemetry& telemetry, RuntimeMetrics& metrics,
                HwFunctionTable& table, BatchPoolSet& pools,
-               TenantRegistry& tenants)
+               TenantRegistry& tenants, DispatchPolicy& policy,
+               FallbackRouter& fallback)
     : sim_{simulator},
       config_{config},
       telemetry_{telemetry},
@@ -24,6 +25,8 @@ Packer::Packer(sim::Simulator& simulator, const RuntimeConfig& config,
       table_{table},
       pools_{pools},
       tenants_{tenants},
+      policy_{&policy},
+      fallback_{fallback},
       sockets_(static_cast<std::size_t>(config.num_sockets)) {
   for (int s = 0; s < config_.num_sockets; ++s) {
     SocketState& state = sockets_[static_cast<std::size_t>(s)];
@@ -77,9 +80,7 @@ HwFunctionEntry* Packer::choose_replica(HwFunctionEntry* primary, int socket) {
     }
   }
   if (candidates_.empty()) return nullptr;
-  if (candidates_.size() == 1 || policy_ == nullptr) {
-    return candidates_.front();
-  }
+  if (candidates_.size() == 1) return candidates_.front();
   DispatchContext ctx;
   ctx.socket = socket;
   ctx.hf_name = &set->hf_name;
@@ -119,8 +120,7 @@ void Packer::fallback_or_drop(fpga::DmaBatchPtr batch,
     while (j < pkts.size() && pkts[j]->nf_id() == pkts[i]->nf_id()) ++j;
     const std::span<Mbuf* const> run{pkts.data() + i, j - i};
     metrics_.in_flight -= run.size();
-    if (fallback_ != nullptr &&
-        fallback_->process_batch(pkts[i]->nf_id(), hf_name, run)) {
+    if (fallback_.process_batch(pkts[i]->nf_id(), hf_name, run)) {
       i = j;  // served in software, delivered to the NF's OBQ
       continue;
     }
@@ -369,8 +369,7 @@ sim::PollResult Packer::poll(int socket) {
     if (e->health != ReplicaHealth::kHealthy &&
         !table_.any_dispatchable(e->hf_name)) {
       cycles += rt.packer_per_pkt_cycles;
-      if (fallback_ != nullptr &&
-          fallback_->process(m->nf_id(), e->hf_name, m)) {
+      if (fallback_.process(m->nf_id(), e->hf_name, m)) {
         continue;  // served in software; never entered a batch
       }
       metrics_.drop(m, DropSite::kSubmit);
@@ -385,8 +384,7 @@ sim::PollResult Packer::poll(int socket) {
       // not the adaptive cap -- adaptive batching shrinks the target, not
       // the wire-format ceiling.
       cycles += rt.packer_per_pkt_cycles;
-      if (fallback_ != nullptr &&
-          fallback_->process(m->nf_id(), e->hf_name, m)) {
+      if (fallback_.process(m->nf_id(), e->hf_name, m)) {
         continue;  // served in software, unbatched
       }
       metrics_.drop(m, DropSite::kOversize);

@@ -20,18 +20,15 @@ DhlRuntime::DhlRuntime(sim::Simulator& simulator, RuntimeConfig config,
       metrics_{*telemetry_, tenants_, ledger_},
       table_{simulator, std::move(database), std::move(fpgas), *telemetry_},
       policy_{make_dispatch_policy(config_.dispatch_policy)},
-      fallback_{nfs_, metrics_},
+      fallback_{simulator, nfs_, metrics_},
       pools_{config_.num_sockets, kBatchPoolCapacity,
              config_.timing.runtime.max_batch_bytes + fpga::kRecordHeaderBytes,
              *telemetry_},
-      packer_{simulator, config_, *telemetry_, metrics_,
-              table_,    pools_,  tenants_},
+      packer_{simulator, config_,  *telemetry_, metrics_, table_,
+              pools_,    tenants_, *policy_,    fallback_},
       distributor_{simulator, config_, *telemetry_, metrics_,
                    table_,    nfs_,    pools_,      tenants_} {
   DHL_CHECK(config_.num_sockets > 0);
-  packer_.set_dispatch_policy(policy_.get());
-  packer_.set_fallback_router(&fallback_);
-  fallback_.set_introspection(&sim_, telemetry_.get());
   table_.set_health_params(config_.timing.runtime.replica_quarantine_failures,
                            config_.timing.runtime.replica_quarantine_period);
   metrics_.nf_name = [this](NfId nf_id) {
@@ -252,7 +249,7 @@ void DhlRuntime::register_fallback_batch(netio::NfId nf_id,
 void DhlRuntime::set_dispatch_policy(std::unique_ptr<DispatchPolicy> policy) {
   DHL_CHECK(policy != nullptr);
   policy_ = std::move(policy);
-  packer_.set_dispatch_policy(policy_.get());
+  packer_.set_dispatch_policy(*policy_);
   telemetry_->metrics
       .gauge("dhl.runtime.dispatch_policy",
              telemetry::Labels{{"policy", policy_->name()}})

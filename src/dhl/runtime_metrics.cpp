@@ -5,7 +5,8 @@ namespace dhl::runtime {
 RuntimeMetrics::RuntimeMetrics(telemetry::Telemetry& telemetry,
                                TenantRegistry& tenants,
                                LifecycleLedger& ledger)
-    : registry{telemetry.metrics}, tenants{tenants}, ledger{ledger} {
+    : telemetry{telemetry}, tenants{tenants}, ledger{ledger} {
+  telemetry::MetricsRegistry& registry = telemetry.metrics;
   for (std::size_t i = 0; i < telemetry::kDropSites.size(); ++i) {
     if (static_cast<DropSite>(i) != DropSite::kQuota) {
       drop_counters_[i] = registry.counter(telemetry::kDropSites[i].counter);
@@ -39,6 +40,30 @@ void RuntimeMetrics::drop(netio::Mbuf* m, DropSite site) {
   m->release();
 }
 
+void RuntimeMetrics::deliver(NfInfo& nf, netio::NfId nf_id, netio::Mbuf* m,
+                             Picos now, telemetry::Stage stage) {
+  if (!nf.obq->enqueue(m)) {
+    nf.obq_drops->add(1);
+    telemetry.recorder.log(telemetry::FlightComponent::kDistributor, now,
+                           telemetry::FlightEventKind::kDrop, "obq",
+                           static_cast<std::int16_t>(nf_id));
+    drop(m, DropSite::kObq);
+  } else {
+    ledger.on_delivered(m);
+    tenants.count_delivered(nf_id);
+    const Picos rx = m->rx_timestamp();
+    if (telemetry.stages.enabled() && rx != netio::kNoRxTimestamp) {
+      const Picos stage_end =
+          stage == telemetry::Stage::kIbqWait ? m->stage_ts() : now;
+      if (stage_end != netio::kNoRxTimestamp && stage_end >= rx) {
+        telemetry.stages.record(stage, stage_end - rx);
+      }
+      if (now >= rx) telemetry.stages.record_e2e(nf_id, now - rx);
+    }
+  }
+  nf.obq_depth->set(static_cast<double>(nf.obq->count()));
+}
+
 RuntimeMetrics::NfAccCounters& RuntimeMetrics::nf_acc(netio::NfId nf_id,
                                                       netio::AccId acc_id) {
   const std::uint32_t key =
@@ -50,6 +75,7 @@ RuntimeMetrics::NfAccCounters& RuntimeMetrics::nf_acc(netio::NfId nf_id,
   const telemetry::Labels labels{
       {"nf", name}, {"acc", std::to_string(static_cast<int>(acc_id))}};
   NfAccCounters c;
+  telemetry::MetricsRegistry& registry = telemetry.metrics;
   c.pkts = registry.counter("dhl.runtime.nf_pkts", labels);
   c.bytes = registry.counter("dhl.runtime.nf_bytes", labels);
   c.returned = registry.counter("dhl.runtime.nf_returned_pkts", labels);

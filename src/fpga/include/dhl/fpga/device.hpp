@@ -184,7 +184,7 @@ class FpgaDevice {
 
   // Registered instruments (dhl.fpga.* with {fpga=name}).
   telemetry::Counter* pr_loads_ = nullptr;
-  telemetry::Histogram* pr_load_time_ = nullptr;
+  sim::LatencyHistogram* pr_load_time_ = nullptr;
   telemetry::Counter* dispatch_records_ = nullptr;
   telemetry::Counter* dispatch_error_records_ = nullptr;
   std::string dispatch_track_;

@@ -71,8 +71,8 @@ class DmaEngine {
   /// Attach telemetry: per-direction submit->complete latency histograms
   /// and (when tracing) one `dma.tx`/`dma.rx` span per transfer on `track`.
   /// All pointers may be null; the owning FpgaDevice wires this up.
-  void set_telemetry(telemetry::Histogram* tx_latency,
-                     telemetry::Histogram* rx_latency,
+  void set_telemetry(sim::LatencyHistogram* tx_latency,
+                     sim::LatencyHistogram* rx_latency,
                      telemetry::TraceSession* trace, std::string track) {
     tx_latency_ = tx_latency;
     rx_latency_ = rx_latency;
@@ -245,7 +245,7 @@ class DmaEngine {
     const Picos deliver_at = start + one_way_latency(bytes, batch->remote_numa);
     // Submit->complete latency as the host observes it: queueing behind the
     // channel plus the one-way delivery (decided now -- virtual time).
-    if (telemetry::Histogram* h = is_tx ? tx_latency_ : rx_latency_) {
+    if (sim::LatencyHistogram* h = is_tx ? tx_latency_ : rx_latency_) {
       h->record(deliver_at - sim_.now());
     }
     if (trace_ != nullptr && trace_->enabled()) {
@@ -287,8 +287,8 @@ class DmaEngine {
   TransferObserver transfer_observer_;
   Channel tx_;
   Channel rx_;
-  telemetry::Histogram* tx_latency_ = nullptr;
-  telemetry::Histogram* rx_latency_ = nullptr;
+  sim::LatencyHistogram* tx_latency_ = nullptr;
+  sim::LatencyHistogram* rx_latency_ = nullptr;
   telemetry::TraceSession* trace_ = nullptr;
   std::string track_;
   telemetry::StageLatencyRecorder* stages_ = nullptr;

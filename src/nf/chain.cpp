@@ -149,13 +149,6 @@ std::vector<sim::Lcore*> ChainNf::cores() {
   return out;
 }
 
-netio::NicPort* ChainNf::port_by_id(std::uint16_t port_id) {
-  for (netio::NicPort* p : ports_) {
-    if (p->port_id() == port_id) return p;
-  }
-  return nullptr;
-}
-
 runtime::AccHandle& ChainNf::stage_handle_fresh(std::size_t i) {
   runtime::AccHandle& h = handles_[i];
   const runtime::HwFunctionEntry* e =
@@ -249,7 +242,7 @@ void ChainNf::send_at(double cycles) {
 
 void ChainNf::transmit_at(Mbuf* m, double cycles) {
   sim_.schedule_after(config_.timing.cpu.core_clock.cycles(cycles), [this, m] {
-    netio::NicPort* out = port_by_id(m->port());
+    netio::NicPort* out = port_by_id(ports_, m->port());
     if (out == nullptr) {
       // A stage steered the packet to a port this NF doesn't own.
       ++stats_.bad_port_drops;

@@ -172,10 +172,6 @@ class ChainNf {
   /// Transmit `m` on the port it names once `cycles` have elapsed.
   void transmit_at(netio::Mbuf* m, double cycles);
 
-  /// The chain's port for `port_id`, or nullptr when it owns no such port
-  /// (the packet must be counted and dropped, never mis-TXed).
-  netio::NicPort* port_by_id(std::uint16_t port_id);
-
   /// Detect maximal fusable offload runs and compose them (constructor).
   void compose_segments();
   /// Per-stage handle for `i`, re-resolved if the daemon unloaded or

@@ -61,6 +61,12 @@ struct NfStats {
   std::uint64_t tx_pkts = 0;
 };
 
+/// The NF's port for `port_id`, or nullptr when it owns no such port: the
+/// packet must then be counted and dropped, never transmitted on some
+/// other port.
+netio::NicPort* port_by_id(std::span<netio::NicPort* const> ports,
+                           std::uint16_t port_id);
+
 // --- run-to-completion -------------------------------------------------------
 
 struct RunToCompletionConfig {
@@ -92,6 +98,8 @@ class RunToCompletionNf {
   PacketFn fn_;
   CostFn cost_;
   std::vector<std::unique_ptr<sim::Lcore>> cores_;
+  /// RX burst scratch shared by the cores' polls (they never interleave).
+  std::vector<netio::Mbuf*> burst_;
   NfStats stats_;
 };
 
@@ -133,8 +141,6 @@ class CpuPipelineNf {
   sim::PollResult rx_io_poll();
   sim::PollResult tx_io_poll();
   sim::PollResult worker_poll();
-  /// The NF's port for `port_id`, or nullptr when it owns no such port.
-  netio::NicPort* port_by_id(std::uint16_t port_id);
 
   sim::Simulator& sim_;
   PipelineConfig config_;
@@ -147,6 +153,11 @@ class CpuPipelineNf {
   std::unique_ptr<sim::Lcore> rx_io_core_;
   std::unique_ptr<sim::Lcore> tx_io_core_;
   std::vector<std::unique_ptr<sim::Lcore>> workers_;
+  /// Burst scratch shared by the three polls (they never interleave),
+  /// sized for the larger of io_burst and worker_burst, plus the worker's
+  /// per-burst verdicts.
+  std::vector<netio::Mbuf*> burst_;
+  std::vector<Verdict> verdicts_;
   NfStats stats_;
 };
 

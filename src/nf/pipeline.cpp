@@ -1,10 +1,20 @@
 #include "dhl/nf/pipeline.hpp"
 
+#include <algorithm>
+
 #include "dhl/common/check.hpp"
 
 namespace dhl::nf {
 
 using netio::Mbuf;
+
+netio::NicPort* port_by_id(std::span<netio::NicPort* const> ports,
+                           std::uint16_t port_id) {
+  for (netio::NicPort* p : ports) {
+    if (p->port_id() == port_id) return p;
+  }
+  return nullptr;
+}
 
 // --- RunToCompletionNf ---------------------------------------------------------
 
@@ -16,7 +26,8 @@ RunToCompletionNf::RunToCompletionNf(sim::Simulator& simulator,
       config_{std::move(config)},
       ports_{std::move(ports)},
       fn_{std::move(fn)},
-      cost_{std::move(cost)} {
+      cost_{std::move(cost)},
+      burst_(config_.io_burst) {
   DHL_CHECK(!ports_.empty());
   DHL_CHECK(config_.num_cores > 0);
   for (std::uint32_t i = 0; i < config_.num_cores; ++i) {
@@ -46,18 +57,17 @@ sim::PollResult RunToCompletionNf::poll(std::size_t core_index) {
   const auto& cpu = config_.timing.cpu;
   const Frequency clock = config_.timing.cpu.core_clock;
   double cycles = 0;
-  std::vector<Mbuf*> pkts(config_.io_burst);
   // Cores round-robin over ports so several cores can serve one fat port
   // and one core can serve several thin ones.
   for (std::size_t p = 0; p < ports_.size(); ++p) {
     netio::NicPort* port =
         ports_[(core_index + p) % ports_.size()];
-    const std::size_t n = port->rx_burst(pkts.data(), pkts.size());
+    const std::size_t n = port->rx_burst(burst_.data(), burst_.size());
     if (n == 0) continue;
     cycles += cpu.nic_rxtx_fixed_cycles;
     stats_.rx_pkts += n;
     for (std::size_t i = 0; i < n; ++i) {
-      Mbuf* m = pkts[i];
+      Mbuf* m = burst_[i];
       cycles += cpu.nic_rxtx_per_pkt_cycles;  // RX half
       cycles += cost_(*m);
       const Verdict v = fn_(*m);
@@ -67,13 +77,21 @@ sim::PollResult RunToCompletionNf::poll(std::size_t core_index) {
         m->release();
         continue;
       }
+      // Transmit through the port the packet names (the NIC stamps the RX
+      // port; the function may steer it elsewhere).
+      netio::NicPort* out = port_by_id(ports_, m->port());
+      if (out == nullptr) {
+        ++stats_.bad_port_drops;
+        m->release();
+        continue;
+      }
       cycles += cpu.nic_rxtx_per_pkt_cycles;  // TX half
       // The packet leaves the NIC once the cycles spent so far have
       // elapsed; transmitting "now" would hide processing time from the
       // latency measurement.
-      sim_.schedule_after(clock.cycles(cycles), [this, port, m] {
+      sim_.schedule_after(clock.cycles(cycles), [this, out, m] {
         Mbuf* pkt = m;
-        port->tx_burst(&pkt, 1);
+        out->tx_burst(&pkt, 1);
         ++stats_.tx_pkts;
       });
     }
@@ -94,7 +112,9 @@ CpuPipelineNf::CpuPipelineNf(sim::Simulator& simulator, PipelineConfig config,
       rx_ring_{config_.name + ".rx_ring", config_.ring_size,
                netio::SyncMode::kSingle, netio::SyncMode::kMulti},
       tx_ring_{config_.name + ".tx_ring", config_.ring_size,
-               netio::SyncMode::kMulti, netio::SyncMode::kSingle} {
+               netio::SyncMode::kMulti, netio::SyncMode::kSingle},
+      burst_(std::max(config_.io_burst, config_.worker_burst)),
+      verdicts_(config_.worker_burst) {
   DHL_CHECK(!ports_.empty());
   DHL_CHECK(config_.num_workers > 0);
   const Frequency clock = config_.timing.cpu.core_clock;
@@ -134,24 +154,17 @@ std::vector<sim::Lcore*> CpuPipelineNf::cores() {
   return out;
 }
 
-netio::NicPort* CpuPipelineNf::port_by_id(std::uint16_t port_id) {
-  for (netio::NicPort* p : ports_) {
-    if (p->port_id() == port_id) return p;
-  }
-  return nullptr;
-}
-
 sim::PollResult CpuPipelineNf::rx_io_poll() {
   const auto& cpu = config_.timing.cpu;
   double cycles = 0;
-  std::vector<Mbuf*> pkts(config_.io_burst);
+  Mbuf** pkts = burst_.data();
   for (netio::NicPort* port : ports_) {
-    const std::size_t n = port->rx_burst(pkts.data(), pkts.size());
+    const std::size_t n = port->rx_burst(pkts, config_.io_burst);
     if (n == 0) continue;
     stats_.rx_pkts += n;
     cycles += cpu.nic_rxtx_fixed_cycles +
               cpu.nic_rxtx_per_pkt_cycles * static_cast<double>(n);
-    const std::size_t queued = rx_ring_.enqueue_burst({pkts.data(), n});
+    const std::size_t queued = rx_ring_.enqueue_burst({pkts, n});
     cycles += cpu.ring_op_fixed_cycles +
               cpu.ring_op_per_pkt_cycles * static_cast<double>(queued);
     for (std::size_t i = queued; i < n; ++i) {
@@ -165,15 +178,15 @@ sim::PollResult CpuPipelineNf::rx_io_poll() {
 sim::PollResult CpuPipelineNf::tx_io_poll() {
   const auto& cpu = config_.timing.cpu;
   double cycles = 0;
-  std::vector<Mbuf*> pkts(config_.io_burst);
-  const std::size_t n = tx_ring_.dequeue_burst({pkts.data(), pkts.size()});
+  Mbuf** pkts = burst_.data();
+  const std::size_t n = tx_ring_.dequeue_burst({pkts, config_.io_burst});
   if (n > 0) {
     cycles += cpu.ring_op_fixed_cycles +
               cpu.ring_op_per_pkt_cycles * static_cast<double>(n);
     // Return each packet through the port it names; a port this NF does
     // not own is a counted drop, never a transmit on some other port.
     for (std::size_t i = 0; i < n; ++i) {
-      netio::NicPort* port = port_by_id(pkts[i]->port());
+      netio::NicPort* port = port_by_id(ports_, pkts[i]->port());
       if (port == nullptr) {
         ++stats_.bad_port_drops;
         pkts[i]->release();
@@ -192,17 +205,17 @@ sim::PollResult CpuPipelineNf::worker_poll() {
   const auto& cpu = config_.timing.cpu;
   const Frequency clock = config_.timing.cpu.core_clock;
   double cycles = 0;
-  std::vector<Mbuf*> pkts(config_.worker_burst);
-  const std::size_t n = rx_ring_.dequeue_burst({pkts.data(), pkts.size()});
+  Mbuf** pkts = burst_.data();
+  const std::size_t n = rx_ring_.dequeue_burst({pkts, config_.worker_burst});
   if (n == 0) return {0, false};
   cycles += cpu.ring_op_fixed_cycles +
             cpu.ring_op_per_pkt_cycles * static_cast<double>(n);
   // Batched compute runs up front (the vectorized kernels want the whole
   // burst at once); the cost/latency accounting below stays per-packet.
-  std::vector<Verdict> verdicts;
+  const std::span<Verdict> verdicts{verdicts_.data(), n};
   if (batch_fn_) {
-    verdicts.assign(n, Verdict::kForward);
-    batch_fn_({pkts.data(), n}, verdicts);
+    std::fill(verdicts.begin(), verdicts.end(), Verdict::kForward);
+    batch_fn_({pkts, n}, verdicts);
   }
   for (std::size_t i = 0; i < n; ++i) {
     Mbuf* m = pkts[i];

@@ -77,21 +77,6 @@ class Gauge {
   std::atomic<double> value_{0};
 };
 
-/// Log-binned distribution over integer samples (picoseconds for latencies;
-/// other integer units -- ppm, bytes -- reuse the same bin layout).
-class Histogram {
- public:
-  void record(Picos v) { hist_.record(v); }
-  std::uint64_t count() const { return hist_.count(); }
-  Picos percentile(double q) const { return hist_.percentile(q); }
-  const sim::LatencyHistogram& hist() const { return hist_; }
-  void merge_from(const Histogram& other) { hist_.merge(other.hist_); }
-  void reset() { hist_.reset(); }
-
- private:
-  sim::LatencyHistogram hist_;
-};
-
 /// One series, frozen at snapshot time.
 struct MetricSample {
   std::string name;
@@ -142,7 +127,9 @@ class MetricsRegistry {
   /// registered with a different kind throws.
   Counter* counter(const std::string& name, Labels labels = {});
   Gauge* gauge(const std::string& name, Labels labels = {});
-  Histogram* histogram(const std::string& name, Labels labels = {});
+  /// Distribution over integer samples (picoseconds for latencies; other
+  /// integer units -- ppm, bytes -- share the same bins).
+  sim::LatencyHistogram* histogram(const std::string& name, Labels labels = {});
 
   MetricsSnapshot snapshot(Picos at = 0) const;
   /// Zero every instrument (used to discard warm-up).
@@ -156,7 +143,7 @@ class MetricsRegistry {
     MetricKind kind;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
+    std::unique_ptr<sim::LatencyHistogram> histogram;
   };
 
   Entry& entry(const std::string& name, Labels&& labels, MetricKind kind);

@@ -6,9 +6,10 @@
 // Each SloSpec names an NF (or "*" for the pipeline aggregate) and gives
 // ceilings for windowed p99 / p999 end-to-end latency plus a drop-rate
 // budget.  The watchdog turns the cumulative stage histograms into
-// per-window views with HdrHistogram::diff_since and compares with *strict*
-// inequalities -- a window landing exactly on its budget passes.  An empty
-// window (no deliveries, no drops) leaves the SLO state unchanged.
+// per-window views with sim::LatencyHistogram::diff_since and compares
+// with *strict* inequalities -- a window landing exactly on its budget
+// passes.  An empty window (no deliveries, no drops) leaves the SLO state
+// unchanged.
 //
 // Hysteresis keeps verdicts from flapping: a spec enters `breached` only
 // after `enter_after` consecutive violating windows and leaves it only
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "dhl/common/units.hpp"
-#include "dhl/telemetry/hdr_histogram.hpp"
 #include "dhl/telemetry/metrics.hpp"
 #include "dhl/telemetry/stage_stats.hpp"
 
@@ -96,7 +96,7 @@ class SloWatchdog {
 
  private:
   struct State {
-    HdrHistogram baseline;       // cumulative e2e hist at last evaluation
+    sim::LatencyHistogram baseline;  // cumulative e2e hist at last evaluation
     bool have_baseline = false;
     double prev_drops = 0.0;
     std::uint32_t violation_streak = 0;
@@ -106,7 +106,7 @@ class SloWatchdog {
   /// Cumulative e2e histogram for a spec; null when the NF has not
   /// delivered anything yet (name resolution is lazy: NFs register with the
   /// stage recorder at runtime construction, SLOs may be declared earlier).
-  const HdrHistogram* cumulative_hist(const SloSpec& spec) const;
+  const sim::LatencyHistogram* cumulative_hist(const SloSpec& spec) const;
   double cumulative_drops(const SloSpec& spec,
                           const MetricsSnapshot& snap) const;
 

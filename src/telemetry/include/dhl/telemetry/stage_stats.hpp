@@ -3,7 +3,7 @@
 // StageLatencyRecorder: per-stage tail-latency decomposition on the virtual
 // clock (DESIGN.md section 7).
 //
-// One HdrHistogram per pipeline stage, recorded at the same seams the
+// One sim::LatencyHistogram per pipeline stage, recorded at the same seams the
 // lifecycle ledger marks (ibq wait -> pack -> dma.tx -> fpga -> dma.rx ->
 // distributor, plus the fallback and retry side paths) -- but independent of
 // the ledger, which is compiled out of Release builds.  A packet's
@@ -27,7 +27,7 @@
 #include <string>
 
 #include "dhl/common/units.hpp"
-#include "dhl/telemetry/hdr_histogram.hpp"
+#include "dhl/sim/stats.hpp"
 
 namespace dhl::telemetry {
 
@@ -80,9 +80,11 @@ class StageLatencyRecorder {
   /// over the per-NF e2e shards; the returned reference is invalidated by
   /// the next stage(kEndToEnd) call, so callers that need a stable window
   /// baseline copy it (as SloWatchdog does).
-  const HdrHistogram& stage(Stage stage) const;
+  const sim::LatencyHistogram& stage(Stage stage) const;
   /// Per-NF end-to-end histogram; null when the NF never delivered.
-  const HdrHistogram* e2e(std::uint8_t nf) const { return e2e_[nf].get(); }
+  const sim::LatencyHistogram* e2e(std::uint8_t nf) const {
+    return e2e_[nf].get();
+  }
 
   /// Registered display name for an NF id (the runtime wires register_nf
   /// through here); falls back to "nf<N>".
@@ -105,7 +107,7 @@ class StageLatencyRecorder {
   /// per-tenant analogue of stage(kEndToEnd), with the same invalidation
   /// contract: the reference is reused by the next e2e_tenant() /
   /// stage(kEndToEnd) call, so copy it for a stable baseline.
-  const HdrHistogram& e2e_tenant(const std::string& tenant) const;
+  const sim::LatencyHistogram& e2e_tenant(const std::string& tenant) const;
 
   void reset();
 
@@ -117,13 +119,14 @@ class StageLatencyRecorder {
   bool enabled_ = true;
   // The kEndToEnd slot stays zero: e2e samples live in the per-NF shards
   // and are merged into e2e_agg_ on read (see stage()).
-  std::array<HdrHistogram, static_cast<std::size_t>(Stage::kCount)> hist_;
+  std::array<sim::LatencyHistogram, static_cast<std::size_t>(Stage::kCount)>
+      hist_;
   // Per-NF e2e series allocated on first delivery (30 KB of bins each).
-  std::array<std::unique_ptr<HdrHistogram>, kMaxNfs> e2e_;
+  std::array<std::unique_ptr<sim::LatencyHistogram>, kMaxNfs> e2e_;
   std::array<std::string, kMaxNfs> names_;
   std::array<std::string, kMaxNfs> tenants_;
-  mutable HdrHistogram e2e_agg_;  // scratch for the merge-at-read aggregate
-  mutable HdrHistogram tenant_agg_;  // scratch for e2e_tenant()
+  mutable sim::LatencyHistogram e2e_agg_;  // merge-at-read aggregate scratch
+  mutable sim::LatencyHistogram tenant_agg_;  // scratch for e2e_tenant()
 };
 
 }  // namespace dhl::telemetry

@@ -207,7 +207,7 @@ MetricsRegistry::Entry& MetricsRegistry::entry(const std::string& name,
       case MetricKind::kCounter: e.counter = std::make_unique<Counter>(); break;
       case MetricKind::kGauge: e.gauge = std::make_unique<Gauge>(); break;
       case MetricKind::kHistogram:
-        e.histogram = std::make_unique<Histogram>();
+        e.histogram = std::make_unique<sim::LatencyHistogram>();
         break;
     }
     it = entries_.emplace(key, std::move(e)).first;
@@ -225,7 +225,8 @@ Gauge* MetricsRegistry::gauge(const std::string& name, Labels labels) {
   return entry(name, std::move(labels), MetricKind::kGauge).gauge.get();
 }
 
-Histogram* MetricsRegistry::histogram(const std::string& name, Labels labels) {
+sim::LatencyHistogram* MetricsRegistry::histogram(const std::string& name,
+                                                 Labels labels) {
   return entry(name, std::move(labels), MetricKind::kHistogram)
       .histogram.get();
 }
@@ -248,12 +249,12 @@ MetricsSnapshot MetricsRegistry::snapshot(Picos at) const {
         s.value = e.gauge->value();
         break;
       case MetricKind::kHistogram: {
-        const sim::LatencyHistogram& h = e.histogram->hist();
+        const sim::LatencyHistogram& h = *e.histogram;
         s.count = h.count();
         s.value = static_cast<double>(h.count());
         s.min = h.min();
         s.max = h.max();
-        s.mean = h.mean();
+        s.mean = static_cast<Picos>(h.mean());
         s.p50 = h.percentile(0.5);
         s.p90 = h.percentile(0.9);
         s.p99 = h.percentile(0.99);

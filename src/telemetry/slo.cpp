@@ -21,7 +21,8 @@ void SloWatchdog::set_hysteresis(std::uint32_t enter_after,
   exit_after_ = std::max(1u, exit_after);
 }
 
-const HdrHistogram* SloWatchdog::cumulative_hist(const SloSpec& spec) const {
+const sim::LatencyHistogram* SloWatchdog::cumulative_hist(
+    const SloSpec& spec) const {
   // The aggregate / tenant views are merge-at-read scratch references;
   // evaluate() copies or diffs them before the next cumulative_hist call,
   // which is what keeps borrowing them here sound.
@@ -50,7 +51,7 @@ void SloWatchdog::evaluate(Picos now, const MetricsSnapshot& snap) {
     SloVerdict& v = verdicts_[i];
     State& st = states_[i];
 
-    const HdrHistogram* cum = cumulative_hist(v.spec);
+    const sim::LatencyHistogram* cum = cumulative_hist(v.spec);
     const double drops_now = cumulative_drops(v.spec, snap);
 
     if (cum == nullptr) {
@@ -66,7 +67,7 @@ void SloWatchdog::evaluate(Picos now, const MetricsSnapshot& snap) {
       continue;
     }
 
-    const HdrHistogram window = cum->diff_since(st.baseline);
+    const sim::LatencyHistogram window = cum->diff_since(st.baseline);
     const double window_drops = std::max(0.0, drops_now - st.prev_drops);
     st.baseline = *cum;
     st.prev_drops = drops_now;

@@ -4,6 +4,20 @@
 
 namespace dhl::telemetry {
 
+namespace {
+
+/// {"count":N,"min":..,"max":..,"mean":..,"p50":..,"p99":..,"p999":..} in
+/// picoseconds.
+void write_hist_json(std::ostream& os, const sim::LatencyHistogram& h) {
+  os << "{\"count\": " << h.count() << ", \"min\": " << h.min()
+     << ", \"max\": " << h.max() << ", \"mean\": " << h.mean()
+     << ", \"p50\": " << h.percentile(0.5)
+     << ", \"p99\": " << h.percentile(0.99)
+     << ", \"p999\": " << h.percentile(0.999) << "}";
+}
+
+}  // namespace
+
 const char* to_string(Stage stage) {
   switch (stage) {
     case Stage::kIbqWait: return "ibq_wait";
@@ -23,11 +37,11 @@ const char* to_string(Stage stage) {
 void StageLatencyRecorder::record_e2e(std::uint8_t nf, Picos dt) {
   if (!enabled_) return;
   auto& h = e2e_[nf];
-  if (h == nullptr) h = std::make_unique<HdrHistogram>();
+  if (h == nullptr) h = std::make_unique<sim::LatencyHistogram>();
   h->record(static_cast<std::uint64_t>(dt));
 }
 
-const HdrHistogram& StageLatencyRecorder::stage(Stage stage) const {
+const sim::LatencyHistogram& StageLatencyRecorder::stage(Stage stage) const {
   if (stage == Stage::kEndToEnd) {
     // The aggregate is a bin-wise merge of the per-NF shards, materialized
     // per read so each delivery pays for exactly one histogram record.
@@ -42,7 +56,7 @@ const HdrHistogram& StageLatencyRecorder::stage(Stage stage) const {
   return hist_[static_cast<std::size_t>(stage)];
 }
 
-const HdrHistogram& StageLatencyRecorder::e2e_tenant(
+const sim::LatencyHistogram& StageLatencyRecorder::e2e_tenant(
     const std::string& tenant) const {
   tenant_agg_.reset();
   for (std::size_t nf = 0; nf < kMaxNfs; ++nf) {
@@ -77,7 +91,7 @@ void StageLatencyRecorder::write_json(std::ostream& os) const {
     if (!first) os << ", ";
     first = false;
     os << '"' << to_string(static_cast<Stage>(i)) << "\": ";
-    stage(static_cast<Stage>(i)).write_json(os);
+    write_hist_json(os, stage(static_cast<Stage>(i)));
   }
   os << "}, \"e2e_by_nf\": {";
   first = true;
@@ -86,7 +100,7 @@ void StageLatencyRecorder::write_json(std::ostream& os) const {
     if (!first) os << ", ";
     first = false;
     os << '"' << nf_name(static_cast<std::uint8_t>(nf)) << "\": ";
-    e2e_[nf]->write_json(os);
+    write_hist_json(os, *e2e_[nf]);
   }
   os << "}}";
 }

@@ -101,10 +101,6 @@ struct ScenarioSpec {
 /// file.errors().
 std::vector<ScenarioSpec> parse_scenarios(const common::ConfigFile& file);
 
-/// The committed default matrix (bench/scenarios.conf carries the same
-/// text, so the bench runs identically with or without --config).
-const char* default_scenarios_ini();
-std::vector<ScenarioSpec> default_scenarios();
 
 struct ScenarioResult {
   std::string name;

@@ -166,173 +166,6 @@ std::vector<ScenarioSpec> parse_scenarios(const common::ConfigFile& file) {
   return specs;
 }
 
-const char* default_scenarios_ini() {
-  // Keep bench/scenarios.conf in sync with this text: the bench runs the
-  // same matrix with or without --config, and the committed file is what
-  // operators copy from.
-  return R"ini(# Default adversarial scenario matrix (DESIGN.md section 3.6).
-# Times are virtual; budgets are judged by the SloWatchdog every sample_us.
-
-[scenario uniform-baseline]
-size = fixed
-frame_len = 256
-arrival = constant
-offered = 0.30
-flows = 64
-p99_us = 60
-drop_budget = 0.0
-expect = pass
-
-[scenario imix-steady]
-size = imix
-arrival = constant
-offered = 0.35
-flows = 256
-p99_us = 80
-drop_budget = 0.0
-expect = pass
-
-[scenario pareto-heavy]
-size = pareto
-min_len = 64
-max_len = 1500
-pareto_alpha = 1.3
-arrival = constant
-offered = 0.30
-flows = 256
-p99_us = 90
-p999_us = 150
-drop_budget = 0.0
-expect = pass
-
-[scenario bursty-onoff]
-size = fixed
-frame_len = 256
-arrival = onoff
-peak = 0.9
-duty = 0.40
-period_us = 200
-flows = 128
-p99_us = 120
-drop_budget = 0.0
-expect = pass
-
-# Full-MTU frames at line rate push ~38 Gbps of payload into the 32.4 Gbps
-# pattern-matching module: the crowd genuinely saturates the accelerator,
-# the tail blows through the ceiling, and the watchdog must see the breach
-# AND the hysteresis recovery after the ramp-down.
-[scenario flash-crowd]
-size = fixed
-frame_len = 1500
-arrival = flash-crowd
-offered = 0.25
-peak = 1.0
-ramp_start_us = 3000
-ramp_up_us = 1000
-hold_us = 2000
-ramp_down_us = 1000
-window_ms = 12
-flows = 128
-p99_us = 60
-expect = breach
-
-[scenario flow-churn]
-size = imix
-arrival = constant
-offered = 0.30
-flows = 512
-churn_every = 8
-p99_us = 80
-drop_budget = 0.0
-expect = pass
-
-[scenario elephant-mice]
-size = fixed
-frame_len = 512
-arrival = constant
-offered = 0.35
-flows = 256
-elephants = 4
-elephant_share = 0.9
-p99_us = 80
-drop_budget = 0.0
-expect = pass
-
-[scenario fault-soak]
-size = fixed
-frame_len = 256
-arrival = constant
-offered = 0.25
-flows = 64
-fault = on
-fault_site = dma.submit
-fault_kind = submit_timeout
-fault_probability = 0.03
-p99_us = 150
-p999_us = 250
-expect = pass
-
-[scenario quota-storm]
-size = fixed
-frame_len = 256
-arrival = constant
-offered = 0.30
-flows = 64
-background = on
-background_quota_kb = 64
-background_burst = 64
-background_len = 1024
-background_period_us = 20
-p99_us = 100
-drop_budget = 0.0
-expect = pass
-
-# Fused two-stage service chain under the flash-crowd ramp: full-MTU frames
-# at line rate (~38.6 Gbps payload) exceed the compression module's 24 Gbps
-# fabric rate, so the fused chain itself saturates, the tail breaches, and
-# the watchdog must observe the recovery after the ramp-down.
-[scenario chain-flash-crowd]
-chain = compression, aes256-ctr
-size = fixed
-frame_len = 1500
-arrival = flash-crowd
-offered = 0.25
-peak = 1.0
-ramp_start_us = 3000
-ramp_up_us = 1000
-hold_us = 2000
-ramp_down_us = 1000
-window_ms = 12
-flows = 128
-p99_us = 60
-expect = breach
-
-# Fused chain under DMA submit faults: retries absorb the timeouts and any
-# terminal drops are counted cleanly in the ledger, so the relaxed tail
-# budgets must hold with no drop budget set.
-[scenario chain-fault-soak]
-chain = compression, aes256-ctr
-size = fixed
-frame_len = 256
-arrival = constant
-offered = 0.25
-flows = 64
-fault = on
-fault_site = dma.submit
-fault_kind = submit_timeout
-fault_probability = 0.03
-p99_us = 150
-p999_us = 250
-expect = pass
-)ini";
-}
-
-std::vector<ScenarioSpec> default_scenarios() {
-  common::ConfigFile file;
-  file.load_string(default_scenarios_ini(), "default_scenarios");
-  return parse_scenarios(file);
-}
-
 // --- runner ------------------------------------------------------------------
 
 namespace {

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "dhl/accel/catalog.hpp"
@@ -197,6 +199,83 @@ TEST(Fallback, NoCallbackMeansCountedDrops) {
                    kPkts, /*quarantine=*/true, nullptr, &fallback_pkts);
   EXPECT_TRUE(results.empty());
   EXPECT_EQ(fallback_pkts, 0u);
+}
+
+/// What refused OBQ deliveries leave behind.
+struct ObqOverflow {
+  /// (component, NF id) of every flight-recorder "obq" drop event.
+  std::vector<std::pair<int, int>> events;
+  double runtime_obq_drops = 0;  // dhl.runtime.obq_drops
+  double nf_obq_drops = 0;       // dhl.nf.obq_drops{nf=nf0}
+  double obq_depth = 0;          // dhl.nf.obq_depth{nf=nf0}
+  double tenant_dropped = 0;     // dhl.tenant.dropped_pkts
+  std::size_t obq_count = 0;     // packets waiting in the OBQ
+};
+
+/// Offer 40 md5-auth packets to an NF whose 16-slot OBQ nobody drains,
+/// delivered by the Distributor or, with `quarantine`, by the software
+/// fallback.
+ObqOverflow overflow_obq(bool quarantine) {
+  RuntimeConfig cfg;
+  cfg.obq_size = 16;
+  Harness h{accel::standard_module_database(nullptr), cfg};
+  const netio::NfId nf = h.rt->register_nf("nf0", 0);
+  const AccHandle a = h.rt->search_by_name("md5-auth", 0);
+  h.sim.run_until(h.sim.now() + milliseconds(30));
+  EXPECT_TRUE(h.rt->acc_ready(a));
+  h.rt->start();
+  FaultInjector inj{h.sim, h.rt->telemetry(), /*seed=*/1234};
+  if (quarantine) {
+    h.rt->set_fault_injector(&inj);
+    inj.add_rule({.site = FaultSite::kDevice,
+                  .kind = FaultKind::kDeviceUnhealthy});
+  }
+  DHL_register_fallback(*h.rt, nf, "md5-auth", [](Mbuf&) {});
+
+  std::vector<Mbuf*> pkts;
+  for (int i = 0; i < 40; ++i) {
+    pkts.push_back(h.make_pkt(nf, a.acc_id, payload_for(i, 80)));
+  }
+  EXPECT_EQ(h.rt->send_packets(nf, pkts.data(), pkts.size()), pkts.size());
+  h.sim.run_until(h.sim.now() + milliseconds(2));
+
+  ObqOverflow r;
+  for (const telemetry::FlightEvent& e : h.rt->telemetry().recorder.recent()) {
+    if (e.kind == telemetry::FlightEventKind::kDrop &&
+        std::string_view{e.tag} == "obq") {
+      r.events.emplace_back(static_cast<int>(e.comp), e.a);
+    }
+  }
+  r.runtime_obq_drops = h.metric("dhl.runtime.obq_drops");
+  r.nf_obq_drops = h.metric("dhl.nf.obq_drops", {{"nf", "nf0"}});
+  r.obq_depth = h.metric("dhl.nf.obq_depth", {{"nf", "nf0"}});
+  r.tenant_dropped = h.metric("dhl.tenant.dropped_pkts");
+  EXPECT_EQ(h.metric("dhl.fallback.pkts"), quarantine ? 40 : 0);
+  Mbuf* out[64];
+  r.obq_count =
+      DhlRuntime::receive_packets(h.rt->get_private_obq(nf), out, 64);
+  for (std::size_t i = 0; i < r.obq_count; ++i) out[i]->release();
+  EXPECT_EQ(h.pool.in_use(), 0u);
+  return r;
+}
+
+// A fallback-served packet refused by a full OBQ is the same obq drop as a
+// Distributor-delivered one: same flight event, counters and depth gauge.
+TEST(Fallback, FullObqDropMatchesTheDistributorPath) {
+  const ObqOverflow hw = overflow_obq(/*quarantine=*/false);
+  const ObqOverflow sw = overflow_obq(/*quarantine=*/true);
+  ASSERT_GT(hw.runtime_obq_drops, 0);
+  EXPECT_EQ(hw.events.size(), static_cast<std::size_t>(hw.runtime_obq_drops));
+  EXPECT_EQ(hw.nf_obq_drops, hw.runtime_obq_drops);
+  EXPECT_EQ(hw.tenant_dropped, hw.runtime_obq_drops);
+  EXPECT_EQ(hw.obq_depth, static_cast<double>(hw.obq_count));
+
+  EXPECT_EQ(sw.events, hw.events);
+  EXPECT_EQ(sw.runtime_obq_drops, hw.runtime_obq_drops);
+  EXPECT_EQ(sw.nf_obq_drops, hw.nf_obq_drops);
+  EXPECT_EQ(sw.tenant_dropped, hw.tenant_dropped);
+  EXPECT_EQ(sw.obq_depth, hw.obq_depth);
+  EXPECT_EQ(sw.obq_count, hw.obq_count);
 }
 
 }  // namespace

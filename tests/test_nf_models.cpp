@@ -141,6 +141,33 @@ TEST(CpuPipeline, BadPortIsCountedAndDroppedNotMisTxed) {
   EXPECT_EQ(tb.pool(0).in_use(), 0u);  // all released
 }
 
+TEST(RunToCompletion, BadPortIsCountedAndDroppedNotMisTxed) {
+  // The function steers packets to a port id the NF does not own: the core
+  // must drop and count them, never transmit on the arrival port.
+  Testbed tb;
+  auto* port = tb.add_port("p", Bandwidth::gbps(10));
+  RunToCompletionConfig cfg;
+  cfg.timing = tb.timing();
+  RunToCompletionNf nf{tb.sim(), cfg, {port},
+                       [](netio::Mbuf& m) {
+                         m.set_port(77);
+                         return Verdict::kForward;
+                       },
+                       flat_cost(50)};
+  nf.start();
+  netio::TrafficConfig traffic;
+  port->start_traffic(traffic, 0.3);
+  tb.measure(milliseconds(1), milliseconds(2));
+  port->stop_traffic();
+  tb.run_for(milliseconds(1));
+
+  EXPECT_GT(nf.stats().bad_port_drops, 1000u);
+  EXPECT_EQ(nf.stats().bad_port_drops, nf.stats().processed);
+  EXPECT_EQ(nf.stats().tx_pkts, 0u);
+  EXPECT_EQ(port->tx_meter().frames(), 0u);
+  EXPECT_EQ(tb.pool(0).in_use(), 0u);  // all released
+}
+
 TEST(DhlOffload, BypassedPacketsSkipTheFpga) {
   Testbed tb;
   auto* port = tb.add_port("p", Bandwidth::gbps(10));

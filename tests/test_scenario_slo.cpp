@@ -11,6 +11,7 @@
 #include <filesystem>
 
 #include "dhl/common/check.hpp"
+#include "dhl/common/config_file.hpp"
 #include "dhl/nf/nids.hpp"
 #include "dhl/nf/testbed.hpp"
 #include "dhl/telemetry/metrics.hpp"
@@ -19,12 +20,16 @@
 namespace dhl::workload {
 namespace {
 
+/// `name` from the committed matrix, bench/scenarios.conf.
 ScenarioSpec default_spec(const std::string& name) {
-  const std::vector<ScenarioSpec> all = default_scenarios();
+  common::ConfigFile file;
+  DHL_CHECK_MSG(file.load_file(DHL_SCENARIOS_CONF),
+                "cannot read " << DHL_SCENARIOS_CONF);
+  const std::vector<ScenarioSpec> all = parse_scenarios(file);
   const auto it = std::find_if(all.begin(), all.end(), [&](const auto& s) {
     return s.name == name;
   });
-  DHL_CHECK_MSG(it != all.end(), "scenario missing from default matrix");
+  DHL_CHECK_MSG(it != all.end(), "scenario missing from bench/scenarios.conf");
   return *it;
 }
 

@@ -14,9 +14,9 @@
 namespace dhl::telemetry {
 namespace {
 
-// Values below HdrHistogram::kSubCount land in exact unit bins, so a window
-// of identical small samples has a *bit-exact* percentile -- which is what
-// makes "exactly at budget" testable at all.
+// Values below sim::LatencyHistogram::kSubCount land in exact unit bins, so
+// a window of identical small samples has a *bit-exact* percentile -- which
+// is what makes "exactly at budget" testable at all.
 constexpr Picos kExact = 50;
 
 class SloTest : public ::testing::Test {

@@ -47,7 +47,7 @@ TEST(MetricsRegistry, SnapshotFreezesValues) {
   MetricsRegistry reg;
   Counter* c = reg.counter("dhl.test.pkts");
   Gauge* g = reg.gauge("dhl.test.depth");
-  Histogram* h = reg.histogram("dhl.test.lat");
+  sim::LatencyHistogram* h = reg.histogram("dhl.test.lat");
   c->add(7);
   g->set(3.5);
   for (int i = 1; i <= 100; ++i) h->record(microseconds(i));
@@ -86,7 +86,7 @@ TEST(MetricsRegistry, FindMatchesLabelSubset) {
 TEST(MetricsRegistry, ResetZeroesEveryInstrument) {
   MetricsRegistry reg;
   Counter* c = reg.counter("dhl.test.pkts");
-  Histogram* h = reg.histogram("dhl.test.lat");
+  sim::LatencyHistogram* h = reg.histogram("dhl.test.lat");
   c->add(5);
   h->record(microseconds(1));
   reg.reset();
