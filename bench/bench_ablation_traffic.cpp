@@ -21,9 +21,21 @@ struct TrafficPoint {
   double gbps;
 };
 
+/// 50% of the DHL capacity (~38 Gbps) as the mean load.
+constexpr double kMeanLoad = 0.475;
+
+/// ON/OFF arrivals: the link runs at line rate for kMeanLoad of each
+/// `period` and is silent for the rest (same mean load as CBR).
+Picos on_off_gap(Picos period, Picos now, Picos line_gap) {
+  const Picos on_window =
+      static_cast<Picos>(static_cast<double>(period) * kMeanLoad);
+  Picos t = now + line_gap;
+  if (t % period >= on_window) t = (t / period + 1) * period;  // next period
+  return t - now;
+}
+
 TrafficPoint run_profile(Picos burst_period, bool adaptive) {
   nf::TestbedConfig tb_cfg;
-  tb_cfg.timing.runtime.adaptive_batching = adaptive;
   tb_cfg.runtime.timing.runtime.adaptive_batching = adaptive;
   nf::Testbed tb{tb_cfg};
   auto* port = tb.add_port("p0", Bandwidth::gbps(40));
@@ -50,8 +62,12 @@ TrafficPoint run_profile(Picos burst_period, bool adaptive) {
 
   netio::TrafficConfig traffic;
   traffic.frame_len = 512;
-  // 50% of the DHL capacity (~38 Gbps) as the mean load.
-  port->start_traffic(traffic, 0.475, burst_period);
+  if (burst_period > 0) {
+    traffic.gap_model = [burst_period](Picos now, Picos line_gap) {
+      return on_off_gap(burst_period, now, line_gap);
+    };
+  }
+  port->start_traffic(traffic, kMeanLoad);
   tb.measure(milliseconds(3), milliseconds(6));
   return {to_microseconds(port->latency().percentile(0.5)),
           to_microseconds(port->latency().percentile(0.99)),

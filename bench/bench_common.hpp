@@ -122,12 +122,9 @@ inline void apply_env_config(runtime::RuntimeConfig& config) {
 
 inline PointResult run_single_nf(const SingleNfOptions& opt) {
   nf::TestbedConfig tb_cfg;
-  tb_cfg.timing = opt.timing;
   tb_cfg.runtime.timing = opt.timing;
   apply_env_config(tb_cfg.runtime);
   tb_cfg.runtime.numa_aware = opt.numa_aware;
-  tb_cfg.fpga.dma = opt.timing.dma;
-  tb_cfg.fpga.timing = opt.timing.fpga;
   tb_cfg.fpga.driver = opt.driver;
   tb_cfg.fpga.socket = opt.fpga_socket;
   tb_cfg.introspection.sample_period = opt.telemetry_period;

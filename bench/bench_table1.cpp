@@ -29,7 +29,6 @@ struct Row {
 
 double run_l2fwd(const sim::TimingParams& timing) {
   nf::TestbedConfig cfg;
-  cfg.timing = timing;
   cfg.runtime.timing = timing;
   nf::Testbed tb{cfg};
   auto* port = tb.add_port("x520", Bandwidth::gbps(10));
@@ -49,7 +48,6 @@ double run_l2fwd(const sim::TimingParams& timing) {
 
 double run_l3fwd(const sim::TimingParams& timing) {
   nf::TestbedConfig cfg;
-  cfg.timing = timing;
   cfg.runtime.timing = timing;
   nf::Testbed tb{cfg};
   auto* port = tb.add_port("x520", Bandwidth::gbps(10));
@@ -70,7 +68,6 @@ double run_l3fwd(const sim::TimingParams& timing) {
 
 double run_ipsec(const sim::TimingParams& timing) {
   nf::TestbedConfig cfg;
-  cfg.timing = timing;
   cfg.runtime.timing = timing;
   nf::Testbed tb{cfg};
   auto* port = tb.add_port("x520", Bandwidth::gbps(10));

@@ -29,8 +29,6 @@ void apply_runtime_config(const common::ConfigFile& file,
       file.get_uint(s, "obq_size", config.obq_size));
   config.ibq_burst = static_cast<std::uint32_t>(
       file.get_uint(s, "ibq_burst", config.ibq_burst));
-  config.rx_burst = static_cast<std::uint32_t>(
-      file.get_uint(s, "rx_burst", config.rx_burst));
   config.numa_aware = file.get_bool(s, "numa_aware", config.numa_aware);
   config.dispatch_policy = parse_policy(
       file.get_string(s, "dispatch_policy", ""), config.dispatch_policy);
@@ -42,7 +40,6 @@ void apply_runtime_config(const common::ConfigFile& file,
       config.auto_replicate_threshold_bytes);
   config.max_auto_replicas = static_cast<std::uint32_t>(
       file.get_uint(s, "max_auto_replicas", config.max_auto_replicas));
-  config.ledger = file.get_bool(s, "ledger", config.ledger);
   // Process-wide ISA cap for the CPU vector kernels (common/simd.hpp):
   // `simd = scalar|sse42|aesni|avx2`.  Unset keeps the DHL_SIMD
   // environment variable (or no cap) in charge.

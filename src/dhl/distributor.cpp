@@ -85,9 +85,21 @@ void Distributor::drop_corrupt_batch(fpga::DmaBatchPtr batch) {
 }
 
 void Distributor::enqueue_completion(int socket, fpga::DmaBatchPtr batch) {
+  // RX delivery, in untimed event context: book the batch's round trip
+  // from the DMA engine's seam stamps, one record_n per stage.  Only
+  // Packer-flushed batches carry the stamps.
+  metrics_.ledger.on_batch_stage(*batch, LedgerStage::kFpga);
   metrics_.ledger.on_batch_stage(*batch, LedgerStage::kDmaRx);
-  // Integrity gate at the DMA boundary (untimed: this hook runs inside the
-  // delivery event, not the RX core's timed poll loop).
+  if (batch->flushed_at != 0 && telemetry_.stages.enabled()) {
+    const std::uint64_t n = batch->pkts().size();
+    telemetry_.stages.record_n(telemetry::Stage::kDmaTx,
+                               batch->tx_done_at - batch->flushed_at, n);
+    telemetry_.stages.record_n(telemetry::Stage::kFpga,
+                               batch->rx_submitted_at - batch->tx_done_at, n);
+    telemetry_.stages.record_n(telemetry::Stage::kDmaRx,
+                               batch->rx_done_at - batch->rx_submitted_at, n);
+  }
+  // Integrity gate at the DMA boundary.
   if (!batch_intact(*batch)) {
     drop_corrupt_batch(std::move(batch));
     return;
@@ -125,18 +137,17 @@ sim::PollResult Distributor::poll(int socket) {
   double cycles = 0;
   std::unique_ptr<DeliveryVec> deliveries;
 
-  for (std::uint32_t b = 0; b < config_.rx_burst && state.pending() > 0;
-       ++b) {
+  for (std::uint32_t b = 0; b < kRxBurst && state.pending() > 0; ++b) {
     fpga::DmaBatchPtr batch = std::move(state.slot(state.head++));
     metrics_.batches_from_fpga->add(1);
     const double batch_start_cycles = cycles;
     cycles += rt.distributor_per_batch_cycles;
 
-    // Stage seam, once per batch: RX delivery (DMA engine's stamp) ->
-    // this pickup, i.e. completion-ring wait plus poll scheduling.
-    if (batch->stage_ts != 0 && telemetry_.stages.enabled()) {
+    // Distributor stage, once per batch: RX delivery -> this pickup, i.e.
+    // completion-ring wait plus poll scheduling.
+    if (batch->flushed_at != 0 && telemetry_.stages.enabled()) {
       telemetry_.stages.record_n(telemetry::Stage::kDistributor,
-                                 t0 - batch->stage_ts,
+                                 t0 - batch->rx_done_at,
                                  batch->pkts().size());
     }
 
@@ -222,11 +233,9 @@ sim::PollResult Distributor::poll(int socket) {
       // DMA'd, processed, DMA'd back, distributed.  The span starts at the
       // first packet's enqueue, not the (possibly earlier) slot-open time
       // -- it bounds packet latency, and no packet existed before then.
-      const Picos lifecycle_start = batch->first_pkt_enqueued_at != 0
-                                        ? batch->first_pkt_enqueued_at
-                                        : batch->created_at;
       telemetry_.trace.complete_span(
-          "dhl.batch", "batch.lifecycle", "runtime", lifecycle_start, d1,
+          "dhl.batch", "batch.lifecycle", "runtime",
+          batch->first_pkt_enqueued_at, d1,
           {{"batch", std::to_string(batch->batch_id)},
            {"records", std::to_string(records)}});
     }

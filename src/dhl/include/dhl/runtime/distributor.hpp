@@ -26,6 +26,9 @@ namespace dhl::runtime {
 
 class Distributor {
  public:
+  /// Batches the RX core drains per poll iteration.
+  static constexpr std::uint32_t kRxBurst = 8;
+
   Distributor(sim::Simulator& simulator, const RuntimeConfig& config,
               telemetry::Telemetry& telemetry, RuntimeMetrics& metrics,
               HwFunctionTable& table, std::vector<NfInfo>& nfs,
@@ -34,8 +37,10 @@ class Distributor {
   Distributor(const Distributor&) = delete;
   Distributor& operator=(const Distributor&) = delete;
 
-  /// DMA RX delivery hook: park a returned batch on `socket`'s completion
-  /// queue until that socket's RX core drains it.  Batches that fail the
+  /// DMA RX delivery hook: book the batch's dma_tx, fpga and dma_rx stages
+  /// and its ledger marks from the DMA engine's seam stamps, then park it
+  /// on `socket`'s completion queue until that socket's RX core drains it
+  /// (which books the distributor stage).  Batches that fail the
   /// integrity gate (wire_corrupt, CRC mismatch, or structurally invalid
   /// wire bytes) are dropped here as a unit -- parked mbufs released,
   /// dhl.batch.crc_drops counted, replica failure noted -- so a corrupted

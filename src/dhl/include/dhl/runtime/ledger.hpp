@@ -21,8 +21,8 @@
 //
 // The ledger is compiled to no-ops when DHL_LEDGER=0 (the Release
 // default): the class collapses to empty inline methods so every call
-// site stays unconditional and free.  In ledger-compiled builds,
-// RuntimeConfig::ledger gates it at runtime (default on).
+// site stays unconditional and free.  The build flag is the only switch:
+// a ledger-compiled build always tracks.
 
 #include <cstdint>
 #include <string>
@@ -100,17 +100,14 @@ struct LedgerAudit {
 
 class LifecycleLedger final : public netio::MbufLifecycleObserver {
  public:
-  /// `enabled` comes from RuntimeConfig::ledger.  When enabled, the ledger
-  /// installs itself as the process-wide mbuf release observer (single
+  /// Installs the ledger as the process-wide mbuf release observer (single
   /// slot: a second concurrent runtime keeps its ledger but loses
   /// premature-release detection, with a warning).
-  LifecycleLedger(bool enabled, telemetry::Telemetry& telemetry);
+  explicit LifecycleLedger(telemetry::Telemetry& telemetry);
   ~LifecycleLedger() override;
 
   LifecycleLedger(const LifecycleLedger&) = delete;
   LifecycleLedger& operator=(const LifecycleLedger&) = delete;
-
-  bool enabled() const { return enabled_; }
 
   /// A packet entered the runtime (Packer IBQ dequeue).  Opens a
   /// lifecycle; counts nic.rx when the mbuf carries an RX timestamp.
@@ -143,7 +140,6 @@ class LifecycleLedger final : public netio::MbufLifecycleObserver {
   /// double terminal or an untracked packet.
   Record* terminal_record(const netio::Mbuf* m);
 
-  bool enabled_;
   bool installed_ = false;
   std::unordered_map<const netio::Mbuf*, Record> records_;
 
@@ -171,12 +167,11 @@ class LifecycleLedger final : public netio::MbufLifecycleObserver {
 /// unconditional; the optimizer erases them from the Release hot path.
 class LifecycleLedger {
  public:
-  LifecycleLedger(bool, telemetry::Telemetry&) {}
+  explicit LifecycleLedger(telemetry::Telemetry&) {}
 
   LifecycleLedger(const LifecycleLedger&) = delete;
   LifecycleLedger& operator=(const LifecycleLedger&) = delete;
 
-  bool enabled() const { return false; }
   void on_ingress(const netio::Mbuf*) {}
   void on_stage(const netio::Mbuf*, LedgerStage) {}
   void on_batch_stage(const fpga::DmaBatch&, LedgerStage) {}

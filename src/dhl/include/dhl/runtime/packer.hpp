@@ -132,8 +132,6 @@ class Packer {
   /// parked packet goes through the registered software fallback, or is
   /// dropped (dhl.runtime.submit_drop_pkts) when none is registered.
   void fallback_or_drop(fpga::DmaBatchPtr batch, const std::string& hf_name);
-  /// New open batch for `acc_id`, taken from `socket`'s pool.
-  fpga::DmaBatchPtr acquire_batch(int socket, netio::AccId acc_id);
 
   sim::Simulator& sim_;
   const RuntimeConfig& config_;

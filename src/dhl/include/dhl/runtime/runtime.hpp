@@ -202,9 +202,8 @@ class DhlRuntime {
   FallbackRouter& fallback_router() { return fallback_; }
 
   /// Packet-lifecycle conservation ledger (DESIGN.md section 3.4).  A
-  /// no-op stub in DHL_LEDGER=0 builds; gated by RuntimeConfig::ledger
-  /// otherwise.  Tests call ledger().audit() at teardown and assert
-  /// clean().
+  /// no-op stub in DHL_LEDGER=0 builds.  Tests call ledger().audit() at
+  /// teardown and assert clean().
   LifecycleLedger& ledger() { return ledger_; }
   const LifecycleLedger& ledger() const { return ledger_; }
 

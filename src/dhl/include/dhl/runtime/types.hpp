@@ -114,8 +114,6 @@ struct RuntimeConfig {
   std::uint32_t obq_size = 8192;
   /// Packets the TX core dequeues from an IBQ per iteration.
   std::uint32_t ibq_burst = 64;
-  /// Batches the RX core drains per iteration.
-  std::uint32_t rx_burst = 8;
   /// Paper IV-A2: allocate DMA buffers/queues on the FPGA's NUMA node.
   /// When false, everything lives on socket 0 and transfers to FPGAs on
   /// other sockets pay the remote penalty (the Fig 4 "different NUMA node"
@@ -136,11 +134,6 @@ struct RuntimeConfig {
   bool auto_replicate = false;
   std::uint64_t auto_replicate_threshold_bytes = 64 * 1024;
   std::uint32_t max_auto_replicas = 2;
-  /// Packet-lifecycle conservation ledger (DESIGN.md section 3.4): track
-  /// every mbuf through the pipeline stages and audit conservation at
-  /// teardown.  Only effective in ledger-compiled builds (DHL_LEDGER=1,
-  /// i.e. every build type except Release); compiled to no-ops otherwise.
-  bool ledger = true;
   /// Shared telemetry context; when null the runtime creates a private one.
   telemetry::TelemetryPtr telemetry;
 };

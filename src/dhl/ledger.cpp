@@ -77,10 +77,7 @@ std::string LedgerAudit::to_string() const {
 
 #if DHL_LEDGER
 
-LifecycleLedger::LifecycleLedger(bool enabled,
-                                 telemetry::Telemetry& telemetry)
-    : enabled_{enabled} {
-  if (!enabled_) return;
+LifecycleLedger::LifecycleLedger(telemetry::Telemetry& telemetry) {
   if (netio::mbuf_observer() == nullptr) {
     netio::set_mbuf_observer(this);
     installed_ = true;
@@ -102,7 +99,7 @@ LifecycleLedger::~LifecycleLedger() {
 }
 
 void LifecycleLedger::on_ingress(const netio::Mbuf* m) {
-  if (!enabled_ || m == nullptr) return;
+  if (m == nullptr) return;
   auto [it, inserted] = records_.try_emplace(m);
   if (!inserted) {
     if (!it->second.closed) {
@@ -128,7 +125,7 @@ void LifecycleLedger::on_ingress(const netio::Mbuf* m) {
 }
 
 void LifecycleLedger::on_stage(const netio::Mbuf* m, LedgerStage stage) {
-  if (!enabled_ || m == nullptr) return;
+  if (m == nullptr) return;
   const auto it = records_.find(m);
   if (it == records_.end() || it->second.closed) return;
   if (it->second.stage == stage) return;  // idempotent (e.g. DMA retries)
@@ -138,7 +135,6 @@ void LifecycleLedger::on_stage(const netio::Mbuf* m, LedgerStage stage) {
 
 void LifecycleLedger::on_batch_stage(const fpga::DmaBatch& batch,
                                      LedgerStage stage) {
-  if (!enabled_) return;
   for (const netio::Mbuf* m : batch.pkts()) on_stage(m, stage);
 }
 
@@ -159,7 +155,7 @@ LifecycleLedger::Record* LifecycleLedger::terminal_record(
 }
 
 void LifecycleLedger::on_delivered(const netio::Mbuf* m) {
-  if (!enabled_ || m == nullptr) return;
+  if (m == nullptr) return;
   Record* r = terminal_record(m);
   if (r == nullptr) return;
   r->closed = true;
@@ -172,7 +168,7 @@ void LifecycleLedger::on_delivered(const netio::Mbuf* m) {
 }
 
 void LifecycleLedger::on_drop(const netio::Mbuf* m, DropSite site) {
-  if (!enabled_ || m == nullptr) return;
+  if (m == nullptr) return;
   if (terminal_record(m) == nullptr) return;
   // Dropped packets return to the pool right away; the record is done.
   records_.erase(m);
@@ -182,7 +178,7 @@ void LifecycleLedger::on_drop(const netio::Mbuf* m, DropSite site) {
 }
 
 void LifecycleLedger::on_mbuf_release(netio::Mbuf& mbuf, bool last_ref) {
-  if (!enabled_ || !last_ref) return;
+  if (!last_ref) return;
   const auto it = records_.find(&mbuf);
   if (it == records_.end()) return;  // not a runtime-tracked packet
   if (!it->second.closed) {

@@ -207,12 +207,6 @@ void Packer::submit_with_retry(fpga::FpgaDevice* dev, fpga::DmaBatchPtr batch,
   fallback_or_drop(std::move(batch), failed->hf_name);
 }
 
-fpga::DmaBatchPtr Packer::acquire_batch(int socket, AccId acc_id) {
-  fpga::DmaBatchPtr batch = pools_.acquire(socket, acc_id);
-  batch->created_at = sim_.now();
-  return batch;
-}
-
 double Packer::flush_batch(int socket, AccId acc_id, OpenBatch&& open,
                            PendingSubmits& pending, FlushReason reason,
                            TenantId tenant) {
@@ -287,11 +281,10 @@ double Packer::flush_batch(int socket, AccId acc_id, OpenBatch&& open,
          {"records", std::to_string(batch->record_count())},
          {"reason", reason == FlushReason::kFull ? "full" : "timeout"}});
   }
-  // Stage seam: stamp the flush time only -- one store in the timed poll.
-  // The pack-seam histogram record and the flush flight-event are deferred
-  // to the doorbell event (untimed context); the stamp also starts the
-  // dma.tx seam, which the DMA engine closes at TX delivery.
-  if (telemetry_.stages.enabled()) batch->stage_ts = sim_.now();
+  // Seam stamp: one store in the timed poll.  The pack-stage record and
+  // the flush flight event are deferred to the doorbell event (untimed
+  // context); the Distributor books dma.tx from this stamp too.
+  batch->flushed_at = sim_.now();
   pending.emplace_back(dev, std::move(batch));
 
   // Replication pressure valve: a backed-up replica asks the control plane
@@ -393,7 +386,7 @@ sim::PollResult Packer::poll(int socket) {
     const OpenKey key = open_key(tenant, acc_id);
     OpenBatch& open = state.open[key];
     if (open.batch == nullptr) {
-      open.batch = acquire_batch(socket, acc_id);
+      open.batch = pools_.acquire(socket, acc_id);
       open.opened_at = sim_.now();
       state.active.push_back(key);
     }
@@ -410,7 +403,7 @@ sim::PollResult Packer::poll(int socket) {
       }
       cycles += flush_batch(socket, acc_id, std::move(open), pending,
                             FlushReason::kFull, tenant);
-      open.batch = acquire_batch(socket, acc_id);
+      open.batch = pools_.acquire(socket, acc_id);
       open.opened_at = sim_.now();
     }
     if (open.batch->empty()) open.batch->first_pkt_enqueued_at = sim_.now();
@@ -471,17 +464,16 @@ sim::PollResult Packer::poll(int socket) {
     sim_.schedule_after(cpu.core_clock.cycles(cycles), [this, shared] {
       const bool stages_on = telemetry_.stages.enabled();
       for (auto& [dev, batch] : *shared) {
-        // Deferred pack-seam accounting (untimed event context): one
+        // Deferred pack-stage accounting (untimed event context): one
         // record covers every packet in the batch (they all waited from
-        // first_pkt_enqueued_at to the flush stamp); stage_ts still holds
-        // that stamp until TX delivery restamps it.
-        if (stages_on && batch->stage_ts != 0) {
+        // first_pkt_enqueued_at to the flush).
+        if (stages_on) {
           telemetry_.stages.record_n(
               telemetry::Stage::kPack,
-              batch->stage_ts - batch->first_pkt_enqueued_at,
+              batch->flushed_at - batch->first_pkt_enqueued_at,
               static_cast<std::uint64_t>(batch->record_count()));
           telemetry_.recorder.log(
-              telemetry::FlightComponent::kPacker, batch->stage_ts,
+              telemetry::FlightComponent::kPacker, batch->flushed_at,
               telemetry::FlightEventKind::kBatchFlush, batch->hf_name,
               static_cast<std::int16_t>(batch->record_count()),
               static_cast<std::int32_t>(batch->size_bytes()),

@@ -15,7 +15,7 @@ DhlRuntime::DhlRuntime(sim::Simulator& simulator, RuntimeConfig config,
     : sim_{simulator},
       config_{std::move(config)},
       telemetry_{telemetry::ensure(config_.telemetry)},
-      ledger_{config_.ledger, *telemetry_},
+      ledger_{*telemetry_},
       tenants_{telemetry_->metrics},
       metrics_{*telemetry_, tenants_, ledger_},
       table_{simulator, std::move(database), std::move(fpgas), *telemetry_},
@@ -61,16 +61,6 @@ DhlRuntime::DhlRuntime(sim::Simulator& simulator, RuntimeConfig config,
     dev->dma().set_rx_deliver([this, target](fpga::DmaBatchPtr batch) {
       distributor_.enqueue_completion(target, std::move(batch));
     });
-    dev->dma().set_stage_recorder(&telemetry_->stages);
-    if (kLedgerCompiled && config_.ledger) {
-      // TX completion = the bytes reached the FPGA; the ledger marks every
-      // parked packet.  Not wired at all when auditing is off, so the
-      // DMA delivery path keeps its null-observer fast path.
-      dev->dma().set_transfer_observer(
-          [this](const fpga::DmaBatch& batch, bool is_tx) {
-            if (is_tx) ledger_.on_batch_stage(batch, LedgerStage::kFpga);
-          });
-    }
   }
 }
 

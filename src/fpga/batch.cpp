@@ -161,8 +161,11 @@ void DmaBatch::reset(netio::AccId acc_id) {
   pkts_.clear();
   sg_.clear();
   staged_bytes_ = 0;
-  created_at = 0;
   first_pkt_enqueued_at = 0;
+  flushed_at = 0;
+  tx_done_at = 0;
+  rx_submitted_at = 0;
+  rx_done_at = 0;
   remote_numa = false;
   batch_id = 0;
   acc_gen = 0;

@@ -149,14 +149,15 @@ class DmaBatch {
   std::vector<netio::Mbuf*>& pkts() { return pkts_; }
   const std::vector<netio::Mbuf*>& pkts() const { return pkts_; }
 
-  /// Virtual time bookkeeping for latency accounting / tests.
-  Picos created_at = 0;
+  /// Seam times on the virtual clock, 0 = not crossed yet.  The Packer
+  /// stamps the first two, the DMA engine the transfer seams; the runtime
+  /// books every pipeline stage from their differences (DESIGN.md
+  /// section 7).  A batch built outside the Packer has flushed_at == 0.
   Picos first_pkt_enqueued_at = 0;
-  /// Virtual time the batch crossed the last pipeline stage seam (flush ->
-  /// dma.tx delivery -> rx submit -> dma.rx delivery); each seam records
-  /// `now - stage_ts` into the StageLatencyRecorder and restamps.  0 =
-  /// never stamped (batches built outside the runtime).
-  Picos stage_ts = 0;
+  Picos flushed_at = 0;
+  Picos tx_done_at = 0;       // host->FPGA transfer delivered
+  Picos rx_submitted_at = 0;  // FPGA->host transfer submitted
+  Picos rx_done_at = 0;       // FPGA->host transfer delivered
   /// True when the DMA transferred via the remote NUMA path.
   bool remote_numa = false;
   /// Correlates a batch's telemetry spans (pack / dma / fpga / distribute)

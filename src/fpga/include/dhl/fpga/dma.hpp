@@ -18,6 +18,10 @@
 //
 // TX (host->FPGA) and RX (FPGA->host) are independent full-duplex channels,
 // each with its own serialization queue.
+//
+// The engine stamps the seams a batch crosses here (TX delivery, RX submit,
+// RX delivery) and books no pipeline stage itself: the runtime derives the
+// stage latencies and ledger marks from the stamps (DESIGN.md section 7).
 
 #include <algorithm>
 #include <functional>
@@ -30,7 +34,6 @@
 #include "dhl/sim/simulator.hpp"
 #include "dhl/sim/timing_params.hpp"
 #include "dhl/telemetry/metrics.hpp"
-#include "dhl/telemetry/stage_stats.hpp"
 #include "dhl/telemetry/trace.hpp"
 
 namespace dhl::fpga {
@@ -48,8 +51,6 @@ class DmaEngine {
             DmaDriver driver = DmaDriver::kUioPoll)
       : sim_{simulator}, params_{params}, driver_{driver} {}
 
-  DmaDriver driver() const { return driver_; }
-  void set_driver(DmaDriver d) { driver_ = d; }
   const sim::DmaParams& params() const { return params_; }
 
   /// Called with each batch that completes the host->FPGA transfer
@@ -58,15 +59,6 @@ class DmaEngine {
   /// Called with each batch that completes the FPGA->host transfer
   /// (the runtime's transfer layer hooks this).
   void set_rx_deliver(DeliverFn fn) { rx_deliver_ = std::move(fn); }
-
-  /// Observation-only tap fired at each transfer completion, just before
-  /// the deliver hook (`is_tx` = host->FPGA direction).  The runtime's
-  /// lifecycle ledger uses this to mark batches as having reached the
-  /// FPGA; null (the default) costs nothing.
-  using TransferObserver = std::function<void(const DmaBatch&, bool is_tx)>;
-  void set_transfer_observer(TransferObserver observer) {
-    transfer_observer_ = std::move(observer);
-  }
 
   /// Attach telemetry: per-direction submit->complete latency histograms
   /// and (when tracing) one `dma.tx`/`dma.rx` span per transfer on `track`.
@@ -78,15 +70,6 @@ class DmaEngine {
     rx_latency_ = rx_latency;
     trace_ = trace;
     track_ = std::move(track);
-  }
-
-  /// Attach the per-stage latency decomposition (DESIGN.md section 7).
-  /// The engine records three seams per round trip against the batch's
-  /// rolling `stage_ts`: dma.tx (flush -> TX delivery), fpga (TX delivery
-  /// -> RX submit) and dma.rx (RX submit -> RX delivery), one record_n per
-  /// batch.  Null (the default) costs nothing.
-  void set_stage_recorder(telemetry::StageLatencyRecorder* stages) {
-    stages_ = stages;
   }
 
   /// Fault-injection seam (DESIGN.md section 3.3).  A null hook -- the
@@ -221,21 +204,8 @@ class DmaEngine {
       }
     }
     const std::uint64_t bytes = batch->size_bytes();
-    // Stage seams.  An RX submit happens when the fabric finishes the
-    // batch, so `now - stage_ts` (stamped at TX delivery) is the FPGA
-    // residency; a TX submit leaves the Packer's flush stamp in place so
-    // the dma.tx seam covers doorbell deferral and retry waits too.
-    std::uint64_t stage_pkts = 0;
-    if (stages_ != nullptr && stages_->enabled()) {
-      stage_pkts = batch->pkts().empty()
-                       ? static_cast<std::uint64_t>(batch->record_count())
-                       : static_cast<std::uint64_t>(batch->pkts().size());
-      if (!is_tx && batch->stage_ts != 0) {
-        stages_->record_n(telemetry::Stage::kFpga, sim_.now() - batch->stage_ts,
-                          stage_pkts);
-        batch->stage_ts = sim_.now();
-      }
-    }
+    // Seam stamp: an RX submit happens when the fabric finishes the batch.
+    if (!is_tx) batch->rx_submitted_at = sim_.now();
     const Picos start = ch.busy_until > sim_.now() ? ch.busy_until : sim_.now();
     ch.busy_until = start + occupancy(bytes);
     ch.transfers += 1;
@@ -259,39 +229,26 @@ class DmaEngine {
     DHL_CHECK_MSG(static_cast<bool>(fn), "DMA channel has no deliver hook");
     // The shared_ptr shim lets the move-only batch ride a std::function.
     auto shared = std::make_shared<DmaBatchPtr>(std::move(batch));
-    sim_.schedule_at(deliver_at, [this, &fn, &ch, bytes, is_tx, stage_pkts,
-                                  shared] {
+    sim_.schedule_at(deliver_at, [this, &fn, &ch, bytes, is_tx, shared] {
       ch.outstanding_bytes -= bytes;
       ch.outstanding_transfers -= 1;
-      // Untimed event context: the per-batch stage record costs no modeled
-      // host cycles.  dma.tx = flush -> TX delivery; dma.rx = RX submit ->
-      // RX delivery.  Restamp so the next seam measures from here.
       DmaBatch& b = **shared;
-      if (stages_ != nullptr && stages_->enabled() && b.stage_ts != 0 &&
-          stage_pkts > 0) {
-        stages_->record_n(
-            is_tx ? telemetry::Stage::kDmaTx : telemetry::Stage::kDmaRx,
-            sim_.now() - b.stage_ts, stage_pkts);
-        b.stage_ts = sim_.now();
-      }
-      if (transfer_observer_) transfer_observer_(**shared, is_tx);
+      (is_tx ? b.tx_done_at : b.rx_done_at) = sim_.now();  // seam stamp
       fn(std::move(*shared));
     });
   }
 
   sim::Simulator& sim_;
   sim::DmaParams params_;
-  DmaDriver driver_;
+  const DmaDriver driver_;
   DeliverFn tx_deliver_;
   DeliverFn rx_deliver_;
-  TransferObserver transfer_observer_;
   Channel tx_;
   Channel rx_;
   sim::LatencyHistogram* tx_latency_ = nullptr;
   sim::LatencyHistogram* rx_latency_ = nullptr;
   telemetry::TraceSession* trace_ = nullptr;
   std::string track_;
-  telemetry::StageLatencyRecorder* stages_ = nullptr;
   FaultHook* fault_hook_ = nullptr;
   int fault_fpga_id_ = -1;
   /// One-shot: try_submit_tx sampled a partial-transfer fault; the next

@@ -36,13 +36,6 @@ struct NicPortConfig {
   Bandwidth link = Bandwidth::gbps(10);
   int socket = 0;
   std::uint32_t rx_queue_size = 4096;
-  /// Arrival events are batched: one event materializes up to this many
-  /// frames (with exact per-frame timestamps), bounding event-queue load.
-  std::uint32_t arrival_batch = 32;
-  /// Cap on the virtual-time span one arrival group may cover; keeps the
-  /// timestamp-to-enqueue skew (and thus measured-latency distortion) small
-  /// at low packet rates.
-  Picos max_arrival_span = microseconds(1);
 
   /// Shared telemetry context; when null the port creates a private one.
   telemetry::TelemetryPtr telemetry;
@@ -57,19 +50,13 @@ class NicPort {
   Bandwidth link() const { return config_.link; }
   int socket() const { return config_.socket; }
 
-  /// Start generating ingress traffic.  `offered_fraction` scales the load
-  /// relative to line rate (1.0 = saturate the link).
+  /// Start generating ingress traffic: smooth CBR at `offered_fraction`
+  /// of line rate (1.0 = saturate the link).
   ///
-  /// `burst_period` selects the arrival process: 0 = smooth CBR at the
-  /// offered rate; > 0 = ON/OFF bursts with that period -- the link runs at
-  /// line rate for offered_fraction of each period and is silent for the
-  /// rest (same mean load, very different queueing behaviour).
-  ///
-  /// When `traffic.gap_model` is set it replaces both shapes: the hook
-  /// returns every inter-arrival gap and offered_fraction / burst_period
-  /// are ignored (pass the defaults).
-  void start_traffic(TrafficConfig traffic, double offered_fraction = 1.0,
-                     Picos burst_period = 0);
+  /// Any other arrival process (ON/OFF bursts, ramps, Poisson) is a
+  /// `traffic.gap_model`: the hook returns every inter-arrival gap and
+  /// offered_fraction is ignored.
+  void start_traffic(TrafficConfig traffic, double offered_fraction = 1.0);
   void stop_traffic();
   bool traffic_running() const { return generating_; }
   const FrameFactory* factory() const { return factory_ ? &*factory_ : nullptr; }
@@ -112,7 +99,6 @@ class NicPort {
 
   std::optional<FrameFactory> factory_;
   double offered_fraction_ = 1.0;
-  Picos burst_period_ = 0;
   bool generating_ = false;
   std::uint64_t traffic_epoch_ = 0;
   Picos next_arrival_ = 0;

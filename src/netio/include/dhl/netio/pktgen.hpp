@@ -64,10 +64,10 @@ struct TrafficConfig {
   /// address/port derivation as the built-in picker (it need not be bounded
   /// by num_flows).
   std::function<std::uint32_t()> flow_model;
-  /// Overrides the NicPort arrival shaping (offered_fraction /
-  /// burst_period): given the arrival time of the frame just built and its
-  /// wire time at line rate, return the full gap to the next arrival.  ON/
-  /// OFF silences and ramp shapes are encoded in the returned gap.
+  /// Overrides the NicPort's CBR arrival shaping (offered_fraction): given
+  /// the arrival time of the frame just built and its wire time at line
+  /// rate, return the full gap to the next arrival.  ON/OFF silences and
+  /// ramp shapes are encoded in the returned gap.
   std::function<Picos(Picos now, Picos line_gap)> gap_model;
 
   /// Chain a CRC32C digest over every built frame's bytes (see

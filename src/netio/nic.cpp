@@ -6,6 +6,18 @@
 
 namespace dhl::netio {
 
+namespace {
+
+/// Arrival events are batched: one event materializes up to this many
+/// frames (with exact per-frame timestamps), bounding event-queue load.
+constexpr std::uint32_t kArrivalBatch = 32;
+/// Cap on the virtual-time span one arrival group may cover; keeps the
+/// timestamp-to-enqueue skew (and thus measured-latency distortion) small
+/// at low packet rates.
+constexpr Picos kMaxArrivalSpan = microseconds(1);
+
+}  // namespace
+
 NicPort::NicPort(sim::Simulator& simulator, NicPortConfig config,
                  MbufPool& rx_pool)
     : sim_{simulator},
@@ -16,7 +28,6 @@ NicPort::NicPort(sim::Simulator& simulator, NicPortConfig config,
       // (the 40G ports need two I/O cores, paper V-C).
       rx_queue_{config_.name + ".rxq", config_.rx_queue_size,
                 SyncMode::kSingle, SyncMode::kMulti} {
-  DHL_CHECK(config_.arrival_batch > 0);
   const telemetry::Labels port_label{{"port", config_.name}};
   telemetry::MetricsRegistry& reg = telemetry_->metrics;
   m_rx_pkts_ = reg.counter("dhl.nic.rx_pkts", port_label);
@@ -27,12 +38,10 @@ NicPort::NicPort(sim::Simulator& simulator, NicPortConfig config,
   m_rx_depth_ = reg.gauge("dhl.nic.rx_queue_depth", port_label);
 }
 
-void NicPort::start_traffic(TrafficConfig traffic, double offered_fraction,
-                            Picos burst_period) {
+void NicPort::start_traffic(TrafficConfig traffic, double offered_fraction) {
   DHL_CHECK(offered_fraction > 0 && offered_fraction <= 1.0);
   factory_.emplace(std::move(traffic));
   offered_fraction_ = offered_fraction;
-  burst_period_ = burst_period;
   generating_ = true;
   ++traffic_epoch_;
   next_arrival_ = sim_.now();
@@ -64,9 +73,9 @@ void NicPort::schedule_arrivals() {
     Picos at;
   };
   std::vector<Staged> staged;
-  staged.reserve(config_.arrival_batch);
-  for (; count < config_.arrival_batch; ++count) {
-    if (count > 0 && t - next_arrival_ > config_.max_arrival_span) break;
+  staged.reserve(kArrivalBatch);
+  for (; count < kArrivalBatch; ++count) {
+    if (count > 0 && t - next_arrival_ > kMaxArrivalSpan) break;
     Mbuf* m = rx_pool_.alloc();
     if (m == nullptr) {
       // Pool exhausted: count as RX drop and retry this slot next group.
@@ -85,18 +94,10 @@ void NicPort::schedule_arrivals() {
       // (ramps, ON/OFF silences) and returns the full gap to the next
       // arrival.
       t += factory_->config().gap_model(t, line_gap);
-    } else if (burst_period_ == 0) {
+    } else {
       // Smooth CBR: stretch the inter-frame gap by the offered fraction.
       t += static_cast<Picos>(static_cast<double>(line_gap) /
                               offered_fraction_);
-    } else {
-      // ON/OFF bursts: line rate inside the ON window, silence after.
-      t += line_gap;
-      const Picos on_window = static_cast<Picos>(
-          static_cast<double>(burst_period_) * offered_fraction_);
-      if (t % burst_period_ >= on_window) {
-        t = (t / burst_period_ + 1) * burst_period_;  // next period start
-      }
     }
   }
   next_arrival_ = t;

@@ -27,7 +27,7 @@ ChainNf::ChainNf(sim::Simulator& simulator, ChainConfig config,
 
   handles_.resize(stages_.size());
   seg_at_.assign(stages_.size(), -1);
-  burst_.resize(config_.io_burst);
+  burst_.resize(kIoBurst);
   if (runtime_ != nullptr) {
     nf_id_ = DHL_register(*runtime_, config_.name, config_.socket,
                           config_.tenant);

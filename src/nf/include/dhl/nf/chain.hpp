@@ -99,7 +99,6 @@ struct ChainConfig {
   std::string name = "chain";
   int socket = 0;
   sim::TimingParams timing;
-  std::uint32_t io_burst = 32;
   /// Tenant the chain's offload traffic is admitted and accounted under.
   TenantId tenant = kDefaultTenant;
   /// Fuse maximal eligible offload runs via DHL_compose_chain.

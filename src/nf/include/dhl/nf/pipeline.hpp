@@ -52,6 +52,9 @@ using BatchPacketFn =
 /// Cycle cost the worker lcore is charged for one packet.
 using CostFn = std::function<double(const netio::Mbuf&)>;
 
+/// Packets an NF core moves per NIC, ring or OBQ burst.
+inline constexpr std::uint32_t kIoBurst = 32;
+
 struct NfStats {
   std::uint64_t rx_pkts = 0;
   std::uint64_t processed = 0;
@@ -74,7 +77,6 @@ struct RunToCompletionConfig {
   int socket = 0;
   sim::TimingParams timing;
   std::uint32_t num_cores = 1;
-  std::uint32_t io_burst = 32;
 };
 
 class RunToCompletionNf {
@@ -112,8 +114,6 @@ struct PipelineConfig {
   /// I/O cores: one handles RX for all ports, one handles TX (paper V-C
   /// allocates 2 I/O cores for the 40G NIC).
   std::uint32_t num_workers = 2;
-  std::uint32_t io_burst = 32;
-  std::uint32_t worker_burst = 32;
   std::uint32_t ring_size = 4096;
 };
 
@@ -154,8 +154,7 @@ class CpuPipelineNf {
   std::unique_ptr<sim::Lcore> tx_io_core_;
   std::vector<std::unique_ptr<sim::Lcore>> workers_;
   /// Burst scratch shared by the three polls (they never interleave),
-  /// sized for the larger of io_burst and worker_burst, plus the worker's
-  /// per-burst verdicts.
+  /// plus the worker's per-burst verdicts.
   std::vector<netio::Mbuf*> burst_;
   std::vector<Verdict> verdicts_;
   NfStats stats_;

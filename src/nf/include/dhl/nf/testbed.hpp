@@ -46,7 +46,8 @@ struct IntrospectionConfig {
 };
 
 struct TestbedConfig {
-  sim::TimingParams timing;
+  /// `runtime.timing` is the testbed's one calibration: the Testbed
+  /// derives `fpga.timing` and `fpga.dma` from it.
   runtime::RuntimeConfig runtime;
   fpga::FpgaDeviceConfig fpga;
   std::uint32_t pool_size = 65536;
@@ -57,11 +58,6 @@ struct TestbedConfig {
   telemetry::TelemetryPtr telemetry;
   /// Live-introspection settings, activated by start_introspection().
   IntrospectionConfig introspection;
-
-  TestbedConfig() {
-    fpga.timing = timing.fpga;
-    fpga.dma = timing.dma;
-  }
 };
 
 class Testbed {
@@ -69,7 +65,7 @@ class Testbed {
   explicit Testbed(TestbedConfig config = {});
 
   sim::Simulator& sim() { return sim_; }
-  const sim::TimingParams& timing() const { return config_.timing; }
+  const sim::TimingParams& timing() const { return config_.runtime.timing; }
   fpga::FpgaDevice& fpga() { return *fpgas_.front(); }
   fpga::FpgaDevice& fpga(std::size_t i) { return *fpgas_[i]; }
   std::size_t fpga_count() const { return fpgas_.size(); }

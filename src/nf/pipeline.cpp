@@ -27,7 +27,7 @@ RunToCompletionNf::RunToCompletionNf(sim::Simulator& simulator,
       ports_{std::move(ports)},
       fn_{std::move(fn)},
       cost_{std::move(cost)},
-      burst_(config_.io_burst) {
+      burst_(kIoBurst) {
   DHL_CHECK(!ports_.empty());
   DHL_CHECK(config_.num_cores > 0);
   for (std::uint32_t i = 0; i < config_.num_cores; ++i) {
@@ -113,8 +113,8 @@ CpuPipelineNf::CpuPipelineNf(sim::Simulator& simulator, PipelineConfig config,
                netio::SyncMode::kSingle, netio::SyncMode::kMulti},
       tx_ring_{config_.name + ".tx_ring", config_.ring_size,
                netio::SyncMode::kMulti, netio::SyncMode::kSingle},
-      burst_(std::max(config_.io_burst, config_.worker_burst)),
-      verdicts_(config_.worker_burst) {
+      burst_(kIoBurst),
+      verdicts_(kIoBurst) {
   DHL_CHECK(!ports_.empty());
   DHL_CHECK(config_.num_workers > 0);
   const Frequency clock = config_.timing.cpu.core_clock;
@@ -159,7 +159,7 @@ sim::PollResult CpuPipelineNf::rx_io_poll() {
   double cycles = 0;
   Mbuf** pkts = burst_.data();
   for (netio::NicPort* port : ports_) {
-    const std::size_t n = port->rx_burst(pkts, config_.io_burst);
+    const std::size_t n = port->rx_burst(pkts, kIoBurst);
     if (n == 0) continue;
     stats_.rx_pkts += n;
     cycles += cpu.nic_rxtx_fixed_cycles +
@@ -179,7 +179,7 @@ sim::PollResult CpuPipelineNf::tx_io_poll() {
   const auto& cpu = config_.timing.cpu;
   double cycles = 0;
   Mbuf** pkts = burst_.data();
-  const std::size_t n = tx_ring_.dequeue_burst({pkts, config_.io_burst});
+  const std::size_t n = tx_ring_.dequeue_burst({pkts, kIoBurst});
   if (n > 0) {
     cycles += cpu.ring_op_fixed_cycles +
               cpu.ring_op_per_pkt_cycles * static_cast<double>(n);
@@ -206,7 +206,7 @@ sim::PollResult CpuPipelineNf::worker_poll() {
   const Frequency clock = config_.timing.cpu.core_clock;
   double cycles = 0;
   Mbuf** pkts = burst_.data();
-  const std::size_t n = rx_ring_.dequeue_burst({pkts, config_.worker_burst});
+  const std::size_t n = rx_ring_.dequeue_burst({pkts, kIoBurst});
   if (n == 0) return {0, false};
   cycles += cpu.ring_op_fixed_cycles +
             cpu.ring_op_per_pkt_cycles * static_cast<double>(n);

@@ -9,6 +9,8 @@ Testbed::Testbed(TestbedConfig config) : config_{std::move(config)} {
   config_.telemetry = telemetry::ensure(std::move(config_.telemetry));
   config_.runtime.telemetry = config_.telemetry;
   config_.fpga.telemetry = config_.telemetry;
+  config_.fpga.timing = config_.runtime.timing.fpga;
+  config_.fpga.dma = config_.runtime.timing.dma;
   const int sockets = config_.runtime.num_sockets;
   for (int s = 0; s < sockets; ++s) {
     pools_.push_back(std::make_unique<netio::MbufPool>(

@@ -261,14 +261,11 @@ TEST(AccountingFixes, StaleGenerationNotBlamedOnRecycledSlot) {
 // --- batch lifecycle anchored at the first packet -------------------------
 
 // The batch.lifecycle span must start when the first packet entered the
-// batch, not at the (possibly much earlier) created_at/slot-open time: it
-// is the bound on packet latency the benches read.
+// batch, not at the (possibly much earlier) slot-open time: it is the
+// bound on packet latency the benches read.
 TEST(AccountingFixes, LifecycleSpanStartsAtFirstPacketEnqueue) {
   RuntimeConfig cfg;
   cfg.num_sockets = 1;
-  // Hand-built batches bypass the Packer, so the packet was never tracked;
-  // keep the ledger out of this test.
-  cfg.ledger = false;
   Harness h{cfg};
   const netio::NfId nf = h.rt->register_nf("nf0", 0);
   h.rt->telemetry().trace.enable();
@@ -276,7 +273,6 @@ TEST(AccountingFixes, LifecycleSpanStartsAtFirstPacketEnqueue) {
   Mbuf* m = h.make_pkt(nf, 7, 64, 0x11);
   auto batch = std::make_unique<fpga::DmaBatch>(7);
   batch->append(nf, m->payload(), m);
-  batch->created_at = microseconds(1);
   batch->first_pkt_enqueued_at = microseconds(3);
   h.sim.run_until(microseconds(5));
   h.rt->distributor().enqueue_completion(0, std::move(batch));

@@ -53,6 +53,28 @@ TEST(BatchPool, RecycleResetsRecordsButKeepsCapacity) {
   EXPECT_EQ(again->buffer().capacity(), cap);  // 6 KB buffer survived
 }
 
+TEST(BatchPool, RecycleClearsSeamStamps) {
+  // A pooled batch must not carry its last round trip's seam times into
+  // the next one: the runtime books stages from them.
+  PoolHarness h;
+  fpga::DmaBatchPtr batch = h.pools.acquire(0, 1);
+  batch->first_pkt_enqueued_at = microseconds(1);
+  batch->flushed_at = microseconds(2);
+  batch->tx_done_at = microseconds(3);
+  batch->rx_submitted_at = microseconds(4);
+  batch->rx_done_at = microseconds(5);
+  fpga::DmaBatch* raw = batch.get();
+
+  h.pools.recycle(std::move(batch));
+  fpga::DmaBatchPtr again = h.pools.acquire(0, 1);
+  ASSERT_EQ(again.get(), raw);
+  EXPECT_EQ(again->first_pkt_enqueued_at, 0u);
+  EXPECT_EQ(again->flushed_at, 0u);
+  EXPECT_EQ(again->tx_done_at, 0u);
+  EXPECT_EQ(again->rx_submitted_at, 0u);
+  EXPECT_EQ(again->rx_done_at, 0u);
+}
+
 TEST(BatchPool, ExhaustionFallsBackToAllocation) {
   PoolHarness h;
   // More batches in flight than the pool's capacity (4): every acquire

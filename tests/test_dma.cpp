@@ -103,6 +103,36 @@ TEST(DmaEngine, TxAndRxChannelsAreIndependent) {
   EXPECT_EQ(dma.rx_transfers(), 1u);
 }
 
+TEST(DmaEngine, StampsTransferSeamsOnAnIdleChannel) {
+  // No telemetry wired: the seam stamps are all the engine reports about a
+  // batch's round trip, and on an idle channel each is submit + one-way.
+  sim::Simulator sim;
+  DmaEngine dma{sim, sim::DmaParams{}};
+  DmaBatchPtr done;
+  dma.set_tx_deliver([&](DmaBatchPtr b) { done = std::move(b); });
+  dma.set_rx_deliver([&](DmaBatchPtr b) { done = std::move(b); });
+  const Picos one_way = dma.one_way_latency(1024, false);
+
+  sim.run_until(microseconds(3));
+  const Picos tx_submit = sim.now();
+  dma.submit_tx(make_batch(1024));
+  sim.run();
+  ASSERT_NE(done, nullptr);
+  EXPECT_EQ(done->tx_done_at, tx_submit + one_way);
+  EXPECT_EQ(done->rx_submitted_at, 0u);
+  EXPECT_EQ(done->rx_done_at, 0u);
+  EXPECT_EQ(done->flushed_at, 0u);  // the Packer's stamp, not the engine's
+
+  sim.run_until(sim.now() + microseconds(5));
+  const Picos rx_submit = sim.now();
+  dma.submit_rx(std::move(done));
+  sim.run();
+  ASSERT_NE(done, nullptr);
+  EXPECT_EQ(done->tx_done_at, tx_submit + one_way);
+  EXPECT_EQ(done->rx_submitted_at, rx_submit);
+  EXPECT_EQ(done->rx_done_at, rx_submit + one_way);
+}
+
 TEST(DmaEngine, MissingDeliverHookIsAnError) {
   sim::Simulator sim;
   DmaEngine dma{sim, sim::DmaParams{}};

@@ -52,7 +52,7 @@ class LedgerUnit : public ::testing::Test {
 };
 
 TEST_F(LedgerUnit, CleanDeliveryLifecycleAuditsClean) {
-  LifecycleLedger ledger{true, *telemetry_};
+  LifecycleLedger ledger{*telemetry_};
   Mbuf* m = pool_.alloc();
   m->set_rx_timestamp(1);  // came off a NIC: nic.rx must be counted
 
@@ -79,7 +79,7 @@ TEST_F(LedgerUnit, CleanDeliveryLifecycleAuditsClean) {
 }
 
 TEST_F(LedgerUnit, DropIsATerminal) {
-  LifecycleLedger ledger{true, *telemetry_};
+  LifecycleLedger ledger{*telemetry_};
   Mbuf* m = pool_.alloc();
   ledger.on_ingress(m);
   ledger.on_drop(m, DropSite::kUnready);
@@ -95,7 +95,7 @@ TEST_F(LedgerUnit, DropIsATerminal) {
 }
 
 TEST_F(LedgerUnit, SeededLeakFailsAudit) {
-  LifecycleLedger ledger{true, *telemetry_};
+  LifecycleLedger ledger{*telemetry_};
   Mbuf* m = pool_.alloc();
   ledger.on_ingress(m);
   ledger.on_stage(m, LedgerStage::kPackerAppend);
@@ -113,7 +113,7 @@ TEST_F(LedgerUnit, SeededLeakFailsAudit) {
 }
 
 TEST_F(LedgerUnit, PrematureReleaseFlagged) {
-  LifecycleLedger ledger{true, *telemetry_};
+  LifecycleLedger ledger{*telemetry_};
   Mbuf* m = pool_.alloc();
   ledger.on_ingress(m);
   m->release();  // freed while the ledger still has it in flight
@@ -125,7 +125,7 @@ TEST_F(LedgerUnit, PrematureReleaseFlagged) {
 }
 
 TEST_F(LedgerUnit, DoubleDeliveryFlagged) {
-  LifecycleLedger ledger{true, *telemetry_};
+  LifecycleLedger ledger{*telemetry_};
   Mbuf* m = pool_.alloc();
   ledger.on_ingress(m);
   ledger.on_delivered(m);
@@ -139,7 +139,7 @@ TEST_F(LedgerUnit, DoubleDeliveryFlagged) {
 }
 
 TEST_F(LedgerUnit, DoubleTrackFlagged) {
-  LifecycleLedger ledger{true, *telemetry_};
+  LifecycleLedger ledger{*telemetry_};
   Mbuf* m = pool_.alloc();
   ledger.on_ingress(m);
   ledger.on_ingress(m);  // still open: duplication, not a re-send
@@ -155,7 +155,7 @@ TEST_F(LedgerUnit, DoubleTrackFlagged) {
 TEST_F(LedgerUnit, RedeliveredPacketOpensFreshLifecycle) {
   // Chained NFs re-send delivered packets; that is two lifecycles, both
   // legal, not a double track.
-  LifecycleLedger ledger{true, *telemetry_};
+  LifecycleLedger ledger{*telemetry_};
   Mbuf* m = pool_.alloc();
   ledger.on_ingress(m);
   ledger.on_delivered(m);
@@ -171,7 +171,7 @@ TEST_F(LedgerUnit, RedeliveredPacketOpensFreshLifecycle) {
 }
 
 TEST_F(LedgerUnit, OrphanTerminalFlagged) {
-  LifecycleLedger ledger{true, *telemetry_};
+  LifecycleLedger ledger{*telemetry_};
   Mbuf* m = pool_.alloc();
   ledger.on_delivered(m);  // never tracked
   m->release();
@@ -179,19 +179,6 @@ TEST_F(LedgerUnit, OrphanTerminalFlagged) {
   const LedgerAudit audit = ledger.audit();
   EXPECT_FALSE(audit.clean()) << audit.to_string();
   EXPECT_EQ(audit.orphan_terminal, 1u);
-}
-
-TEST_F(LedgerUnit, DisabledLedgerTracksNothing) {
-  LifecycleLedger ledger{false, *telemetry_};
-  Mbuf* m = pool_.alloc();
-  ledger.on_ingress(m);
-  ledger.on_delivered(m);
-  m->release();
-
-  const LedgerAudit audit = ledger.audit();
-  EXPECT_TRUE(audit.clean());
-  EXPECT_EQ(audit.tracked, 0u);
-  EXPECT_EQ(audit.delivered, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -252,7 +239,6 @@ E2eOutcome run_traffic(sim::Simulator& sim, DhlRuntime& rt, MbufPool& pool,
 TEST_F(LedgerRuntime, EndToEndRunAuditsClean) {
   sim::Simulator sim;
   RuntimeConfig cfg;
-  ASSERT_TRUE(cfg.ledger) << "ledger must default on in audited builds";
   std::vector<std::unique_ptr<fpga::FpgaDevice>> fpgas;
   std::vector<fpga::FpgaDevice*> ptrs;
   for (int i = 0; i < 2; ++i) {

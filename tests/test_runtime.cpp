@@ -57,6 +57,20 @@ struct Harness {
   double metric(const std::string& name) {
     return rt->telemetry().metrics.snapshot(sim.now()).sum(name);
   }
+
+  /// Release everything in `nf`'s OBQ; returns how many packets it held.
+  std::size_t drain_obq(netio::NfId nf) {
+    auto& obq = rt->get_private_obq(nf);
+    Mbuf* out[64];
+    std::size_t total = 0;
+    for (;;) {
+      const std::size_t n = DhlRuntime::receive_packets(obq, out, 64);
+      if (n == 0) break;
+      for (std::size_t i = 0; i < n; ++i) out[i]->release();
+      total += n;
+    }
+    return total;
+  }
 };
 
 TEST(Runtime, RegisterAssignsSequentialIds) {
@@ -353,6 +367,83 @@ TEST(Runtime, TraceSessionRecordsBatchSpans) {
   const std::size_t n =
       DhlRuntime::receive_packets(h.rt->get_private_obq(nf), out, 32);
   for (std::size_t i = 0; i < n; ++i) out[i]->release();
+}
+
+// --- stage booking -----------------------------------------------------------
+
+TEST(RuntimeStages, DrainedRunBooksEveryStageOncePerPacket) {
+  // Each stage has one booking seam: the Packer's doorbell (pack), RX
+  // delivery (dma_tx, fpga, dma_rx), the Distributor's pickup
+  // (distributor) and OBQ delivery (ibq_wait, end_to_end).  After a drain
+  // every delivered packet has exactly one sample in each.
+  Harness h;
+  const netio::NfId nf = h.rt->register_nf("nf0", 0);
+  const AccHandle handle = h.rt->search_by_name("loopback", 0);
+  h.wait_ready(handle);
+  h.rt->start();
+  ASSERT_TRUE(h.rt->telemetry().stages.enabled());
+
+  std::size_t delivered = 0;
+  for (int wave = 0; wave < 5; ++wave) {
+    std::vector<Mbuf*> pkts;
+    for (int i = 0; i < 60; ++i) {
+      pkts.push_back(h.make_pkt(nf, handle.acc_id, 300, 0));
+    }
+    ASSERT_EQ(h.rt->send_packets(nf, pkts.data(), pkts.size()), pkts.size());
+    h.sim.run_until(h.sim.now() + microseconds(300));
+    delivered += h.drain_obq(nf);
+  }
+  h.sim.run_until(h.sim.now() + milliseconds(1));
+  delivered += h.drain_obq(nf);
+  ASSERT_EQ(delivered, 300u);
+  ASSERT_GT(h.metric("dhl.runtime.batches_to_fpga"), 5);  // full flushes too
+
+  const telemetry::StageLatencyRecorder& stages = h.rt->telemetry().stages;
+  for (const telemetry::Stage stage :
+       {telemetry::Stage::kIbqWait, telemetry::Stage::kPack,
+        telemetry::Stage::kDmaTx, telemetry::Stage::kFpga,
+        telemetry::Stage::kDmaRx, telemetry::Stage::kDistributor,
+        telemetry::Stage::kEndToEnd}) {
+    EXPECT_EQ(stages.stage(stage).count(), delivered)
+        << "stage " << telemetry::to_string(stage);
+  }
+  EXPECT_EQ(stages.stage(telemetry::Stage::kFallback).count(), 0u);
+}
+
+TEST(RuntimeStages, SingleBatchStagesAreItsSeamDifferences) {
+  // One batch, booked once per stage with record_n: every packet in it
+  // shares the same two seam times, and on an idle RX channel the dma_rx
+  // stage is exactly the one-way DMA latency of the batch's bytes.
+  Harness h;
+  const netio::NfId nf = h.rt->register_nf("nf0", 0);
+  const AccHandle handle = h.rt->search_by_name("loopback", 0);
+  h.wait_ready(handle);
+  h.rt->start();
+
+  constexpr int kPkts = 10;
+  constexpr std::uint32_t kLen = 200;
+  std::vector<Mbuf*> pkts;
+  for (int i = 0; i < kPkts; ++i) {
+    pkts.push_back(h.make_pkt(nf, handle.acc_id, kLen, 0));
+  }
+  ASSERT_EQ(h.rt->send_packets(nf, pkts.data(), pkts.size()), pkts.size());
+  h.sim.run_until(h.sim.now() + milliseconds(1));
+  ASSERT_EQ(h.drain_obq(nf), static_cast<std::size_t>(kPkts));
+  ASSERT_EQ(h.metric("dhl.runtime.batches_to_fpga"), 1);
+
+  const telemetry::StageLatencyRecorder& stages = h.rt->telemetry().stages;
+  for (const telemetry::Stage stage :
+       {telemetry::Stage::kPack, telemetry::Stage::kDmaTx,
+        telemetry::Stage::kFpga, telemetry::Stage::kDmaRx,
+        telemetry::Stage::kDistributor}) {
+    const sim::LatencyHistogram& hist = stages.stage(stage);
+    EXPECT_EQ(hist.count(), static_cast<std::uint64_t>(kPkts))
+        << telemetry::to_string(stage);
+    EXPECT_EQ(hist.min(), hist.max()) << telemetry::to_string(stage);
+  }
+  const std::uint64_t batch_bytes = kPkts * (fpga::kRecordHeaderBytes + kLen);
+  EXPECT_EQ(stages.stage(telemetry::Stage::kDmaRx).max(),
+            h.fpga->dma().one_way_latency(batch_bytes, false));
 }
 
 TEST(Runtime, AdaptiveBatchingShrinksBatchesAtLowRate) {

@@ -170,9 +170,7 @@ TEST(RuntimeFailure, CorruptedNfIdTagIsContained) {
   // Distributor must drop it (counted) instead of delivering it to anyone.
   // Admission stamps the sender's nf_id, so the corruption is injected on
   // the return path, in a hand-built completion.
-  RuntimeConfig cfg;
-  cfg.ledger = false;  // the packet never passed the Packer's tracking
-  MultiHarness h{1, cfg};
+  MultiHarness h;
   const netio::NfId nf = h.rt->register_nf("victim", 0);
   const AccHandle acc = h.rt->search_by_name("loopback", 0);
   h.sim.run_until(h.sim.now() + milliseconds(10));
@@ -197,9 +195,7 @@ TEST(RuntimeDistributor, CompletionRingGrowsWithoutDropping) {
   // ring's head and wrapped its tail: each time the ring must grow in
   // place, and the drain must deliver every packet exactly once, in enqueue
   // order.  Completions are hand-built so nothing else is in flight.
-  RuntimeConfig cfg;
-  cfg.ledger = false;  // the packets never passed the Packer's tracking
-  MultiHarness h{1, cfg};
+  MultiHarness h;
   const netio::NfId nf = h.rt->register_nf("sink", 0);
   const AccHandle acc = h.rt->search_by_name("loopback", 0);
   h.sim.run_until(h.sim.now() + milliseconds(10));
@@ -220,7 +216,8 @@ TEST(RuntimeDistributor, CompletionRingGrowsWithoutDropping) {
   };
   enqueue(1500);  // grows 1024 -> 2048 with the head at 0
   ASSERT_EQ(dist.completions_pending(0), 1500u);
-  for (int i = 0; i < 100; ++i) dist.poll(0);  // rx_burst 8: head at 800
+  static_assert(Distributor::kRxBurst == 8);
+  for (int i = 0; i < 100; ++i) dist.poll(0);  // head at 800
   ASSERT_EQ(dist.completions_pending(0), 700u);
   enqueue(1500);  // wraps, then grows 2048 -> 4096 with the head at 800
   ASSERT_EQ(dist.completions_pending(0), 2200u);
