@@ -11,17 +11,14 @@ using netio::NfId;
 Distributor::Distributor(sim::Simulator& simulator,
                          const RuntimeConfig& config,
                          telemetry::Telemetry& telemetry,
-                         RuntimeMetrics& metrics, HwFunctionTable& table,
-                         std::vector<NfInfo>& nfs, BatchPoolSet& pools,
-                         TenantRegistry& tenants)
+                         RuntimeMetrics& metrics, std::vector<NfInfo>& nfs,
+                         BatchPoolSet& pools)
     : sim_{simulator},
       config_{config},
       telemetry_{telemetry},
       metrics_{metrics},
-      table_{table},
       nfs_{nfs},
       pools_{pools},
-      tenants_{tenants},
       sockets_(static_cast<std::size_t>(config.num_sockets)) {
   for (int s = 0; s < config_.num_sockets; ++s) {
     SocketState& state = sockets_[static_cast<std::size_t>(s)];
@@ -56,23 +53,9 @@ bool Distributor::batch_intact(const fpga::DmaBatch& batch) const {
 }
 
 void Distributor::drop_corrupt_batch(fpga::DmaBatchPtr batch) {
-  // Generation-checked blame: the acc_id slot may have been recycled by an
-  // unload/reload during the round trip, in which case the slot's current
-  // owner neither corrupted this batch nor owes its outstanding bytes.
-  if (HwFunctionEntry* e =
-          table_.entry_for(batch->acc_id(), batch->acc_gen)) {
-    e->outstanding_bytes -= std::min<std::uint64_t>(e->outstanding_bytes,
-                                                    batch->submitted_bytes);
-    table_.note_replica_failure(e);
-  } else if (batch->acc_gen != 0) {
-    metrics_.stale_acc_batches->add(1);
-  }
-  tenants_.retire_batch(*batch);
+  metrics_.land(*batch, /*intact=*/false);
   auto& pkts = batch->pkts();
-  for (Mbuf* m : pkts) {
-    --metrics_.in_flight;
-    metrics_.drop(m, DropSite::kCrc);
-  }
+  for (Mbuf* m : pkts) metrics_.drop(m, DropSite::kCrc);
   metrics_.crc_drop_batches->add(1);
   telemetry_.recorder.log(telemetry::FlightComponent::kDistributor, sim_.now(),
                           telemetry::FlightEventKind::kCrcDrop, batch->hf_name,
@@ -151,25 +134,11 @@ sim::PollResult Distributor::poll(int socket) {
                                  batch->pkts().size());
     }
 
-    // Retire the batch against its replica's outstanding-bytes account.
-    // Generation-checked: the entry may be gone when an unload raced the
-    // round trip, and the slot may even belong to a *different* replica
-    // after a reload -- whose account must not be debited (that replica
-    // never carried these bytes) nor its failure streak reset.
-    if (HwFunctionEntry* e =
-            table_.entry_for(batch->acc_id(), batch->acc_gen)) {
-      e->outstanding_bytes -= std::min<std::uint64_t>(
-          e->outstanding_bytes, batch->submitted_bytes);
-      // The batch survived the integrity gate: the replica round-tripped it
-      // intact, which resets its failure streak (and ends a probation).
-      table_.note_replica_success(e);
-    } else if (batch->acc_gen != 0) {
-      metrics_.stale_acc_batches->add(1);
-    }
-    // Quota retire mirrors the replica retire: the tenant's in-flight
-    // bytes/batch budget frees as soon as the batch completes the round
-    // trip, before per-packet routing decides each packet's fate.
-    tenants_.retire_batch(*batch);
+    // The batch survived the integrity gate, so its round trip ends intact:
+    // land() settles its replica's outstanding bytes, resets the replica's
+    // failure streak (ending a probation) and frees the tenant's batch
+    // budget before per-packet routing decides each packet's fate.
+    metrics_.land(*batch, /*intact=*/true);
 
     // Zero-alloc decapsulation: walk the wire records with a cursor
     // instead of materializing parse()'s per-batch view vector.
@@ -181,7 +150,6 @@ sim::PollResult Distributor::poll(int socket) {
       DHL_CHECK_MSG(records < pkts.size(),
                     "batch record/mbuf count mismatch");
       Mbuf* m = pkts[records++];
-      --metrics_.in_flight;
       metrics_.ledger.on_stage(m, LedgerStage::kDistributor);
       metrics_.pkts_from_fpga->add(1);
       cycles += rt.distributor_per_pkt_cycles;

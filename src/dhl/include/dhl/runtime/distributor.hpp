@@ -14,10 +14,8 @@
 
 #include "dhl/fpga/batch.hpp"
 #include "dhl/runtime/batch_pool.hpp"
-#include "dhl/runtime/hw_function_table.hpp"
 #include "dhl/runtime/ledger.hpp"
 #include "dhl/runtime/runtime_metrics.hpp"
-#include "dhl/runtime/tenant.hpp"
 #include "dhl/runtime/types.hpp"
 #include "dhl/sim/lcore.hpp"
 #include "dhl/sim/simulator.hpp"
@@ -31,8 +29,7 @@ class Distributor {
 
   Distributor(sim::Simulator& simulator, const RuntimeConfig& config,
               telemetry::Telemetry& telemetry, RuntimeMetrics& metrics,
-              HwFunctionTable& table, std::vector<NfInfo>& nfs,
-              BatchPoolSet& pools, TenantRegistry& tenants);
+              std::vector<NfInfo>& nfs, BatchPoolSet& pools);
 
   Distributor(const Distributor&) = delete;
   Distributor& operator=(const Distributor&) = delete;
@@ -42,8 +39,8 @@ class Distributor {
   /// on `socket`'s completion queue until that socket's RX core drains it
   /// (which books the distributor stage).  Batches that fail the
   /// integrity gate (wire_corrupt, CRC mismatch, or structurally invalid
-  /// wire bytes) are dropped here as a unit -- parked mbufs released,
-  /// dhl.batch.crc_drops counted, replica failure noted -- so a corrupted
+  /// wire bytes) are dropped here as a unit -- landed as a failure,
+  /// parked mbufs released, dhl.batch.crc_drops counted -- so a corrupted
   /// transfer can never desynchronize records and mbufs downstream.
   void enqueue_completion(int socket, fpga::DmaBatchPtr batch);
 
@@ -108,18 +105,16 @@ class Distributor {
   /// on), every record parses, the record count equals the parked-mbuf
   /// count, and no record claims more payload than its mbuf can hold.
   bool batch_intact(const fpga::DmaBatch& batch) const;
-  /// Drop a batch that failed the gate: retire its outstanding bytes, note
-  /// the replica failure, release the parked mbufs, count, recycle.
+  /// Drop a batch that failed the gate: land it as a failure (the replica
+  /// is blamed), drop the parked mbufs at the crc site, count, recycle.
   void drop_corrupt_batch(fpga::DmaBatchPtr batch);
 
   sim::Simulator& sim_;
   const RuntimeConfig& config_;
   telemetry::Telemetry& telemetry_;
   RuntimeMetrics& metrics_;
-  HwFunctionTable& table_;
   std::vector<NfInfo>& nfs_;
   BatchPoolSet& pools_;
-  TenantRegistry& tenants_;
   std::vector<SocketState> sockets_;
 };
 

@@ -122,9 +122,14 @@ class Packer {
   /// Drop a flushed batch whose hardware function vanished mid-open
   /// (unload raced the timeout flush): release the parked mbufs.
   void drop_batch(fpga::DmaBatchPtr batch);
+  /// Bind `batch` to `replica`'s board and launch it there: retag its
+  /// records to the replica's acc_id, stamp whether its transfers pay the
+  /// remote-NUMA penalty, then RuntimeMetrics::launch.  Shared by the
+  /// flush and the redirect.
+  void bind(fpga::DmaBatch& batch, HwFunctionEntry& replica, TenantId tenant);
   /// Ring the doorbell, retrying with bounded exponential backoff on the
   /// virtual clock when the submit times out (dma.submit faults).  After
-  /// the retry budget: note the replica failure, try one redirect to
+  /// the retry budget: land the batch as a failure, try one redirect to
   /// another dispatchable replica, else fall back / drop per packet.
   void submit_with_retry(fpga::FpgaDevice* dev, fpga::DmaBatchPtr batch,
                          std::uint32_t attempt);

@@ -169,7 +169,8 @@ class DhlRuntime {
   const fpga::BitstreamDatabase& module_database() const {
     return table_.database();
   }
-  /// Packets currently parked inside batches / the FPGA / completion queues.
+  /// Packets dequeued from an IBQ and not yet delivered to an OBQ or
+  /// dropped (RuntimeMetrics::in_flight).
   std::uint64_t in_flight() const { return metrics_.in_flight; }
   /// Registered NF count.
   std::size_t nf_count() const { return nfs_.size(); }
@@ -229,12 +230,15 @@ class DhlRuntime {
   /// Declared before (destroyed after) the components whose teardown can
   /// still release tracked mbufs through the observer seam.
   LifecycleLedger ledger_;
-  /// Declared before the components that borrow it (RuntimeMetrics, Packer,
-  /// Distributor), destroyed after them.
+  /// Declared before the components that borrow it (RuntimeMetrics,
+  /// Packer), destroyed after them.
   TenantRegistry tenants_;
-  /// Owns the drop seam, which books into tenants_ and ledger_.
-  RuntimeMetrics metrics_;
+  /// Declared before RuntimeMetrics, whose land() credits and blames its
+  /// replicas.
   HwFunctionTable table_;
+  /// Owns the drop, delivery and batch-flight seams, which book into
+  /// tenants_, ledger_ and table_.
+  RuntimeMetrics metrics_;
   std::unique_ptr<DispatchPolicy> policy_;
   std::vector<NfInfo> nfs_;
   /// Declared after nfs_/metrics_ (it borrows both), before the Packer

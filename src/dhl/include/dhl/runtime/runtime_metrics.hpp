@@ -5,15 +5,19 @@
 // The Packer, Distributor and FallbackRouter all account packets against
 // the same dhl.runtime.* series and the same lazily-created per-(nf, acc)
 // counters; this object owns them so the components stay decoupled.  It
-// also carries the runtime's two packet exits: every packet the runtime
-// delivers goes through deliver(), every packet it drops through drop().
+// also owns flight (DESIGN.md section 7): a packet is in flight from the
+// Packer's IBQ dequeue until one of the runtime's two packet exits --
+// deliver() or drop() -- and a flushed batch is in flight from launch() on a
+// replica until land(), wherever its round trip ends.
 
 #include <array>
 #include <functional>
 #include <map>
 #include <string>
 
+#include "dhl/fpga/batch.hpp"
 #include "dhl/netio/mbuf.hpp"
+#include "dhl/runtime/hw_function_table.hpp"
 #include "dhl/runtime/ledger.hpp"
 #include "dhl/runtime/tenant.hpp"
 #include "dhl/runtime/types.hpp"
@@ -24,7 +28,7 @@ namespace dhl::runtime {
 
 struct RuntimeMetrics {
   RuntimeMetrics(telemetry::Telemetry& telemetry, TenantRegistry& tenants,
-                 LifecycleLedger& ledger);
+                 LifecycleLedger& ledger, HwFunctionTable& table);
 
   /// Hot-path counters for one (nf_id, acc_id) pair, created lazily on
   /// first packet so the registry only carries live series.
@@ -52,6 +56,22 @@ struct RuntimeMetrics {
   /// dhl.nf.obq_depth gauge is refreshed.
   void deliver(NfInfo& nf, netio::NfId nf_id, netio::Mbuf* m, Picos now,
                telemetry::Stage stage);
+
+  /// `batch` enters flight on `replica`, whose acc_id its records already
+  /// carry: stamp the replica's acc_gen and hf_name into it, charge its
+  /// submitted_bytes to the replica's outstanding bytes and the batch to
+  /// `tenant`'s batch budget.
+  void launch(fpga::DmaBatch& batch, HwFunctionEntry& replica,
+              TenantId tenant);
+
+  /// `batch`'s round trip ended: it came back (`intact` when it passed the
+  /// integrity gate) or its retry budget ran out.  If the replica it was
+  /// launched on still holds its acc_id slot (generation check), settle
+  /// that replica's outstanding bytes and credit (intact) or blame it;
+  /// otherwise count a stale batch, unless the batch was never launched
+  /// (acc_gen 0).  Either way retire the tenant charge.  Returns the
+  /// replica, or null when stale.
+  HwFunctionEntry* land(fpga::DmaBatch& batch, bool intact);
 
   telemetry::Telemetry& telemetry;
   TenantRegistry& tenants;
@@ -92,13 +112,16 @@ struct RuntimeMetrics {
   /// Packets served by a registered software fallback (dhl.fallback.pkts).
   telemetry::Counter* fallback_pkts = nullptr;
 
-  /// Packets currently parked inside batches / the FPGA / completion
-  /// queues.  ++ by the Packer on append, -- by the Distributor on return.
+  /// Packets the Packer has dequeued from an IBQ that have not yet been
+  /// delivered or dropped: += at the dequeue, -- only in deliver() and
+  /// drop().  Exact at every event: summed over tenants, admitted = IBQ
+  /// packets + in_flight + delivered + dropped.
   std::uint64_t in_flight = 0;
   /// Correlates a batch's telemetry spans across components.
   std::uint64_t next_batch_id = 1;
 
  private:
+  HwFunctionTable& table_;
   /// Each site's counter from telemetry::kDropSites; null for kQuota, whose
   /// counter is per tenant (TenantContext::quota_drops).
   std::array<telemetry::Counter*, telemetry::kDropSites.size()>

@@ -106,10 +106,11 @@ struct TenantContext {
 
 /// Registry of tenants plus the NF -> tenant binding used on the hot path.
 ///
-/// The runtime owns one instance; Packer / Distributor / FallbackRouter hold
-/// a reference and consult it at their admission, charge and delivery
-/// sites; drops reach it through RuntimeMetrics::drop.  tenant_of() is a
-/// dense array lookup, so the per-packet cost is one index plus one branch.
+/// The runtime owns one instance.  The Packer consults it at IBQ ingest and
+/// flush (batch budget); batch charges and retires reach it through
+/// RuntimeMetrics::launch/land, deliveries and drops through
+/// RuntimeMetrics::deliver/drop.  tenant_of() is a dense array lookup, so
+/// the per-packet cost is one index plus one branch.
 class TenantRegistry {
  public:
   explicit TenantRegistry(telemetry::MetricsRegistry& metrics);
@@ -161,8 +162,8 @@ class TenantRegistry {
   /// Charge a flushed batch to its tenant; stamps batch.tenant and the
   /// tenant_charged flag so retire_batch is idempotent.
   void charge_batch(TenantId id, fpga::DmaBatch& batch);
-  /// Retire a charged batch (completion, corrupt drop, submit-failure drop).
-  /// No-op when the batch was never charged.
+  /// Retire a charged batch when it lands (completion, corrupt drop, retry
+  /// exhaustion).  No-op when the batch was never charged.
   void retire_batch(fpga::DmaBatch& batch);
 
   void count_delivered(netio::NfId nf) {

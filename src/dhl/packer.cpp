@@ -1,6 +1,5 @@
 #include "dhl/runtime/packer.hpp"
 
-#include <algorithm>
 #include <span>
 
 #include "dhl/common/check.hpp"
@@ -94,11 +93,7 @@ void Packer::drop_batch(fpga::DmaBatchPtr batch) {
                           telemetry::FlightEventKind::kDrop, "unready",
                           static_cast<std::int16_t>(batch->acc_id()),
                           static_cast<std::int32_t>(batch->pkts().size()));
-  tenants_.retire_batch(*batch);
-  for (Mbuf* m : batch->pkts()) {
-    --metrics_.in_flight;
-    metrics_.drop(m, DropSite::kUnready);
-  }
+  for (Mbuf* m : batch->pkts()) metrics_.drop(m, DropSite::kUnready);
   pools_.recycle(std::move(batch));
 }
 
@@ -108,7 +103,6 @@ void Packer::fallback_or_drop(fpga::DmaBatchPtr batch,
                           telemetry::FlightEventKind::kDrop, hf_name,
                           static_cast<std::int16_t>(batch->acc_id()),
                           static_cast<std::int32_t>(batch->pkts().size()));
-  tenants_.retire_batch(*batch);
   // Hand the fallback router whole same-NF runs (batches are usually
   // single-NF, so normally one call) so batch-registered software paths --
   // multi-lane Aho-Corasick, pipelined AES-CTR -- see the batch shape
@@ -119,7 +113,6 @@ void Packer::fallback_or_drop(fpga::DmaBatchPtr batch,
     std::size_t j = i + 1;
     while (j < pkts.size() && pkts[j]->nf_id() == pkts[i]->nf_id()) ++j;
     const std::span<Mbuf* const> run{pkts.data() + i, j - i};
-    metrics_.in_flight -= run.size();
     if (fallback_.process_batch(pkts[i]->nf_id(), hf_name, run)) {
       i = j;  // served in software, delivered to the NF's OBQ
       continue;
@@ -156,38 +149,16 @@ void Packer::submit_with_retry(fpga::FpgaDevice* dev, fpga::DmaBatchPtr batch,
                         });
     return;
   }
-  // Retry budget exhausted: this replica is misbehaving.  Resolve the
-  // entry through the generation stamped at flush time -- the acc_id slot
-  // may have been recycled by an unload/reload while we were backing off,
-  // and blaming (or redirecting through) the slot's *new* owner would
-  // degrade an innocent replica.
-  HwFunctionEntry* failed = table_.entry_for(batch->acc_id(), batch->acc_gen);
-  if (failed != nullptr && failed->hf_name != batch->hf_name) {
-    // Belt and braces: generation matched but the name didn't.  Treat the
-    // binding as stale rather than trust a half-matching entry.
-    failed = nullptr;
-  }
-  if (failed == nullptr) {
-    metrics_.stale_acc_batches->add(1);
-    if (!batch->hf_name.empty()) {
-      // We still know which function the batch was packed for: give its
-      // packets to that function's software fallback instead of dropping.
-      const std::string hf = batch->hf_name;
-      fallback_or_drop(std::move(batch), hf);
-    } else {
-      // Hand-built batch with no stamp: nothing to blame, just release.
-      drop_batch(std::move(batch));
-    }
-    return;
-  }
-  table_.note_replica_failure(failed);
-  failed->outstanding_bytes -= std::min<std::uint64_t>(
-      failed->outstanding_bytes, batch->submitted_bytes);
-  // One redirect attempt: another dispatchable replica gets the batch (and
-  // its outstanding-bytes accounting) with a fresh retry budget.  Sending
-  // the same batch back to the replica that just exhausted its budget is
-  // pointless -- later flushes will still probe it while it is degraded.
-  HwFunctionEntry* alt = choose_replica(failed, dev->socket());
+  // Retry budget exhausted: the round trip ends here and the replica is
+  // blamed -- unless an unload/reload recycled its acc_id slot while we
+  // were backing off, in which case land() blames nobody (stale).
+  HwFunctionEntry* failed = metrics_.land(*batch, /*intact=*/false);
+  // One redirect attempt: another dispatchable replica gets the batch with
+  // a fresh retry budget.  Sending the same batch back to the replica that
+  // just exhausted its budget is pointless -- later flushes will still
+  // probe it while it is degraded.
+  HwFunctionEntry* alt =
+      failed != nullptr ? choose_replica(failed, dev->socket()) : nullptr;
   if (alt != nullptr && alt != failed) {
     DHL_WARN("dhl", "redirecting batch " << batch->batch_id << " to fpga "
                                          << alt->fpga_id << " region "
@@ -198,13 +169,24 @@ void Packer::submit_with_retry(fpga::FpgaDevice* dev, fpga::DmaBatchPtr batch,
                             static_cast<std::int16_t>(alt->fpga_id),
                             static_cast<std::int32_t>(alt->region),
                             batch->batch_id);
-    batch->retag_acc(alt->acc_id);
-    batch->acc_gen = alt->acc_gen;
-    alt->outstanding_bytes += batch->submitted_bytes;
+    bind(*batch, *alt, batch->tenant);
     submit_with_retry(alt->device, std::move(batch), 0);
     return;
   }
-  fallback_or_drop(std::move(batch), failed->hf_name);
+  // The batch still names the function it was packed for, even when its
+  // replica is gone: that function's software fallback serves its packets.
+  const std::string hf = batch->hf_name;
+  fallback_or_drop(std::move(batch), hf);
+}
+
+void Packer::bind(fpga::DmaBatch& batch, HwFunctionEntry& replica,
+                  TenantId tenant) {
+  // Records must carry the acc_id the replica's Dispatcher has mapped.
+  if (batch.acc_id() != replica.acc_id) batch.retag_acc(replica.acc_id);
+  // NUMA-aware allocation keeps the buffers on the FPGA's node; otherwise
+  // they live on socket 0 and FPGAs elsewhere pay the remote penalty.
+  batch.remote_numa = !config_.numa_aware && replica.device->socket() != 0;
+  metrics_.launch(batch, replica, tenant);
 }
 
 double Packer::flush_batch(int socket, AccId acc_id, OpenBatch&& open,
@@ -237,25 +219,9 @@ double Packer::flush_batch(int socket, AccId acc_id, OpenBatch&& open,
   }
   fpga::FpgaDevice* dev = target->device;
   DHL_CHECK(dev != nullptr);
-  if (target->acc_id != acc_id) {
-    // Redirected to another replica: records must carry the acc_id the
-    // target device's Dispatcher has mapped.
-    batch->retag_acc(target->acc_id);
-  }
-  // Stamp the batch's identity: the generation pins the acc_id slot's
-  // current owner (slots recycle across unload/reload), the name lets the
-  // retry-exhaustion path route to the right software fallback even after
-  // the entry vanishes.
-  batch->acc_gen = target->acc_gen;
-  batch->hf_name = target->hf_name;
-
-  // NUMA-aware allocation keeps the buffers on the FPGA's node; otherwise
-  // they live on socket 0 and FPGAs elsewhere pay the remote penalty.
-  batch->remote_numa = !config_.numa_aware && dev->socket() != 0;
   batch->batch_id = metrics_.next_batch_id++;
   batch->submitted_bytes = batch->size_bytes();
-  tenants_.charge_batch(tenant, *batch);
-  target->outstanding_bytes += batch->size_bytes();
+  bind(*batch, *target, tenant);
   target->dispatch_batches->add(1);
   target->dispatch_bytes->add(batch->size_bytes());
   metrics_.batches_to_fpga->add(1);
@@ -310,6 +276,8 @@ sim::PollResult Packer::poll(int socket) {
   Mbuf** pkts = state.scratch.data();
   const std::size_t n =
       state.ibq->dequeue_burst({pkts, state.scratch.size()});
+  // In flight from here until each packet's deliver() or drop().
+  metrics_.in_flight += n;
   state.ibq_depth->set(static_cast<double>(state.ibq->count()));
   if (n > 0) {
     cycles += cpu.ring_op_fixed_cycles +
@@ -415,7 +383,6 @@ sim::PollResult Packer::poll(int socket) {
     RuntimeMetrics::NfAccCounters& c = metrics_.nf_acc(m->nf_id(), acc_id);
     c.pkts->add(1);
     c.bytes->add(m->data_len());
-    ++metrics_.in_flight;
     cycles += rt.packer_per_pkt_cycles;
   }
 

@@ -17,8 +17,8 @@ DhlRuntime::DhlRuntime(sim::Simulator& simulator, RuntimeConfig config,
       telemetry_{telemetry::ensure(config_.telemetry)},
       ledger_{*telemetry_},
       tenants_{telemetry_->metrics},
-      metrics_{*telemetry_, tenants_, ledger_},
       table_{simulator, std::move(database), std::move(fpgas), *telemetry_},
+      metrics_{*telemetry_, tenants_, ledger_, table_},
       policy_{make_dispatch_policy(config_.dispatch_policy)},
       fallback_{simulator, nfs_, metrics_},
       pools_{config_.num_sockets, kBatchPoolCapacity,
@@ -26,8 +26,7 @@ DhlRuntime::DhlRuntime(sim::Simulator& simulator, RuntimeConfig config,
              *telemetry_},
       packer_{simulator, config_,  *telemetry_, metrics_, table_,
               pools_,    tenants_, *policy_,    fallback_},
-      distributor_{simulator, config_, *telemetry_, metrics_,
-                   table_,    nfs_,    pools_,      tenants_} {
+      distributor_{simulator, config_, *telemetry_, metrics_, nfs_, pools_} {
   DHL_CHECK(config_.num_sockets > 0);
   table_.set_health_params(config_.timing.runtime.replica_quarantine_failures,
                            config_.timing.runtime.replica_quarantine_period);

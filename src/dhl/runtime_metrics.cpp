@@ -1,11 +1,13 @@
 #include "dhl/runtime/runtime_metrics.hpp"
 
+#include <algorithm>
+
 namespace dhl::runtime {
 
 RuntimeMetrics::RuntimeMetrics(telemetry::Telemetry& telemetry,
                                TenantRegistry& tenants,
-                               LifecycleLedger& ledger)
-    : telemetry{telemetry}, tenants{tenants}, ledger{ledger} {
+                               LifecycleLedger& ledger, HwFunctionTable& table)
+    : telemetry{telemetry}, tenants{tenants}, ledger{ledger}, table_{table} {
   telemetry::MetricsRegistry& registry = telemetry.metrics;
   for (std::size_t i = 0; i < telemetry::kDropSites.size(); ++i) {
     if (static_cast<DropSite>(i) != DropSite::kQuota) {
@@ -36,6 +38,7 @@ void RuntimeMetrics::drop(netio::Mbuf* m, DropSite site) {
                                : drop_counters_[static_cast<std::size_t>(site)];
   site_counter->add(1);
   t.dropped_pkts->add(1);
+  --in_flight;
   ledger.on_drop(m, site);
   m->release();
 }
@@ -49,6 +52,7 @@ void RuntimeMetrics::deliver(NfInfo& nf, netio::NfId nf_id, netio::Mbuf* m,
                            static_cast<std::int16_t>(nf_id));
     drop(m, DropSite::kObq);
   } else {
+    --in_flight;
     ledger.on_delivered(m);
     tenants.count_delivered(nf_id);
     const Picos rx = m->rx_timestamp();
@@ -62,6 +66,37 @@ void RuntimeMetrics::deliver(NfInfo& nf, netio::NfId nf_id, netio::Mbuf* m,
     }
   }
   nf.obq_depth->set(static_cast<double>(nf.obq->count()));
+}
+
+void RuntimeMetrics::launch(fpga::DmaBatch& batch, HwFunctionEntry& replica,
+                            TenantId tenant) {
+  // The generation pins the acc_id slot's current owner (slots recycle
+  // across unload/reload); the name lets retry exhaustion route to the
+  // right software fallback even after the entry vanishes.
+  batch.acc_gen = replica.acc_gen;
+  batch.hf_name = replica.hf_name;
+  replica.outstanding_bytes += batch.submitted_bytes;
+  tenants.charge_batch(tenant, batch);
+}
+
+HwFunctionEntry* RuntimeMetrics::land(fpga::DmaBatch& batch, bool intact) {
+  // Generation-checked: an unload may have raced the round trip, and after
+  // a reload the slot's new owner neither carried these bytes nor earned
+  // this credit or blame.
+  HwFunctionEntry* e = table_.entry_for(batch.acc_id(), batch.acc_gen);
+  if (e != nullptr) {
+    e->outstanding_bytes -=
+        std::min<std::uint64_t>(e->outstanding_bytes, batch.submitted_bytes);
+    if (intact) {
+      table_.note_replica_success(e);
+    } else {
+      table_.note_replica_failure(e);
+    }
+  } else if (batch.acc_gen != 0) {
+    stale_acc_batches->add(1);
+  }
+  tenants.retire_batch(batch);
+  return e;
 }
 
 RuntimeMetrics::NfAccCounters& RuntimeMetrics::nf_acc(netio::NfId nf_id,

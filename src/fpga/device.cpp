@@ -205,18 +205,11 @@ void FpgaDevice::dispatch_batch(DmaBatchPtr batch) {
   }
   if (!intact) {
     batch->wire_corrupt = true;
-    ++wire_corrupt_batches_;
     DHL_WARN("fpga", config_.name << " bouncing corrupt batch "
                                   << batch->batch_id);
     dma_.submit_rx(std::move(batch));
     return;
   }
-  // Fabric residency: counted from dispatch until the return DMA is
-  // submitted (the batch may shrink in flight, so remember the entry size).
-  const std::uint64_t resident_bytes = batch->size_bytes();
-  fabric_outstanding_bytes_ += resident_bytes;
-  fabric_batches_ += 1;
-
   // Dispatcher fabric cost for routing + re-packing this batch.
   const Picos dispatch_cost = config_.timing.fabric_clock.cycles(
       config_.dispatcher_cycles_per_record *
@@ -261,7 +254,7 @@ void FpgaDevice::dispatch_batch(DmaBatchPtr batch) {
     // The record flows through the module's internal stages in order; each
     // stage is store-and-forward, so stage s admits the record once its own
     // previous occupancy drains AND the record has left stage s-1.  For a
-    // single-stage module this reduces exactly to the old busy_until model.
+    // single-stage module this reduces to one busy-until window.
     // Stage 0 is charged the record's entry length; later stages the exit
     // length (the only two the device observes -- a shrinking front stage
     // like lz77 therefore un-burdens everything behind it, which is the
@@ -283,7 +276,6 @@ void FpgaDevice::dispatch_batch(DmaBatchPtr batch) {
                  config_.timing.fabric_clock.cycles(stages[s].delay_cycles);
       bottleneck = std::max(bottleneck, occupancy);
     }
-    region.busy_until = region.stage_busy.back();
     region.busy_accum += bottleneck;
     region.records += 1;
     region.bytes += v.header.data_len;
@@ -300,11 +292,8 @@ void FpgaDevice::dispatch_batch(DmaBatchPtr batch) {
 
   // Return the re-packed batch once every record has drained.
   auto shared = std::make_shared<DmaBatchPtr>(std::move(batch));
-  sim_.schedule_at(batch_done, [this, resident_bytes, shared] {
-    fabric_outstanding_bytes_ -= resident_bytes;
-    fabric_batches_ -= 1;
-    dma_.submit_rx(std::move(*shared));
-  });
+  sim_.schedule_at(batch_done,
+                   [this, shared] { dma_.submit_rx(std::move(*shared)); });
 }
 
 }  // namespace dhl::fpga

@@ -163,25 +163,26 @@ class DmaBatch {
   /// Correlates a batch's telemetry spans (pack / dma / fpga / distribute)
   /// across components.  0 = unassigned (batches built outside the runtime).
   std::uint64_t batch_id = 0;
-  /// Generation of the acc_id slot this batch was packed for, stamped by
-  /// the Packer at flush time (0 = unstamped, e.g. batches built by
+  /// Generation of the acc_id slot this batch was launched on, stamped by
+  /// the runtime at flush or redirect (0 = unstamped, e.g. batches built by
   /// tests).  acc_id slots recycle across unload/reload, so the runtime's
-  /// blame/credit paths validate the generation before touching the entry
+  /// landing seam validates the generation before touching the entry
   /// behind acc_id().
   std::uint32_t acc_gen = 0;
   /// Hardware function the batch was packed for (stamped with acc_gen).
   /// Lets the retry-exhaustion path route the batch to the *right*
   /// function's software fallback even after the entry vanished.
   std::string hf_name;
-  /// Tenant the batch was charged to (stamped by the Packer at flush time;
-  /// 0 = default tenant).  `tenant_charged` makes the quota retire path
-  /// idempotent: drop paths that run before the charge are no-ops, and a
-  /// batch can only be retired once.
+  /// Tenant the batch was charged to (stamped when the runtime launches
+  /// it; 0 = default tenant).  `tenant_charged` makes the quota retire
+  /// idempotent: a batch that was never charged (built outside the
+  /// runtime) retires as a no-op, and a charge is retired only once.
   std::uint8_t tenant = 0;
   bool tenant_charged = false;
-  /// Size at flush time, stamped by the Packer; the Distributor retires
-  /// this amount against the replica's outstanding-bytes account (the
-  /// buffer itself may shrink in flight, e.g. the compression module).
+  /// Size at flush time, stamped by the Packer; the runtime charges this
+  /// amount to the replica's outstanding bytes at launch and settles it at
+  /// landing (the buffer itself may shrink in flight, e.g. the compression
+  /// module).
   std::uint64_t submitted_bytes = 0;
   /// Set by the device Dispatcher when the TX-side checksum failed: the
   /// batch bounces back unprocessed, and the flag survives the RX DMA's

@@ -123,25 +123,8 @@ class FpgaDevice {
   /// Records dropped because their acc_id mapped to no ready region.
   std::uint64_t dispatch_drops() const { return dispatch_drops_; }
 
-  /// Batches that arrived with corrupt wire bytes (checksum mismatch or
-  /// unparseable records): bounced back unprocessed, never dispatched.
-  std::uint64_t wire_corrupt_batches() const { return wire_corrupt_batches_; }
-
   /// PR programmings that failed (injected ICAP faults).
   std::uint64_t pr_failures() const { return pr_failures_; }
-
-  /// Bytes currently committed to this board: queued/in-flight on either
-  /// DMA channel plus batches resident in the fabric (dispatched, not yet
-  /// returned).  The runtime's least-loaded dispatch policy and the
-  /// replication pressure valve read this.
-  std::uint64_t outstanding_bytes() const {
-    return dma_.tx_outstanding_bytes() + dma_.rx_outstanding_bytes() +
-           fabric_outstanding_bytes_;
-  }
-  /// Batches committed to this board (DMA queues + fabric-resident).
-  std::uint32_t queue_depth() const {
-    return dma_.tx_queue_depth() + dma_.rx_queue_depth() + fabric_batches_;
-  }
 
   /// Per-region accounting for the Table VI bench.
   std::uint64_t region_records(int region) const;
@@ -155,11 +138,10 @@ class FpgaDevice {
     ModulePtr module;
     std::string hf_name;
     ModuleResources resources;
-    Picos busy_until = 0;
     Picos busy_accum = 0;
     /// Per-pipeline-stage busy windows (lazily sized from stage_timings()).
-    /// Single-stage modules use stage_busy[0] == busy_until; fused chains get
-    /// one window per constituent so consecutive records overlap in flight.
+    /// Single-stage modules use stage_busy[0]; fused chains get one window
+    /// per constituent so consecutive records overlap in flight.
     std::vector<Picos> stage_busy;
     std::uint64_t records = 0;
     std::uint64_t bytes = 0;
@@ -175,12 +157,8 @@ class FpgaDevice {
   std::vector<int> acc_map_;  // acc_id -> region (-1 = unmapped)
   Picos icap_busy_until_ = 0;
   std::uint64_t dispatch_drops_ = 0;
-  std::uint64_t wire_corrupt_batches_ = 0;
   std::uint64_t pr_failures_ = 0;
   FaultHook* fault_hook_ = nullptr;
-  /// Batches dispatched into the fabric and not yet handed to the RX DMA.
-  std::uint64_t fabric_outstanding_bytes_ = 0;
-  std::uint32_t fabric_batches_ = 0;
 
   // Registered instruments (dhl.fpga.* with {fpga=name}).
   telemetry::Counter* pr_loads_ = nullptr;

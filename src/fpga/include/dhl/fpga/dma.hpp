@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -81,9 +82,16 @@ class DmaEngine {
   }
 
   /// Submit a batch for host->FPGA transfer.
-  void submit_tx(DmaBatchPtr batch) { submit(std::move(batch), tx_); }
-  /// Submit a batch for FPGA->host transfer.
-  void submit_rx(DmaBatchPtr batch) { submit(std::move(batch), rx_); }
+  void submit_tx(DmaBatchPtr batch) {
+    submit(std::move(batch), tx_, std::nullopt);
+  }
+  /// Submit a batch for FPGA->host transfer.  Samples the dma.completion
+  /// site: a fired fault corrupts the wire bytes after the checksum stamp.
+  void submit_rx(DmaBatchPtr batch) {
+    const auto fault = sample(FaultSite::kDmaCompletion);
+    submit(std::move(batch), rx_,
+           fault ? std::optional{fault->kind} : std::nullopt);
+  }
 
   /// Fault-aware TX submit: samples the dma.submit site first.  On a
   /// submit-timeout fault the doorbell is lost -- returns false and leaves
@@ -91,16 +99,14 @@ class DmaEngine {
   /// partial-transfer fault lets the submit proceed but truncates the wire
   /// bytes after the checksum stamp (the receiver's CRC check catches it).
   bool try_submit_tx(DmaBatchPtr& batch) {
-    if (fault_hook_ != nullptr) {
-      if (const auto fault =
-              fault_hook_->sample(FaultSite::kDmaSubmit, fault_fpga_id_)) {
-        if (fault->kind == FaultKind::kSubmitTimeout) return false;
-        if (fault->kind == FaultKind::kPartialTransfer) {
-          truncate_next_tx_ = true;
-        }
+    std::optional<FaultKind> wire_fault;
+    if (const auto fault = sample(FaultSite::kDmaSubmit)) {
+      if (fault->kind == FaultKind::kSubmitTimeout) return false;
+      if (fault->kind == FaultKind::kPartialTransfer) {
+        wire_fault = FaultKind::kTruncateTail;
       }
     }
-    submit_tx(std::move(batch));
+    submit(std::move(batch), tx_, wire_fault);
     return true;
   }
 
@@ -129,25 +135,21 @@ class DmaEngine {
   std::uint64_t rx_transfers() const { return rx_.transfers; }
   std::uint64_t rx_bytes() const { return rx_.bytes; }
 
-  /// Bytes / transfers submitted but not yet delivered, per direction --
-  /// the load signal behind the runtime's least-outstanding-bytes policy.
-  std::uint64_t tx_outstanding_bytes() const { return tx_.outstanding_bytes; }
-  std::uint64_t rx_outstanding_bytes() const { return rx_.outstanding_bytes; }
-  std::uint32_t tx_queue_depth() const { return tx_.outstanding_transfers; }
-  std::uint32_t rx_queue_depth() const { return rx_.outstanding_transfers; }
-
  private:
   struct Channel {
     Picos busy_until = 0;
     std::uint64_t transfers = 0;
     std::uint64_t bytes = 0;
-    std::uint64_t outstanding_bytes = 0;
-    std::uint32_t outstanding_transfers = 0;
-    DeliverFn* deliver = nullptr;  // set in submit()
   };
 
-  /// Apply a fired completion-corruption fault to the wire bytes.  Runs
-  /// after stamp_crc(), so every kind is a checksum mismatch downstream.
+  std::optional<FaultOutcome> sample(FaultSite site) {
+    if (fault_hook_ == nullptr) return std::nullopt;
+    return fault_hook_->sample(site, fault_fpga_id_);
+  }
+
+  /// Apply a fired wire fault -- a completion corruption, or a partial
+  /// transfer's cut tail -- to the wire bytes.  Runs after stamp_crc(), so
+  /// every kind is a checksum mismatch downstream.
   void corrupt_wire(DmaBatch& batch, FaultKind kind) {
     auto& buf = batch.buffer();
     if (buf.size() < kRecordHeaderBytes) return;
@@ -175,7 +177,9 @@ class DmaEngine {
     }
   }
 
-  void submit(DmaBatchPtr batch, Channel& ch) {
+  /// `wire_fault` is the fault the submitting side sampled, if any.
+  void submit(DmaBatchPtr batch, Channel& ch,
+              std::optional<FaultKind> wire_fault) {
     const bool is_tx = &ch == &tx_;
     // The submit boundary is where the hardware SG engine gathers the
     // descriptor list into one wire transfer; staged records become bytes
@@ -185,24 +189,7 @@ class DmaEngine {
     // corrupts them downstream (injected or real) fails verification at
     // the receiving end instead of desynchronizing the record walk.
     batch->stamp_crc();
-    if (fault_hook_ != nullptr) {
-      if (is_tx && truncate_next_tx_) {
-        truncate_next_tx_ = false;
-        auto& buf = batch->buffer();
-        if (buf.size() > 1) {
-          const std::uint64_t cut =
-              1 + fault_hook_->rand() %
-                      std::min<std::size_t>(buf.size() - 1, kRecordHeaderBytes);
-          buf.resize(buf.size() - cut);
-        }
-      }
-      if (!is_tx) {
-        if (const auto fault = fault_hook_->sample(FaultSite::kDmaCompletion,
-                                                   fault_fpga_id_)) {
-          corrupt_wire(*batch, fault->kind);
-        }
-      }
-    }
+    if (wire_fault) corrupt_wire(*batch, *wire_fault);
     const std::uint64_t bytes = batch->size_bytes();
     // Seam stamp: an RX submit happens when the fabric finishes the batch.
     if (!is_tx) batch->rx_submitted_at = sim_.now();
@@ -210,8 +197,6 @@ class DmaEngine {
     ch.busy_until = start + occupancy(bytes);
     ch.transfers += 1;
     ch.bytes += bytes;
-    ch.outstanding_bytes += bytes;
-    ch.outstanding_transfers += 1;
     const Picos deliver_at = start + one_way_latency(bytes, batch->remote_numa);
     // Submit->complete latency as the host observes it: queueing behind the
     // channel plus the one-way delivery (decided now -- virtual time).
@@ -229,9 +214,7 @@ class DmaEngine {
     DHL_CHECK_MSG(static_cast<bool>(fn), "DMA channel has no deliver hook");
     // The shared_ptr shim lets the move-only batch ride a std::function.
     auto shared = std::make_shared<DmaBatchPtr>(std::move(batch));
-    sim_.schedule_at(deliver_at, [this, &fn, &ch, bytes, is_tx, shared] {
-      ch.outstanding_bytes -= bytes;
-      ch.outstanding_transfers -= 1;
+    sim_.schedule_at(deliver_at, [this, &fn, is_tx, shared] {
       DmaBatch& b = **shared;
       (is_tx ? b.tx_done_at : b.rx_done_at) = sim_.now();  // seam stamp
       fn(std::move(*shared));
@@ -251,9 +234,6 @@ class DmaEngine {
   std::string track_;
   FaultHook* fault_hook_ = nullptr;
   int fault_fpga_id_ = -1;
-  /// One-shot: try_submit_tx sampled a partial-transfer fault; the next
-  /// TX submit truncates its wire bytes after the checksum stamp.
-  bool truncate_next_tx_ = false;
 };
 
 }  // namespace dhl::fpga

@@ -2,7 +2,8 @@
 // recovery path, all on fixed seeds so every schedule is reproducible.
 //
 //   dma.submit      -> bounded retry with exponential backoff; exhaustion
-//                      degrades the replica and drops (no fallback here)
+//                      degrades the replica and redirects or drops (no
+//                      fallback here); a partial transfer meets the CRC gate
 //   dma.completion  -> the Distributor's CRC/structural gate drops the batch
 //                      whole, never desynchronizing records and mbufs
 //   pr.load         -> the HwFunctionTable rolls the slot back cleanly and
@@ -96,6 +97,18 @@ struct Harness {
   double metric(std::string_view name, const telemetry::Labels& labels = {}) {
     return rt->telemetry().metrics.snapshot().sum(name, labels);
   }
+
+  /// Every flight account is settled: no replica holds outstanding bytes,
+  /// no tenant holds queued or in-flight bytes or batches, and no packet
+  /// is in flight.
+  void expect_flight_settled() {
+    for (const HwFunctionEntry& row : rt->function_table().snapshot()) {
+      EXPECT_EQ(row.outstanding_bytes, 0u)
+          << row.hf_name << " on fpga " << row.fpga_id;
+    }
+    EXPECT_TRUE(rt->tenants().drained());
+    EXPECT_EQ(rt->in_flight(), 0u);
+  }
 };
 
 /// Loads loopback, waits for PR, starts the transfer cores.
@@ -109,6 +122,28 @@ struct ReadyHarness : Harness {
     sim.run_until(sim.now() + milliseconds(10));
     EXPECT_TRUE(rt->acc_ready(acc));
     rt->start();
+  }
+};
+
+/// Two loopback replicas, one per board.  Only FPGA 0 misbehaves: it loses
+/// its first four doorbells, so the first batch exhausts its retry budget
+/// there and is redirected to the clean replica on FPGA 1.
+struct RedirectHarness : Harness {
+  netio::NfId nf;
+  AccHandle acc;
+  FaultInjector inj{sim, rt->telemetry(), /*seed=*/9};
+
+  explicit RedirectHarness(RuntimeConfig cfg = {}) : Harness{2, cfg} {
+    nf = rt->register_nf("nf0", 0);
+    acc = rt->search_by_name("loopback", 0);
+    EXPECT_EQ(rt->replicate("loopback", 2), 2u);
+    sim.run_until(sim.now() + milliseconds(20));
+    rt->start();
+    rt->set_fault_injector(&inj);
+    inj.add_rule({.site = FaultSite::kDmaSubmit,
+                  .kind = FaultKind::kSubmitTimeout,
+                  .fpga_id = 0,
+                  .max_count = 4});
   }
 };
 
@@ -157,8 +192,8 @@ TEST(FaultDmaSubmit, RetryBudgetExhaustionDegradesReplica) {
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->health, ReplicaHealth::kDegraded);
   EXPECT_EQ(e->consecutive_failures, 1u);
-  EXPECT_EQ(h.rt->in_flight(), 0u);
   EXPECT_EQ(h.pool.in_use(), 0u);
+  h.expect_flight_settled();
 
   // Degraded is still dispatchable (last resort); one clean batch re-heals.
   ASSERT_EQ(h.send(h.nf, h.acc.acc_id, 8), 8u);
@@ -166,6 +201,34 @@ TEST(FaultDmaSubmit, RetryBudgetExhaustionDegradesReplica) {
   EXPECT_EQ(h.drain(h.nf), 8u);
   EXPECT_EQ(e->health, ReplicaHealth::kHealthy);
   EXPECT_EQ(e->consecutive_failures, 0u);
+  h.expect_flight_settled();
+}
+
+TEST(FaultDmaSubmit, PartialTransferIsDroppedWholeAtTheCrcGate) {
+  // A partial transfer is not a lost doorbell: the submit goes through
+  // (no retry) with its tail cut after the checksum stamp, the device
+  // bounces it unprocessed and the Distributor's gate drops it whole,
+  // blaming the replica once.
+  ReadyHarness h;
+  FaultInjector inj{h.sim, h.rt->telemetry(), /*seed=*/42};
+  h.rt->set_fault_injector(&inj);
+  inj.add_rule({.site = FaultSite::kDmaSubmit,
+                .kind = FaultKind::kPartialTransfer,
+                .max_count = 1});
+
+  ASSERT_EQ(h.send(h.nf, h.acc.acc_id, 8), 8u);
+  h.sim.run_until(h.sim.now() + milliseconds(1));
+
+  EXPECT_EQ(h.drain(h.nf), 0u);
+  EXPECT_EQ(inj.injected(FaultSite::kDmaSubmit), 1u);
+  EXPECT_EQ(h.metric("dhl.dma.retries"), 0.0);
+  EXPECT_EQ(h.metric("dhl.batch.crc_drops"), 1.0);
+  EXPECT_EQ(h.metric("dhl.batch.crc_drop_pkts"), 8.0);
+  const HwFunctionEntry* e = h.rt->function_table().entry_for(h.acc.acc_id);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->consecutive_failures, 1u);
+  EXPECT_EQ(h.pool.in_use(), 0u);
+  h.expect_flight_settled();
 }
 
 // --- dma.completion ---------------------------------------------------------
@@ -193,8 +256,8 @@ TEST(FaultDmaCompletion, CorruptionDropsBatchWholeAndCounts) {
     EXPECT_EQ(h.metric("dhl.batch.crc_drops"), 1.0);
     EXPECT_EQ(h.metric("dhl.batch.crc_drop_pkts"), 8.0);
     // Dropped mbufs were released, nothing is stuck in flight.
-    EXPECT_EQ(h.rt->in_flight(), 0u);
     EXPECT_EQ(h.pool.in_use(), 0u);
+    h.expect_flight_settled();
 
     // The OBQ stayed consistent: a clean follow-up batch is delivered
     // intact and the replica re-heals.
@@ -204,6 +267,7 @@ TEST(FaultDmaCompletion, CorruptionDropsBatchWholeAndCounts) {
     EXPECT_EQ(h.rt->function_table().entry_for(h.acc.acc_id)->health,
               ReplicaHealth::kHealthy);
     EXPECT_EQ(h.pool.in_use(), 0u);
+    h.expect_flight_settled();
   }
 }
 
@@ -324,29 +388,35 @@ TEST(FaultDevice, UnhealthyDeviceQuarantinesAtFlush) {
 // Two replicas: exhausting the retry budget on one redirects the batch to
 // the other replica instead of dropping.
 TEST(FaultDmaSubmit, ExhaustionRedirectsToHealthyReplica) {
-  RuntimeConfig cfg;
-  Harness h{2, cfg};
-  const netio::NfId nf = h.rt->register_nf("nf0", 0);
-  const AccHandle a = h.rt->search_by_name("loopback", 0);
-  ASSERT_EQ(h.rt->replicate("loopback", 2), 2u);
-  h.sim.run_until(h.sim.now() + milliseconds(20));
-  h.rt->start();
-
-  FaultInjector inj{h.sim, h.rt->telemetry(), /*seed=*/9};
-  h.rt->set_fault_injector(&inj);
-  // Only FPGA 0 misbehaves; the redirect target on FPGA 1 is clean.
-  inj.add_rule({.site = FaultSite::kDmaSubmit,
-                .kind = FaultKind::kSubmitTimeout,
-                .fpga_id = 0,
-                .max_count = 4});
-
-  ASSERT_EQ(h.send(nf, a.acc_id, 8), 8u);
+  RedirectHarness h;
+  ASSERT_EQ(h.send(h.nf, h.acc.acc_id, 8), 8u);
   h.sim.run_until(h.sim.now() + milliseconds(1));
 
-  EXPECT_EQ(h.drain(nf), 8u);  // redirected, not dropped
+  EXPECT_EQ(h.drain(h.nf), 8u);  // redirected, not dropped
   EXPECT_EQ(h.metric("dhl.runtime.submit_drop_pkts"), 0.0);
-  EXPECT_EQ(h.rt->in_flight(), 0u);
   EXPECT_EQ(h.pool.in_use(), 0u);
+  h.expect_flight_settled();
+}
+
+// Without NUMA-aware allocation every batch buffer lives on socket 0, so a
+// batch redirected to the socket-1 board pays the remote penalty there,
+// exactly as a batch flushed to that board does.
+TEST(FaultDmaSubmit, RedirectPaysTheTargetBoardsNumaPenalty) {
+  RuntimeConfig cfg;
+  cfg.numa_aware = false;
+  RedirectHarness h{cfg};
+  ASSERT_EQ(h.fpgas[1]->socket(), 1);
+  ASSERT_EQ(h.send(h.nf, h.acc.acc_id, 8), 8u);
+  h.sim.run_until(h.sim.now() + milliseconds(1));
+
+  EXPECT_EQ(h.drain(h.nf), 8u);
+  // Each device has its own telemetry context in this harness.
+  const sim::LatencyHistogram* tx = h.fpgas[1]->telemetry().metrics.histogram(
+      "dhl.dma.tx_latency", {{"fpga", "fpga1"}});
+  ASSERT_EQ(tx->count(), 1u);
+  EXPECT_EQ(tx->max(), h.fpgas[1]->dma().one_way_latency(
+                           8 * (fpga::kRecordHeaderBytes + 100), true));
+  h.expect_flight_settled();
 }
 
 }  // namespace

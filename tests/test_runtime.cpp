@@ -446,6 +446,42 @@ TEST(RuntimeStages, SingleBatchStagesAreItsSeamDifferences) {
             h.fpga->dma().one_way_latency(batch_bytes, false));
 }
 
+// --- flight ------------------------------------------------------------------
+
+TEST(RuntimeFlight, EveryAdmittedPacketIsAccountedAtEveryEvent) {
+  // A packet is in flight from the Packer's IBQ dequeue until it is
+  // delivered or dropped, so conservation holds after every event, not
+  // only after a drain: admitted = IBQ + in flight + delivered + dropped.
+  // That includes the window between the Distributor's pickup and the
+  // deferred OBQ delivery.
+  Harness h;
+  const netio::NfId nf = h.rt->register_nf("nf0", 0);
+  const AccHandle handle = h.rt->search_by_name("loopback", 0);
+  h.wait_ready(handle);
+  h.rt->start();
+  const TenantContext& t = *h.rt->tenants().context(kDefaultTenant);
+  const netio::MbufRing& ibq = h.rt->get_shared_ibq(nf);
+
+  std::vector<Mbuf*> pkts;
+  for (int i = 0; i < 200; ++i) {
+    pkts.push_back(h.make_pkt(nf, handle.acc_id, 200, 0));
+  }
+  ASSERT_EQ(h.rt->send_packets(nf, pkts.data(), pkts.size()), pkts.size());
+
+  const Picos end = h.sim.now() + milliseconds(1);
+  std::uint64_t events = 0;
+  while (h.sim.now() < end && h.sim.step()) {
+    ++events;
+    ASSERT_EQ(t.admitted_pkts->value(),
+              t.delivered_pkts->value() + t.dropped_pkts->value() +
+                  ibq.count() + h.rt->in_flight())
+        << "after event " << events;
+  }
+  EXPECT_EQ(t.delivered_pkts->value(), 200u);
+  EXPECT_EQ(h.rt->in_flight(), 0u);
+  EXPECT_EQ(h.drain_obq(nf), 200u);
+}
+
 TEST(Runtime, AdaptiveBatchingShrinksBatchesAtLowRate) {
   RuntimeConfig cfg;
   cfg.timing.runtime.adaptive_batching = true;
