@@ -82,7 +82,7 @@ int main() {
   using namespace dhl::bench;
 
   print_title(
-      "Traffic-profile ablation: DHL IPsec, 512 B, 50%% mean load (19 Gbps)");
+      "Traffic-profile ablation: DHL IPsec, 512 B, 50% mean load (19 Gbps)");
   std::printf("%-22s | %10s | %12s %12s | %12s %12s\n", "profile",
               "carried", "p50 (us)", "p99 (us)", "p50 adapt.", "p99 adapt.");
   print_rule(92);

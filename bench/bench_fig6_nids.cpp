@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   }
 
   print_title(
-      "Figure 6(d): NIDS processing latency vs packet size (median, at 90%% "
+      "Figure 6(d): NIDS processing latency vs packet size (median, at 90% "
       "load)");
   std::printf("%-8s | %10s %10s | %10s %10s\n", "size", "CPU-only", "paper",
               "DHL", "paper");

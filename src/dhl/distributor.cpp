@@ -99,6 +99,7 @@ void Distributor::enqueue_completion(int socket, fpga::DmaBatchPtr batch) {
     state.ring = std::move(grown);
   }
   state.slot(state.tail++) = std::move(batch);
+  if (state.core != nullptr) state.core->wake();
 }
 
 std::unique_ptr<Distributor::DeliveryVec> Distributor::take_buffer(
@@ -117,6 +118,8 @@ sim::PollResult Distributor::poll(int socket) {
   const Frequency clock = config_.timing.cpu.core_clock;
   const Picos t0 = sim_.now();
   const bool tracing = telemetry_.trace.enabled();
+  // Nothing to pick up: park until enqueue_completion() wakes this core.
+  const bool idle = state.pending() == 0;
   double cycles = 0;
   std::unique_ptr<DeliveryVec> deliveries;
 
@@ -239,7 +242,7 @@ sim::PollResult Distributor::poll(int socket) {
               std::move(*shared));
         });
   }
-  return {cycles, false};
+  return {cycles, idle};
 }
 
 }  // namespace dhl::runtime

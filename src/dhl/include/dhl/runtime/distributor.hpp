@@ -42,9 +42,17 @@ class Distributor {
   /// wire bytes) are dropped here as a unit -- landed as a failure,
   /// parked mbufs released, dhl.batch.crc_drops counted -- so a corrupted
   /// transfer can never desynchronize records and mbufs downstream.
+  /// A batch that reaches the queue wakes the socket's RX core
+  /// (set_core()) if it parked.
   void enqueue_completion(int socket, fpga::DmaBatchPtr batch);
 
+  /// The lcore running `socket`'s poll(), woken by enqueue_completion().
+  void set_core(int socket, sim::Lcore* core) {
+    sockets_[static_cast<std::size_t>(socket)].core = core;
+  }
+
   /// One RX poll iteration for `socket` (runs on that socket's RX lcore).
+  /// A poll that finds no completion parks the lcore.
   sim::PollResult poll(int socket);
 
   std::size_t completions_pending(int socket) const {
@@ -87,6 +95,7 @@ class Distributor {
     /// Recycled delivery buffers: the deferred-enqueue closures hand their
     /// vector back here, so steady-state polling never heap-allocates.
     std::vector<std::unique_ptr<DeliveryVec>> free_buffers;
+    sim::Lcore* core = nullptr;
     telemetry::Gauge* completions_depth = nullptr;
     std::string rx_track;
 

@@ -62,6 +62,9 @@ class Packer {
   }
 
   /// One TX poll iteration for `socket` (runs on that socket's TX lcore).
+  /// An idle poll parks the lcore until DhlRuntime::send_packets wakes it
+  /// or, at the latest, until the oldest open batch's timeout (wake_at);
+  /// with adaptive batching the lcore spins.
   sim::PollResult poll(int socket);
 
  private:

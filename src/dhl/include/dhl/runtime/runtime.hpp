@@ -128,9 +128,15 @@ class DhlRuntime {
   /// DHL_get_private_OBQ(): the NF's private OBQ.
   netio::MbufRing& get_private_obq(netio::NfId nf_id);
 
+  /// Register the lcore that drains the NF's OBQ, so a parked one is woken
+  /// by each delivery (null unregisters; the lcore must outlive its
+  /// registration).
+  void set_obq_consumer(netio::NfId nf_id, sim::Lcore* core);
+
   // --- data plane (paper Table II; used from NF worker loops) ----------------
 
-  /// DHL_send_packets(): the only way into an IBQ.  Admits the longest
+  /// DHL_send_packets(): the only way into an IBQ, so it wakes the
+  /// socket's TX core when the ring took a packet.  Admits the longest
   /// prefix of the burst that fits the NF's tenant under its
   /// outstanding-bytes cap, stamps `nf_id` into each admitted packet (so
   /// the Packer debits the tenant admission charged), and enqueues it onto

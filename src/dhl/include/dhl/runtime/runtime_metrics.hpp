@@ -52,8 +52,9 @@ struct RuntimeMetrics {
   /// flight-recorder "obq" drop event, then drop(m, kObq).  Otherwise its
   /// ledger record closes as delivered, its tenant counts it, and its
   /// end-to-end latency and `stage` are recorded -- kIbqWait ends at the
-  /// Packer's dequeue stamp, kFallback at delivery.  Either way the NF's
-  /// dhl.nf.obq_depth gauge is refreshed.
+  /// Packer's dequeue stamp, kFallback at delivery, and the NF's OBQ
+  /// consumer lcore is woken.  Either way the NF's dhl.nf.obq_depth gauge
+  /// is refreshed.
   void deliver(NfInfo& nf, netio::NfId nf_id, netio::Mbuf* m, Picos now,
                telemetry::Stage stage);
 

@@ -21,6 +21,7 @@
 
 #include "dhl/netio/mbuf.hpp"
 #include "dhl/netio/ring.hpp"
+#include "dhl/sim/lcore.hpp"
 #include "dhl/sim/timing_params.hpp"
 #include "dhl/telemetry/telemetry.hpp"
 
@@ -145,6 +146,9 @@ struct NfInfo {
   /// Tenant the NF is bound to (0 = default tenant; see tenant.hpp).
   std::uint8_t tenant = 0;
   std::unique_ptr<netio::MbufRing> obq;
+  /// The NF's lcore that drains `obq`, woken by each delivery
+  /// (DhlRuntime::set_obq_consumer); null when unregistered.
+  sim::Lcore* obq_consumer = nullptr;
   // Per-NF instruments (dhl.nf.* with {nf=name}).
   telemetry::Gauge* obq_depth = nullptr;
   telemetry::Counter* obq_drops = nullptr;

@@ -1,5 +1,6 @@
 #include "dhl/runtime/packer.hpp"
 
+#include <algorithm>
 #include <span>
 
 #include "dhl/common/check.hpp"
@@ -276,6 +277,9 @@ sim::PollResult Packer::poll(int socket) {
   Mbuf** pkts = state.scratch.data();
   const std::size_t n =
       state.ibq->dequeue_burst({pkts, state.scratch.size()});
+  // Whether this poll did anything a later poll would see; if not, the
+  // TX core parks (end of poll).
+  bool did_work = n > 0;
   // In flight from here until each packet's deliver() or drop().
   metrics_.in_flight += n;
   state.ibq_depth->set(static_cast<double>(state.ibq->count()));
@@ -409,10 +413,12 @@ sim::PollResult Packer::poll(int socket) {
       // Over the batch budget: defer, counted.  The batch stays open and
       // flushes on a later sweep once an in-flight batch retires.
       tenants_.note_flush_deferred(tenant);
+      did_work = true;  // counted once per poll, so keep polling
       ++i;
       continue;
     }
     if (aged) {
+      did_work = true;
       cycles += flush_batch(socket, acc_id, std::move(open), pending,
                             FlushReason::kTimeout, tenant);
       open.batch = nullptr;
@@ -450,7 +456,20 @@ sim::PollResult Packer::poll(int socket) {
       }
     });
   }
-  return {cycles, false};
+  // Adaptive batching keeps spinning: its rate estimate decays on every
+  // idle poll.
+  if (did_work || rt.adaptive_batching) return {cycles, false};
+  // Idle: every later poll finds nothing until send_packets() fills the
+  // IBQ (and wakes this core) or an open batch ages into its timeout flush.
+  sim::PollResult idle{0, true};
+  for (const OpenKey key : state.active) {
+    const fpga::DmaBatch* b = state.open[key].batch.get();
+    if (b != nullptr && !b->empty()) {
+      idle.wake_at =
+          std::min(idle.wake_at, b->first_pkt_enqueued_at + rt.batch_timeout);
+    }
+  }
+  return idle;
 }
 
 }  // namespace dhl::runtime

@@ -118,8 +118,12 @@ std::size_t DhlRuntime::send_packets(NfId nf_id, netio::Mbuf** pkts,
     // try_admit counted the first refusal; count the rest of the tail.
     t.rejected_pkts->add(n - admit - 1);
   }
+  const int socket = ibq_socket(nf_id);
   const std::size_t accepted =
-      packer_.admission_ibq(ibq_socket(nf_id)).enqueue_burst({pkts, admit});
+      packer_.admission_ibq(socket).enqueue_burst({pkts, admit});
+  if (accepted > 0 && static_cast<std::size_t>(socket) < cores_.size()) {
+    cores_[static_cast<std::size_t>(socket)].tx->wake();
+  }
   // Only packets the ring took are admitted: each now owes the tenant one
   // terminal, delivered or dropped.
   t.admitted_pkts->add(accepted);
@@ -175,6 +179,11 @@ MbufRing& DhlRuntime::get_private_obq(NfId nf_id) {
   return *nfs_[nf_id].obq;
 }
 
+void DhlRuntime::set_obq_consumer(NfId nf_id, sim::Lcore* core) {
+  DHL_CHECK_MSG(nf_id < nfs_.size(), "unregistered nf_id");
+  nfs_[nf_id].obq_consumer = core;
+}
+
 void DhlRuntime::start() {
   if (started_) return;
   started_ = true;
@@ -192,6 +201,7 @@ void DhlRuntime::start() {
         sim_, "dhl.rx.socket" + std::to_string(s), clock, s);
     pair.rx->set_idle_poll_cycles(config_.timing.cpu.idle_poll_cycles);
     pair.rx->set_poll([this, s](sim::Lcore&) { return distributor_.poll(s); });
+    distributor_.set_core(s, pair.rx.get());
     pair.rx->start();
   }
 }

@@ -52,6 +52,7 @@ void RuntimeMetrics::deliver(NfInfo& nf, netio::NfId nf_id, netio::Mbuf* m,
                            static_cast<std::int16_t>(nf_id));
     drop(m, DropSite::kObq);
   } else {
+    if (nf.obq_consumer != nullptr) nf.obq_consumer->wake();
     --in_flight;
     ledger.on_delivered(m);
     tenants.count_delivered(nf_id);

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "dhl/common/units.hpp"
 #include "dhl/netio/mbuf.hpp"
@@ -27,6 +28,10 @@
 #include "dhl/sim/simulator.hpp"
 #include "dhl/sim/stats.hpp"
 #include "dhl/telemetry/telemetry.hpp"
+
+namespace dhl::sim {
+class Lcore;
+}  // namespace dhl::sim
 
 namespace dhl::netio {
 
@@ -64,6 +69,11 @@ class NicPort {
   /// Poll up to `n` received frames.  DPDK rte_eth_rx_burst semantics.
   std::size_t rx_burst(Mbuf** out, std::size_t n);
 
+  /// Lcores polling this port's RX queue that may park: each arrival group
+  /// wakes them.  A waiter must be removed before it is destroyed.
+  void add_rx_waiter(sim::Lcore* core) { rx_waiters_.push_back(core); }
+  void remove_rx_waiter(sim::Lcore* core);
+
   /// Transmit `n` frames.  Consumes (frees) the mbufs; records TX meter and
   /// latency.  Always accepts (TX is never the experiment bottleneck).
   std::size_t tx_burst(Mbuf** pkts, std::size_t n);
@@ -80,8 +90,14 @@ class NicPort {
   void reset_stats();
 
  private:
+  /// Frames materialized for one arrival event, recycled through
+  /// free_groups_ so the steady state allocates nothing.
+  struct ArrivalGroup {
+    std::uint64_t epoch = 0;
+    std::vector<Mbuf*> frames;  // RX-timestamped, in arrival order
+  };
+
   void schedule_arrivals();
-  void arrival_event();
 
   sim::Simulator& sim_;
   NicPortConfig config_;
@@ -96,6 +112,10 @@ class NicPort {
   telemetry::Counter* m_tx_pkts_ = nullptr;
   telemetry::Counter* m_tx_bytes_ = nullptr;
   telemetry::Gauge* m_rx_depth_ = nullptr;
+
+  std::vector<sim::Lcore*> rx_waiters_;
+  std::vector<std::unique_ptr<ArrivalGroup>> groups_;  // owns every group
+  std::vector<ArrivalGroup*> free_groups_;
 
   std::optional<FrameFactory> factory_;
   double offered_fraction_ = 1.0;

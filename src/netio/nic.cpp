@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "dhl/common/check.hpp"
+#include "dhl/sim/lcore.hpp"
 
 namespace dhl::netio {
 
@@ -68,12 +69,13 @@ void NicPort::schedule_arrivals() {
   // event instead; here we only need the event time, which requires sizes.
   // To keep sizes and times consistent we materialize frames *now* into a
   // staging buffer and enqueue them when the event fires.
-  struct Staged {
-    Mbuf* m;
-    Picos at;
-  };
-  std::vector<Staged> staged;
-  staged.reserve(kArrivalBatch);
+  if (free_groups_.empty()) {
+    groups_.push_back(std::make_unique<ArrivalGroup>());
+    groups_.back()->frames.reserve(kArrivalBatch);
+    free_groups_.push_back(groups_.back().get());
+  }
+  ArrivalGroup* group = free_groups_.back();
+  auto& staged = group->frames;
   for (; count < kArrivalBatch; ++count) {
     if (count > 0 && t - next_arrival_ > kMaxArrivalSpan) break;
     Mbuf* m = rx_pool_.alloc();
@@ -86,7 +88,7 @@ void NicPort::schedule_arrivals() {
     const std::uint32_t len = factory_->build(*m);
     m->set_port(config_.port_id);
     m->set_rx_timestamp(t);
-    staged.push_back({m, t});
+    staged.push_back(m);
     const Picos line_gap = config_.link.transfer_time(wire_bytes(len));
     last = t;
     if (factory_->config().gap_model) {
@@ -112,24 +114,35 @@ void NicPort::schedule_arrivals() {
     return;
   }
 
-  sim_.schedule_at(last, [this, epoch, staged = std::move(staged)] {
-    if (epoch != traffic_epoch_) {
-      for (const auto& s : staged) s.m->release();
-      return;
-    }
-    for (const auto& s : staged) {
-      rx_meter_.record_frame(s.m->data_len());
+  free_groups_.pop_back();
+  group->epoch = epoch;
+  sim_.schedule_at(last, [this, group] {
+    const bool current = group->epoch == traffic_epoch_;
+    for (Mbuf* m : group->frames) {
+      if (!current) {
+        m->release();
+        continue;
+      }
+      rx_meter_.record_frame(m->data_len());
       m_rx_pkts_->add(1);
-      m_rx_bytes_->add(s.m->data_len());
-      if (!rx_queue_.enqueue(s.m)) {
+      m_rx_bytes_->add(m->data_len());
+      if (!rx_queue_.enqueue(m)) {
         ++rx_drops_;
         m_rx_drops_->add(1);
-        s.m->release();
+        m->release();
       }
     }
+    group->frames.clear();
+    free_groups_.push_back(group);
+    if (!current) return;
     m_rx_depth_->set(rx_queue_.count());
+    for (sim::Lcore* core : rx_waiters_) core->wake();
     if (generating_) schedule_arrivals();
   });
+}
+
+void NicPort::remove_rx_waiter(sim::Lcore* core) {
+  std::erase(rx_waiters_, core);
 }
 
 std::size_t NicPort::rx_burst(Mbuf** out, std::size_t n) {

@@ -54,25 +54,43 @@ ChainNf::ChainNf(sim::Simulator& simulator, ChainConfig config,
     cores_.back()->set_idle_poll_cycles(config_.timing.cpu.idle_poll_cycles);
     cores_.back()->set_poll(std::move(poll));
   };
+  // Idle polls park their core; NIC arrivals wake the ingress side and
+  // OBQ deliveries the egress side.
   if (config_.split_ingress_egress) {
     add_core(".in", [this](sim::Lcore&) {
       return ingress_poll(0, ports_.size());
     });
+    for (netio::NicPort* port : ports_) port->add_rx_waiter(cores_[0].get());
     if (any_offload) {
       add_core(".out", [this](sim::Lcore&) { return egress_poll(); });
+      runtime_->set_obq_consumer(nf_id_, cores_[1].get());
     }
     return;
   }
   // Per-port layout: core 0 drains the single-consumer OBQ after its own
-  // port's ingress; both halves are offset from the poll's start.
+  // port's ingress; both halves are offset from the poll's start, and the
+  // core parks only when both were idle.
   for (std::size_t p = 0; p < ports_.size(); ++p) {
     const bool also_egress = any_offload && p == 0;
     add_core(".in" + std::to_string(p), [this, p, also_egress](sim::Lcore&) {
       sim::PollResult r = ingress_poll(p, 1);
-      if (also_egress) r.cycles += egress_poll().cycles;
+      if (also_egress) {
+        const sim::PollResult out = egress_poll();
+        r.cycles += out.cycles;
+        r.park = r.park && out.park;
+      }
       return r;
     });
+    ports_[p]->add_rx_waiter(cores_[p].get());
   }
+  if (any_offload) runtime_->set_obq_consumer(nf_id_, cores_[0].get());
+}
+
+ChainNf::~ChainNf() {
+  for (const auto& core : cores_) {
+    for (netio::NicPort* port : ports_) port->remove_rx_waiter(core.get());
+  }
+  if (obq_ != nullptr) runtime_->set_obq_consumer(nf_id_, nullptr);
 }
 
 void ChainNf::compose_segments() {
@@ -226,18 +244,25 @@ void ChainNf::run_from(Mbuf* m, std::size_t stage, double& cycles) {
 
 void ChainNf::send_at(double cycles) {
   if (to_send_.empty()) return;
+  if (free_send_bufs_.empty()) {
+    send_bufs_.push_back(std::make_unique<std::vector<Mbuf*>>());
+    free_send_bufs_.push_back(send_bufs_.back().get());
+  }
+  std::vector<Mbuf*>* pkts = free_send_bufs_.back();
+  free_send_bufs_.pop_back();
+  pkts->swap(to_send_);
   sim_.schedule_after(
-      config_.timing.cpu.core_clock.cycles(cycles),
-      [this, pkts = std::vector<Mbuf*>(to_send_)]() mutable {
+      config_.timing.cpu.core_clock.cycles(cycles), [this, pkts] {
         // Admission stamps our nf_id and charges the tenant quota.
         const std::size_t sent =
-            DHL_send_packets(*runtime_, nf_id_, pkts.data(), pkts.size());
-        for (std::size_t i = sent; i < pkts.size(); ++i) {
+            DHL_send_packets(*runtime_, nf_id_, pkts->data(), pkts->size());
+        for (std::size_t i = sent; i < pkts->size(); ++i) {
           ++stats_.ibq_drops;
-          pkts[i]->release();
+          (*pkts)[i]->release();
         }
+        pkts->clear();
+        free_send_bufs_.push_back(pkts);
       });
-  to_send_.clear();
 }
 
 void ChainNf::transmit_at(Mbuf* m, double cycles) {
@@ -259,9 +284,11 @@ void ChainNf::transmit_at(Mbuf* m, double cycles) {
 sim::PollResult ChainNf::ingress_poll(std::size_t first, std::size_t count) {
   const auto& cpu = config_.timing.cpu;
   double cycles = 0;
+  bool idle = true;
   for (std::size_t p = first; p < first + count; ++p) {
     const std::size_t n = ports_[p]->rx_burst(burst_.data(), burst_.size());
     if (n == 0) continue;
+    idle = false;
     stats_.rx_pkts += n;
     cycles += cpu.nic_rxtx_fixed_cycles +
               cpu.nic_rxtx_per_pkt_cycles * static_cast<double>(n);
@@ -275,14 +302,14 @@ sim::PollResult ChainNf::ingress_poll(std::size_t first, std::size_t count) {
       send_at(cycles);
     }
   }
-  return {cycles, false};
+  return {cycles, idle};
 }
 
 sim::PollResult ChainNf::egress_poll() {
   const auto& cpu = config_.timing.cpu;
   const std::size_t n =
       DHL_receive_packets(*obq_, burst_.data(), burst_.size());
-  if (n == 0) return {0, false};
+  if (n == 0) return {0, true};
   double cycles = cpu.ring_op_fixed_cycles +
                   cpu.ring_op_per_pkt_cycles * static_cast<double>(n);
   for (std::size_t i = 0; i < n; ++i) {

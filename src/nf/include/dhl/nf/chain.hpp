@@ -23,7 +23,9 @@
 //     drains the private OBQ (remaining stages -> NIC TX);
 //   * per-port (multi-NF on 10G ports, V-D): one ingress core per port;
 //     core 0 also drains the OBQ (a single-consumer ring) after its ingress.
-// Chains without offload stages never touch the runtime or the OBQ.
+// Chains without offload stages never touch the runtime or the OBQ.  A
+// core whose poll found nothing parks (sim/lcore.hpp): its ports' arrivals
+// and, for the OBQ's consumer, the runtime's deliveries wake it.
 //
 // Cycle accounting.  A poll charges its cycles in order and every effect
 // happens at the cumulative offset (from the poll's start) at which its
@@ -139,6 +141,10 @@ class ChainNf {
   ChainNf(sim::Simulator& simulator, ChainConfig config,
           std::vector<netio::NicPort*> ports, runtime::DhlRuntime* runtime,
           std::vector<ChainStage> stages);
+  /// Unregisters the cores from the ports' and the runtime's wake lists.
+  ~ChainNf();
+  ChainNf(const ChainNf&) = delete;
+  ChainNf& operator=(const ChainNf&) = delete;
 
   /// True once every offload stage's module is loaded.
   bool ready() const;
@@ -197,6 +203,9 @@ class ChainNf {
   /// Poll scratch: the RX/OBQ burst and the offloads awaiting send_at().
   std::vector<netio::Mbuf*> burst_;
   std::vector<netio::Mbuf*> to_send_;
+  /// Bursts handed to send_at()'s event, recycled once it has sent them.
+  std::vector<std::unique_ptr<std::vector<netio::Mbuf*>>> send_bufs_;
+  std::vector<std::vector<netio::Mbuf*>*> free_send_bufs_;
   ChainStats stats_;
 };
 

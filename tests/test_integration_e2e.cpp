@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <vector>
+
+#include "dhl/accel/extra_modules.hpp"
 #include "dhl/nf/dhl_nf.hpp"
 #include "dhl/nf/forwarders.hpp"
 #include "dhl/nf/ipsec_gateway.hpp"
@@ -301,6 +306,156 @@ TEST(Integration, PartialReconfigurationDoesNotDisturbRunningNf) {
   EXPECT_TRUE(rt.acc_ready(handle));
   const auto audit = tb.quiesce_ledger();
   EXPECT_TRUE(audit.clean()) << audit.to_string();
+}
+
+// --- parked idle polls ----------------------------------------------------------
+//
+// Each testbed runs twice: as shipped, where idle DHL and NF lcores park,
+// and with every poll of the transfer cores and the NF cores wrapped to
+// clear PollResult::park, so they spin.  Every virtual result must agree.
+
+struct ParkRun {
+  std::uint64_t events = 0;
+  /// Per port: TX frames, then latency count, p50, p99 and max.
+  std::vector<std::array<std::uint64_t, 5>> ports;
+  std::vector<double> stage_means;
+  double packer_busy = 0;
+  double packer_idle = 0;
+};
+
+void spin(const std::vector<sim::Lcore*>& cores) {
+  for (sim::Lcore* core : cores) {
+    sim::Lcore::PollFn inner = core->poll_fn();
+    core->set_poll([inner](sim::Lcore& c) {
+      sim::PollResult r = inner(c);
+      r.park = false;
+      return r;
+    });
+  }
+}
+
+ParkRun measure_park_run(Testbed& tb) {
+  tb.measure(milliseconds(1), milliseconds(2));
+  ParkRun r;
+  for (netio::NicPort* port : tb.port_ptrs()) {
+    const sim::LatencyHistogram& lat = port->latency();
+    r.ports.push_back({port->tx_meter().frames(), lat.count(),
+                       lat.percentile(0.5), lat.percentile(0.99), lat.max()});
+  }
+  for (std::size_t s = 0; s < static_cast<std::size_t>(telemetry::Stage::kCount);
+       ++s) {
+    r.stage_means.push_back(
+        tb.telemetry().stages.stage(static_cast<telemetry::Stage>(s)).mean());
+  }
+  const sim::Lcore* packer = tb.runtime().transfer_cores().front();
+  r.packer_busy = packer->busy_cycles();
+  r.packer_idle = packer->idle_cycles();
+  r.events = tb.sim().executed();
+  return r;
+}
+
+ParkRun ipsec_park_run(bool spinning) {
+  Testbed tb;
+  auto* port = tb.add_port("p40g", Bandwidth::gbps(40));
+  auto& rt = tb.init_runtime();
+  const auto sa = test_security_association();
+  auto proc = std::make_shared<IpsecProcessor>(sa, IpsecPolicy{});
+  DhlNfConfig cfg;
+  cfg.name = "ipsec-dhl";
+  cfg.timing = tb.timing();
+  cfg.hf_name = "ipsec-crypto";
+  cfg.acc_config = accel::ipsec_module_config(false, sa);
+  DhlOffloadNf nf{tb.sim(),
+                  cfg,
+                  {port},
+                  rt,
+                  [proc](netio::Mbuf& m) { return proc->dhl_prep(m); },
+                  ipsec_dhl_prep_cost(tb.timing()),
+                  [proc](netio::Mbuf& m) { return proc->dhl_post(m); },
+                  ipsec_dhl_post_cost(tb.timing())};
+  tb.run_for(milliseconds(30));  // PR load
+  rt.start();
+  nf.start();
+  if (spinning) {
+    spin(rt.transfer_cores());
+    spin(nf.cores());
+  }
+  netio::TrafficConfig traffic;
+  traffic.frame_len = 512;
+  port->start_traffic(traffic, 0.3);
+  return measure_park_run(tb);
+}
+
+/// Two tenants' chains share the fused md5-auth -> aes256-ctr module on
+/// IMIX traffic; bravo runs the per-port core layout under a byte cap.
+ParkRun shared_chain_park_run(bool spinning) {
+  Testbed tb;
+  std::vector<netio::NicPort*> ports{tb.add_port("p0", Bandwidth::gbps(40)),
+                                     tb.add_port("p1", Bandwidth::gbps(40))};
+  auto& rt = tb.init_runtime();
+  const TenantId alpha = rt.register_tenant("alpha", TenantQuota{});
+  const TenantId bravo = rt.register_tenant(
+      "bravo", TenantQuota{.outstanding_bytes_cap = 64 * 1024});
+  std::vector<std::unique_ptr<ChainNf>> chains;
+  for (std::size_t p = 0; p < ports.size(); ++p) {
+    std::vector<ChainStage> stages;
+    stages.push_back(
+        ChainStage::offload("md5-auth", "md5-auth", {}, nullptr, nullptr));
+    stages.push_back(ChainStage::offload(
+        "aes256-ctr", "aes256-ctr", accel::aes256_ctr_test_config(),
+        [](netio::Mbuf& m) {
+          return m.accel_result() == accel::Aes256CtrModule::kOk
+                     ? Verdict::kForward
+                     : Verdict::kDrop;
+        },
+        [](const netio::Mbuf&) { return 30.0; }));
+    ChainConfig cfg;
+    cfg.name = p == 0 ? "chain-alpha" : "chain-bravo";
+    cfg.timing = tb.timing();
+    cfg.tenant = p == 0 ? alpha : bravo;
+    cfg.split_ingress_egress = p == 0;
+    chains.push_back(std::make_unique<ChainNf>(
+        tb.sim(), cfg, std::vector<netio::NicPort*>{ports[p]}, &rt,
+        std::move(stages)));
+  }
+  for (int i = 0; i < 40 && !(chains[0]->ready() && chains[1]->ready()); ++i) {
+    tb.run_for(milliseconds(5));
+  }
+  EXPECT_TRUE(chains[0]->ready() && chains[1]->ready());
+  rt.start();
+  for (auto& c : chains) c->start();
+  if (spinning) {
+    spin(rt.transfer_cores());
+    for (auto& c : chains) spin(c->cores());
+  }
+  for (std::size_t p = 0; p < ports.size(); ++p) {
+    netio::TrafficConfig traffic;
+    traffic.size_mix = {{64, 7}, {570, 4}, {1500, 1}};
+    traffic.seed = p + 1;
+    ports[p]->start_traffic(traffic, p == 0 ? 0.3 : 0.6);
+  }
+  return measure_park_run(tb);
+}
+
+void expect_park_equivalent(const std::function<ParkRun(bool)>& run) {
+  const ParkRun parked = run(false);
+  const ParkRun spinning = run(true);
+  ASSERT_FALSE(parked.ports.empty());
+  EXPECT_GT(parked.ports.front()[0], 1000u);
+  EXPECT_EQ(parked.ports, spinning.ports);
+  EXPECT_EQ(parked.stage_means, spinning.stage_means);
+  EXPECT_EQ(parked.packer_busy, spinning.packer_busy);
+  EXPECT_EQ(parked.packer_idle, spinning.packer_idle);
+  EXPECT_LE(parked.events * 5, spinning.events)
+      << parked.events << " parked vs " << spinning.events << " spinning";
+}
+
+TEST(ParkEquivalence, IpsecGatewayAtAFixedLoad) {
+  expect_park_equivalent(ipsec_park_run);
+}
+
+TEST(ParkEquivalence, TwoTenantFusedChain) {
+  expect_park_equivalent(shared_chain_park_run);
 }
 
 }  // namespace
