@@ -173,9 +173,9 @@ inline PointResult run_single_nf(const SingleNfOptions& opt) {
           tb.sim(), cfg, std::vector<netio::NicPort*>{port}, std::move(fn),
           std::move(cost));
       if (opt.kind == NfKind::kNids) {
-        // Batch the worker bursts through the multi-lane AC stepper
-        // (find_all_multi) so the CPU-only figure benches exercise the
-        // same SIMD/ILP kernel the fallback path uses.
+        // Batch the worker bursts through the pattern-matching module's
+        // process_batch, the one multi-lane scan the fabric model and the
+        // fallback path use too.
         cpu_nf->set_batch_fn(
             [nids](std::span<netio::Mbuf* const> pkts,
                    std::span<nf::Verdict> out) {
@@ -825,7 +825,7 @@ struct FallbackAb {
 
 /// Quarantine stress A/B: every pattern-matching replica is held in
 /// permanent quarantine by a device fault, so bursts flow Packer ->
-/// FallbackRouter -> batch fallback (PatternMatchingModule::process_multi,
+/// FallbackRouter -> batch fallback (PatternMatchingModule::process_batch,
 /// i.e. the multi-lane AC kernel) and back out the OBQ.  The timed section
 /// is the Packer poll that runs the fallback; flipping the ISA cap between
 /// arms shows how much of the kernel speedup survives runtime framing.
@@ -865,15 +865,15 @@ inline FallbackAb run_fallback_quarantine_ab(int blocks = 24,
 
   accel::PatternMatchingModule soft{automaton};
   std::vector<std::span<std::uint8_t>> datas;
-  std::vector<std::uint64_t> results;
+  std::vector<fpga::ProcessResult> results;
   rt.register_fallback_batch(
       nf, "pattern-matching", [&](std::span<Mbuf* const> pkts) {
         datas.clear();
-        results.assign(pkts.size(), 0);
+        results.resize(pkts.size());
         for (Mbuf* m : pkts) datas.emplace_back(m->data(), m->data_len());
-        soft.process_multi(datas, results);
+        soft.process_batch(datas, results);
         for (std::size_t i = 0; i < pkts.size(); ++i) {
-          pkts[i]->set_accel_result(results[i]);
+          pkts[i]->set_accel_result(results[i].result);
         }
       });
 

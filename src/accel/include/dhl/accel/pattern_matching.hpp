@@ -7,9 +7,10 @@
 // the AC-DFA transition tables live in BRAM), 32.40 Gbps, 55 cycles delay.
 // Table V: 6.8 MB PR bitstream.
 //
-// Functionally the module walks the packet's L4 payload through the same
+// Functionally the module walks each packet's L4 payload through the same
 // Aho-Corasick automaton the CPU-only NIDS uses (built from the ruleset's
-// content strings) and returns a result word:
+// content strings), up to AhoCorasick::kLanes packets at a time like the
+// hardware's parallel pipelines, and returns a result word per packet:
 //
 //   bits  0..47 : bitmap of matched pattern indices < 48
 //   bits 48..63 : number of distinct patterns matched (saturating)
@@ -55,29 +56,29 @@ class PatternMatchingModule final : public fpga::AcceleratorModule {
 
   void configure(std::span<const std::uint8_t> config) override;
 
+  /// One-record process_batch().
   fpga::ProcessResult process(std::span<std::uint8_t> data) override;
 
-  /// Batch form of process(): walks several records' payloads through the
-  /// automaton's multi-lane stepper (find_all_multi) so the per-byte DFA
-  /// loads of up to AhoCorasick::kLanes packets overlap.  `results[i]` is
-  /// exactly `process(datas[i]).result`; the module never rewrites bytes,
-  /// so that is the whole observable effect.  This is the kernel behind the
-  /// batch software fallback (DHL_register_fallback_batch).
-  void process_multi(std::span<const std::span<std::uint8_t>> datas,
-                     std::span<std::uint64_t> results);
+  /// The module's one scan, shared by the FPGA model, the software
+  /// fallback and the CPU-only NIDS: every record's payload goes through
+  /// the automaton's multi-lane stepper (find_all_multi) so the per-byte
+  /// DFA loads of up to AhoCorasick::kLanes records overlap.  The module
+  /// never rewrites bytes, so the result word is its whole observable
+  /// effect.
+  void process_batch(std::span<const std::span<std::uint8_t>> datas,
+                     std::span<fpga::ProcessResult> out) override;
 
  private:
   std::shared_ptr<const match::AhoCorasick> automaton_;
-  /// Per-pattern "already counted" scratch, reused across records so the
-  /// hot path stays allocation-free (the hardware DFA has this as a fixed
-  /// match-vector register anyway).  `touched_` lists the entries to clear.
+  /// Scan scratch (payload spans + per-record match lists), reused across
+  /// calls so the hot path stays allocation-free at steady state.
+  std::vector<std::span<const std::uint8_t>> haystacks_;
+  std::vector<std::vector<match::PatternMatch>> matches_;
+  /// Per-pattern "already counted" flags for the distinct count (the
+  /// hardware DFA has this as a fixed match-vector register); `touched_`
+  /// lists the entries to clear after each record.
   std::vector<std::uint8_t> seen_;
   std::vector<std::uint32_t> touched_;
-  /// process_multi scratch (haystack spans + per-lane match lists), reused
-  /// across batches to keep the fallback hot path allocation-free at
-  /// steady state.
-  std::vector<std::span<const std::uint8_t>> lane_haystacks_;
-  std::vector<std::vector<match::PatternMatch>> lane_matches_;
 };
 
 /// Bitstream descriptor (Table V: 6.8 MB).

@@ -11,6 +11,7 @@ PatternMatchingModule::PatternMatchingModule(
     std::shared_ptr<const match::AhoCorasick> automaton)
     : automaton_{std::move(automaton)} {
   DHL_CHECK_MSG(automaton_ != nullptr, "pattern-matching needs an automaton");
+  seen_.assign(automaton_->pattern_count(), 0);
 }
 
 void PatternMatchingModule::configure(std::span<const std::uint8_t> config) {
@@ -25,73 +26,43 @@ void PatternMatchingModule::configure(std::span<const std::uint8_t> config) {
 
 fpga::ProcessResult PatternMatchingModule::process(
     std::span<std::uint8_t> data) {
-  const auto len = static_cast<std::uint32_t>(data.size());
-  const netio::PacketView view = netio::parse_packet(data);
-  // Scan the L4 payload of parsable packets, the whole frame otherwise
-  // (the hardware DFA streams whatever bytes it is given).
-  const std::size_t start = view.valid ? view.payload_offset : 0;
-  const std::span<const std::uint8_t> haystack{data.data() + start,
-                                               data.size() - start};
-
-  std::uint64_t bitmap = 0;
-  std::uint32_t distinct = 0;
-  if (seen_.size() < automaton_->pattern_count()) {
-    seen_.resize(automaton_->pattern_count(), 0);
-  }
-  std::uint32_t state = 0;
-  for (const std::uint8_t b : haystack) {
-    state = automaton_->step(state, b);
-    for (const std::uint32_t p : automaton_->outputs(state)) {
-      if (!seen_[p]) {
-        seen_[p] = 1;
-        touched_.push_back(p);
-        ++distinct;
-        if (p < 48) bitmap |= 1ULL << p;
-      }
-    }
-  }
-  for (const std::uint32_t p : touched_) seen_[p] = 0;
-  touched_.clear();
-  if (distinct > 0xffff) distinct = 0xffff;
-  const std::uint64_t result =
-      bitmap | (static_cast<std::uint64_t>(distinct) << 48);
-  return {result, len, /*data_unmodified=*/true};
+  fpga::ProcessResult result;
+  process_batch({&data, 1}, {&result, 1});
+  return result;
 }
 
-void PatternMatchingModule::process_multi(
+void PatternMatchingModule::process_batch(
     std::span<const std::span<std::uint8_t>> datas,
-    std::span<std::uint64_t> results) {
-  DHL_CHECK(results.size() >= datas.size());
+    std::span<fpga::ProcessResult> out) {
+  DHL_CHECK(out.size() >= datas.size());
   const std::size_t n = datas.size();
-  if (lane_matches_.size() < n) lane_matches_.resize(n);
-  lane_haystacks_.clear();
-  for (const auto& data : datas) {
-    const netio::PacketView view = netio::parse_packet(data);
-    const std::size_t start = view.valid ? view.payload_offset : 0;
-    lane_haystacks_.push_back({data.data() + start, data.size() - start});
+  if (matches_.size() < n) matches_.resize(n);
+  haystacks_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    // Scan the L4 payload of parsable packets, the whole frame otherwise
+    // (the hardware DFA streams whatever bytes it is given).
+    const netio::PacketView view = netio::parse_packet(datas[i]);
+    haystacks_.push_back(
+        datas[i].subspan(view.valid ? view.payload_offset : 0));
+    matches_[i].clear();
   }
-  for (std::size_t i = 0; i < n; ++i) lane_matches_[i].clear();
-  automaton_->find_all_multi(lane_haystacks_,
-                             {lane_matches_.data(), n});
-
-  if (seen_.size() < automaton_->pattern_count()) {
-    seen_.resize(automaton_->pattern_count(), 0);
-  }
+  automaton_->find_all_multi(haystacks_, {matches_.data(), n});
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t bitmap = 0;
     std::uint32_t distinct = 0;
-    for (const match::PatternMatch& m : lane_matches_[i]) {
-      if (!seen_[m.pattern]) {
-        seen_[m.pattern] = 1;
-        touched_.push_back(m.pattern);
-        ++distinct;
-        if (m.pattern < 48) bitmap |= 1ULL << m.pattern;
-      }
+    for (const match::PatternMatch& m : matches_[i]) {
+      if (seen_[m.pattern]) continue;
+      seen_[m.pattern] = 1;
+      touched_.push_back(m.pattern);
+      ++distinct;
+      if (m.pattern < 48) bitmap |= 1ULL << m.pattern;
     }
     for (const std::uint32_t p : touched_) seen_[p] = 0;
     touched_.clear();
     if (distinct > 0xffff) distinct = 0xffff;
-    results[i] = bitmap | (static_cast<std::uint64_t>(distinct) << 48);
+    out[i] = {bitmap | (static_cast<std::uint64_t>(distinct) << 48),
+              static_cast<std::uint32_t>(datas[i].size()),
+              /*data_unmodified=*/true};
   }
 }
 

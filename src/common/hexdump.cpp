@@ -42,7 +42,7 @@ std::vector<std::uint8_t> from_hex(std::string_view hex) {
 std::string hexdump(std::span<const std::uint8_t> data) {
   std::ostringstream os;
   for (std::size_t row = 0; row < data.size(); row += 16) {
-    char addr[16];
+    char addr[sizeof "0123456789abcdef  "];  // a 64-bit offset + 2 spaces
     std::snprintf(addr, sizeof addr, "%08zx  ", row);
     os << addr;
     for (std::size_t i = 0; i < 16; ++i) {

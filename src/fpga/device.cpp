@@ -216,39 +216,38 @@ void FpgaDevice::dispatch_batch(DmaBatchPtr batch) {
       static_cast<double>(views.size()));
 
   Picos batch_done = arrival + dispatch_cost;
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    RecordView& v = views[i];
-    const int region_idx = acc_map_[v.header.acc_id];
+  for (std::size_t first = 0, end = 0; first < views.size(); first = end) {
+    // One run: the maximal stretch of records sharing a header acc_id (a
+    // Packer-built batch is a single run; the device trusts only the bytes).
+    const netio::AccId acc_id = views[first].header.acc_id;
+    end = first + 1;
+    while (end < views.size() && views[end].header.acc_id == acc_id) ++end;
+
+    const int region_idx = acc_map_[acc_id];
     if (region_idx < 0 ||
         regions_[static_cast<std::size_t>(region_idx)].state !=
             RegionState::kReady) {
-      // No ready module: the record returns unprocessed with an error flag,
+      // No ready module: the records return unprocessed with an error flag,
       // mirroring how the real dispatcher cannot drop data silently.
-      v.header.flags |= kRecordFlagError;
-      batch->store_header(v);
-      ++dispatch_drops_;
-      dispatch_error_records_->add(1);
+      for (std::size_t i = first; i < end; ++i) {
+        views[i].header.flags |= kRecordFlagError;
+        batch->store_header(views[i]);
+      }
+      dispatch_drops_ += end - first;
+      dispatch_error_records_->add(end - first);
       continue;
     }
     Region& region = regions_[static_cast<std::size_t>(region_idx)];
 
     // --- functional processing (bit-exact transform) ---
-    const std::uint32_t entry_len = v.header.data_len;
-    auto data = batch->record_data(v);
-    const ProcessResult res = region.module->process(data);
-    DHL_CHECK_MSG(res.new_len <= v.header.data_len,
-                  "module grew a record in place");
-    v.header.result = res.result;
-    if (res.data_unmodified && res.new_len == v.header.data_len) {
-      // Result-only module: tell the Distributor the payload bytes are
-      // exactly what the host sent, so it can skip the write-back copy.
-      v.header.flags |= kRecordFlagDataUnmodified;
+    // The whole run is computed before any resize_record below, so no
+    // gathered span is read after the buffer shifts under it.
+    run_datas_.clear();
+    for (std::size_t i = first; i < end; ++i) {
+      run_datas_.push_back(batch->record_data(views[i]));
     }
-    if (res.new_len != v.header.data_len) {
-      batch->resize_record(v, res.new_len, views, i);
-    } else {
-      batch->store_header(v);
-    }
+    run_results_.resize(end - first);
+    region.module->process_batch(run_datas_, run_results_);
 
     // --- timing: per-stage pipeline occupancy + delay ---
     // The record flows through the module's internal stages in order; each
@@ -264,22 +263,41 @@ void FpgaDevice::dispatch_batch(DmaBatchPtr batch) {
     if (region.stage_busy.size() < stages.size()) {
       region.stage_busy.resize(stages.size(), 0);
     }
-    Picos record_t = arrival + dispatch_cost;
-    Picos bottleneck = 0;
-    for (std::size_t s = 0; s < stages.size(); ++s) {
-      const std::uint32_t len =
-          (s == 0 && stages.size() > 1) ? entry_len : v.header.data_len;
-      const Picos occupancy = stages[s].max_throughput.transfer_time(len);
-      const Picos start = std::max(region.stage_busy[s], record_t);
-      region.stage_busy[s] = start + occupancy;
-      record_t = start + occupancy +
-                 config_.timing.fabric_clock.cycles(stages[s].delay_cycles);
-      bottleneck = std::max(bottleneck, occupancy);
+    for (std::size_t i = first; i < end; ++i) {
+      RecordView& v = views[i];
+      const ProcessResult& res = run_results_[i - first];
+      const std::uint32_t entry_len = v.header.data_len;
+      DHL_CHECK_MSG(res.new_len <= v.header.data_len,
+                    "module grew a record in place");
+      v.header.result = res.result;
+      if (res.data_unmodified && res.new_len == v.header.data_len) {
+        // Result-only module: tell the Distributor the payload bytes are
+        // exactly what the host sent, so it can skip the write-back copy.
+        v.header.flags |= kRecordFlagDataUnmodified;
+      }
+      if (res.new_len != v.header.data_len) {
+        batch->resize_record(v, res.new_len, views, i);
+      } else {
+        batch->store_header(v);
+      }
+
+      Picos record_t = arrival + dispatch_cost;
+      Picos bottleneck = 0;
+      for (std::size_t s = 0; s < stages.size(); ++s) {
+        const std::uint32_t len =
+            (s == 0 && stages.size() > 1) ? entry_len : v.header.data_len;
+        const Picos occupancy = stages[s].max_throughput.transfer_time(len);
+        const Picos start = std::max(region.stage_busy[s], record_t);
+        region.stage_busy[s] = start + occupancy;
+        record_t = start + occupancy +
+                   config_.timing.fabric_clock.cycles(stages[s].delay_cycles);
+        bottleneck = std::max(bottleneck, occupancy);
+      }
+      region.busy_accum += bottleneck;
+      region.records += 1;
+      region.bytes += v.header.data_len;
+      batch_done = std::max(batch_done, record_t);
     }
-    region.busy_accum += bottleneck;
-    region.records += 1;
-    region.bytes += v.header.data_len;
-    batch_done = std::max(batch_done, record_t);
   }
 
   dispatch_records_->add(views.size());

@@ -12,6 +12,10 @@
 //    compression -- the bytes a downstream NF sees are bit-exact), and
 //  * a *timing* descriptor that the device model uses to schedule
 //    completions in virtual time.
+//
+// The Dispatcher hands a module each run of same-acc_id records in one
+// process_batch() call.  An override (the multi-pipeline pattern matcher)
+// must return exactly what per-record process() calls would.
 
 #include <cstdint>
 #include <memory>
@@ -19,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "dhl/common/check.hpp"
 #include "dhl/common/units.hpp"
 
 namespace dhl::fpga {
@@ -79,6 +84,16 @@ class AcceleratorModule {
   /// grow it -- senders that expect growth (decompression, appended ICVs)
   /// reserve the space before offloading, as the real NFs do.
   virtual ProcessResult process(std::span<std::uint8_t> data) = 0;
+
+  /// Process a run of records, each under process()'s contract: `out[i]`
+  /// is the result for `datas[i]`.  The default calls process() on each
+  /// record in order, so stateful modules (IPsec sequence numbers, LZ77)
+  /// see the same call sequence either way.
+  virtual void process_batch(std::span<const std::span<std::uint8_t>> datas,
+                             std::span<ProcessResult> out) {
+    DHL_CHECK(out.size() >= datas.size());
+    for (std::size_t i = 0; i < datas.size(); ++i) out[i] = process(datas[i]);
+  }
 };
 
 using ModulePtr = std::unique_ptr<AcceleratorModule>;

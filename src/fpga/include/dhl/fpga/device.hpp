@@ -11,12 +11,14 @@
 // Loading a module programs its PR bitstream through ICAP without touching
 // the other running parts (verified by a test and the Table V bench).
 //
-// The Dispatcher (paper IV-B2) receives DMA batches, routes each record to
-// the accelerator module mapped to its acc_id, and re-packs the
+// The Dispatcher (paper IV-B2) receives DMA batches, hands each run of
+// same-acc_id records to the accelerator module mapped to that acc_id in
+// one AcceleratorModule::process_batch() call, and re-packs the
 // post-processed batch for the return DMA.
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -159,6 +161,9 @@ class FpgaDevice {
   std::uint64_t dispatch_drops_ = 0;
   std::uint64_t pr_failures_ = 0;
   FaultHook* fault_hook_ = nullptr;
+  /// dispatch_batch scratch (one run's spans and results), kept across runs.
+  std::vector<std::span<std::uint8_t>> run_datas_;
+  std::vector<ProcessResult> run_results_;
 
   // Registered instruments (dhl.fpga.* with {fpga=name}).
   telemetry::Counter* pr_loads_ = nullptr;

@@ -2,13 +2,12 @@
 
 // Aho-Corasick multi-pattern matcher.
 //
-// Two forms, matching the paper's two deployments:
-//  * the CPU-only NIDS scans with this automaton directly (paper V-B2 uses
-//    the classic AC algorithm);
-//  * the pattern-matching accelerator module wraps the same automaton
-//    converted to a dense DFA -- the AC-DFA of Jiang et al. [35] that the
-//    paper ports to FPGA -- so software and hardware paths return identical
-//    matches.
+// The automaton is built as a dense DFA -- the AC-DFA of Jiang et al. [35]
+// that the paper ports to FPGA.  Both of the paper's deployments scan with
+// it through one caller, PatternMatchingModule::process_batch: the FPGA
+// model of the pattern-matching module, its software fallback, and the
+// CPU-only NIDS (paper V-B2), so software and hardware paths return
+// identical matches.
 //
 // Construction: trie (sorted-vector edges) -> BFS failure links -> output
 // merging -> dense next-state table (state x 256), stored as uint16 when the
@@ -16,8 +15,9 @@
 //
 // Scanning: the per-byte loop is a single dependent table load, so one lane
 // is bounded by load latency, not bandwidth.  find_all_multi() walks up to
-// kLanes texts concurrently -- the batch shape the Packer hands the fallback
-// path -- so the independent lanes' loads overlap in the memory pipeline.
+// kLanes texts concurrently -- the records of one Packer batch, or one
+// worker burst -- so the independent lanes' loads overlap in the memory
+// pipeline.
 // Under a DHL_SIMD=scalar cap (common/simd.hpp) it degrades to the
 // single-lane reference loop; outputs are bit-identical either way
 // (test_simd_parity).
@@ -74,9 +74,9 @@ class AhoCorasick {
   /// Number of distinct patterns that occur in `text` (each counted once).
   std::size_t count_distinct(std::span<const std::uint8_t> text) const;
 
-  /// Walk one byte from `state`; exposed so the FPGA module model can step
-  /// the DFA explicitly.  Case folding is baked into the table rows at
-  /// build time, so the hot path is one dependent load, no fold lookup.
+  /// Walk one byte from `state` (the reference scans' step).  Case folding
+  /// is baked into the table rows at build time, so the hot path is one
+  /// dependent load, no fold lookup.
   std::uint32_t step(std::uint32_t state, std::uint8_t byte) const {
     const std::size_t i = static_cast<std::size_t>(state) * 256 + byte;
     return dfa16_.empty() ? dfa_[i] : dfa16_[i];

@@ -70,8 +70,11 @@ void FrameFactory::fill_payload(std::span<std::uint8_t> payload,
       constexpr std::size_t kTextLen = sizeof(kFillerText) - 1;
       // Start at a random phase so payloads differ across frames.
       std::size_t phase = rng_.bounded(kTextLen);
-      for (std::size_t i = 0; i < payload.size(); ++i) {
-        payload[i] = static_cast<std::uint8_t>(kFillerText[(phase + i) % kTextLen]);
+      for (std::size_t i = 0; i < payload.size();) {
+        const std::size_t n = std::min(kTextLen - phase, payload.size() - i);
+        std::memcpy(payload.data() + i, kFillerText + phase, n);
+        i += n;
+        phase = 0;
       }
       if (config_.payload == PayloadKind::kTextAttacks &&
           rng_.uniform() < config_.attack_probability) {

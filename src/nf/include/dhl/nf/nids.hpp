@@ -4,13 +4,15 @@
 //
 // Workflow (paper Fig 5b): ingress -> pre-processing -> pattern matching ->
 // rule options evaluation -> pass/drop.  Pattern matching uses Aho-Corasick;
-// the DHL version offloads it to the pattern-matching module and evaluates
-// rule options on the match bitmap the module returns.
+// the DHL version offloads it to the pattern-matching module, and the
+// CPU-only version runs that same module's scan in software.  Both evaluate
+// rule options on the match bitmap of the module's result word.
 
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "dhl/accel/pattern_matching.hpp"
 #include "dhl/match/aho_corasick.hpp"
 #include "dhl/match/ruleset.hpp"
 #include "dhl/nf/pipeline.hpp"
@@ -29,14 +31,14 @@ class NidsProcessor {
   NidsProcessor(std::shared_ptr<const match::RuleSet> rules,
                 std::shared_ptr<const match::AhoCorasick> automaton);
 
-  /// CPU-only worker body: scan + evaluate rule options.
+  /// CPU-only worker body: a one-packet cpu_process_multi().
   Verdict cpu_process(netio::Mbuf& m);
 
   /// Batch form of cpu_process for the pipeline worker's BatchPacketFn
-  /// seam: scans up to AhoCorasick::kLanes payloads concurrently through
-  /// find_all_multi so the per-byte DFA loads overlap (PR 8's SIMD/ILP
-  /// kernel).  `out[i]` is exactly cpu_process(*pkts[i]); stats accrue
-  /// identically.
+  /// seam: scans the payloads through the pattern-matching module's
+  /// process_batch (the multi-lane Aho-Corasick kernel) and evaluates rule
+  /// options on each result bitmap.  `out[i]` is exactly
+  /// cpu_process(*pkts[i]); stats accrue identically.
   void cpu_process_multi(std::span<netio::Mbuf* const> pkts,
                          std::span<Verdict> out);
 
@@ -57,12 +59,12 @@ class NidsProcessor {
   Verdict evaluate_options(netio::Mbuf& m, std::uint64_t bitmap);
 
   std::shared_ptr<const match::RuleSet> rules_;
-  std::shared_ptr<const match::AhoCorasick> automaton_;
   std::vector<std::uint64_t> rule_masks_;  // per-rule required-pattern bitmap
-  std::vector<match::PatternMatch> scratch_;
-  /// cpu_process_multi lane scratch, reused across bursts.
-  std::vector<std::span<const std::uint8_t>> lane_texts_;
-  std::vector<std::vector<match::PatternMatch>> lane_matches_;
+  /// The CPU-only scan: the accelerator's own module, run in software.
+  accel::PatternMatchingModule matcher_;
+  /// cpu_process_multi scratch, reused across bursts.
+  std::vector<std::span<std::uint8_t>> payloads_;
+  std::vector<fpga::ProcessResult> results_;
   NidsStats stats_;
 };
 

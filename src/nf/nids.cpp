@@ -1,8 +1,5 @@
 #include "dhl/nf/nids.hpp"
 
-#include <algorithm>
-
-#include "dhl/accel/pattern_matching.hpp"
 #include "dhl/common/check.hpp"
 #include "dhl/netio/headers.hpp"
 
@@ -13,8 +10,8 @@ using netio::Mbuf;
 NidsProcessor::NidsProcessor(
     std::shared_ptr<const match::RuleSet> rules,
     std::shared_ptr<const match::AhoCorasick> automaton)
-    : rules_{std::move(rules)}, automaton_{std::move(automaton)} {
-  DHL_CHECK(rules_ != nullptr && automaton_ != nullptr);
+    : rules_{std::move(rules)}, matcher_{std::move(automaton)} {
+  DHL_CHECK(rules_ != nullptr);
   DHL_CHECK_MSG(rules_->patterns().size() <= 48,
                 "result-word bitmap covers 48 patterns; shard larger rulesets "
                 "across modules");
@@ -77,45 +74,23 @@ Verdict NidsProcessor::evaluate_options(Mbuf& m, std::uint64_t bitmap) {
 }
 
 Verdict NidsProcessor::cpu_process(Mbuf& m) {
-  ++stats_.scanned;
-  const netio::PacketView view = netio::parse_packet(m.payload());
-  const std::size_t start = view.valid ? view.payload_offset : 0;
-  scratch_.clear();
-  automaton_->find_all({m.payload().data() + start, m.data_len() - start},
-                       scratch_);
-  std::uint64_t bitmap = 0;
-  for (const match::PatternMatch& hit : scratch_) {
-    if (hit.pattern < 48) bitmap |= 1ULL << hit.pattern;
-  }
-  return evaluate_options(m, bitmap);
+  Mbuf* const pkt = &m;
+  Verdict verdict = Verdict::kForward;
+  cpu_process_multi({&pkt, 1}, {&verdict, 1});
+  return verdict;
 }
 
 void NidsProcessor::cpu_process_multi(std::span<Mbuf* const> pkts,
                                       std::span<Verdict> out) {
   DHL_CHECK(out.size() >= pkts.size());
-  constexpr std::size_t kLanes = match::AhoCorasick::kLanes;
-  if (lane_matches_.size() < kLanes) lane_matches_.resize(kLanes);
-  for (std::size_t base = 0; base < pkts.size(); base += kLanes) {
-    const std::size_t lanes = std::min(kLanes, pkts.size() - base);
-    lane_texts_.clear();
-    for (std::size_t l = 0; l < lanes; ++l) {
-      Mbuf& m = *pkts[base + l];
-      ++stats_.scanned;
-      const netio::PacketView view = netio::parse_packet(m.payload());
-      const std::size_t start = view.valid ? view.payload_offset : 0;
-      lane_texts_.push_back({m.payload().data() + start,
-                             m.data_len() - start});
-      lane_matches_[l].clear();
-    }
-    automaton_->find_all_multi(lane_texts_,
-                               {lane_matches_.data(), lanes});
-    for (std::size_t l = 0; l < lanes; ++l) {
-      std::uint64_t bitmap = 0;
-      for (const match::PatternMatch& hit : lane_matches_[l]) {
-        if (hit.pattern < 48) bitmap |= 1ULL << hit.pattern;
-      }
-      out[base + l] = evaluate_options(*pkts[base + l], bitmap);
-    }
+  payloads_.clear();
+  for (Mbuf* m : pkts) payloads_.push_back(m->payload());
+  results_.resize(pkts.size());
+  matcher_.process_batch(payloads_, results_);
+  stats_.scanned += pkts.size();
+  for (std::size_t i = 0; i < pkts.size(); ++i) {
+    out[i] = evaluate_options(*pkts[i],
+                              accel::pattern_result_bitmap(results_[i].result));
   }
 }
 

@@ -339,12 +339,12 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
     rt.register_fallback_batch(
         nf->nf_id(), spec.hf, [soft](std::span<Mbuf* const> pkts) {
           std::vector<std::span<std::uint8_t>> datas;
-          std::vector<std::uint64_t> results(pkts.size(), 0);
+          std::vector<fpga::ProcessResult> results(pkts.size());
           datas.reserve(pkts.size());
           for (Mbuf* m : pkts) datas.emplace_back(m->data(), m->data_len());
-          soft->process_multi(datas, results);
+          soft->process_batch(datas, results);
           for (std::size_t i = 0; i < pkts.size(); ++i) {
-            pkts[i]->set_accel_result(results[i]);
+            pkts[i]->set_accel_result(results[i].result);
           }
         });
   }

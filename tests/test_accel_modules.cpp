@@ -175,6 +175,27 @@ TEST(PatternMatchingModule, CountsDistinctPatterns) {
   EXPECT_EQ(pattern_result_bitmap(res.result), 0b11u);
 }
 
+TEST(PatternMatchingModule, ScansOnlyTheL4PayloadOfParsableFrames) {
+  // The pattern is the frame's destination MAC, so it occurs only in the
+  // Ethernet header: a parsable frame (scanned from its L4 payload) must
+  // not match, while a truncated, unparsable copy is scanned whole.
+  auto frame = make_frame(128, 1);
+  ASSERT_TRUE(netio::parse_packet(frame).valid);
+  std::vector<std::uint8_t> raw(frame.begin(), frame.begin() + 10);
+  ASSERT_FALSE(netio::parse_packet(raw).valid);
+  auto automaton =
+      std::make_shared<const match::AhoCorasick>(match::AhoCorasick::build(
+          std::vector<std::string>{std::string(frame.begin(),
+                                               frame.begin() + 6)}));
+  PatternMatchingModule module{automaton};
+
+  const std::vector<std::span<std::uint8_t>> datas{frame, raw};
+  std::vector<fpga::ProcessResult> out(datas.size());
+  module.process_batch(datas, out);
+  EXPECT_EQ(out[0].result, 0u);
+  EXPECT_EQ(out[1].result, (1ULL << 48) | 1u);
+}
+
 TEST(PatternMatchingModule, RejectsRuntimeReconfiguration) {
   auto automaton = std::make_shared<const match::AhoCorasick>(
       match::AhoCorasick::build(std::vector<std::string>{"x"}));

@@ -71,7 +71,9 @@ TEST(Aes256, CtrHandlesNonBlockMultiples) {
     aes256_ctr(aes, ctr, pt, ct);
     aes256_ctr(aes, ctr, ct, back);
     EXPECT_EQ(back, pt) << "len=" << len;
-    if (len > 4) EXPECT_NE(ct, pt);
+    if (len > 4) {
+      EXPECT_NE(ct, pt);
+    }
   }
 }
 

@@ -360,7 +360,9 @@ TEST(Runtime, TraceSessionRecordsBatchSpans) {
   EXPECT_EQ(trace.count_named("batch.lifecycle"),
             h.metric("dhl.runtime.batches_from_fpga"));
   for (const auto& e : trace.events()) {
-    if (e.name == "batch.lifecycle") EXPECT_GT(e.duration, 0u);
+    if (e.name == "batch.lifecycle") {
+      EXPECT_GT(e.duration, 0u);
+    }
   }
 
   Mbuf* out[32];

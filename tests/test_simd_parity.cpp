@@ -414,9 +414,9 @@ TEST(SimdParity, Crc32cAllTiers) {
   }
 }
 
-// --- accelerator module: process vs process_multi ----------------------------
+// --- accelerator module: process vs process_batch ----------------------------
 
-TEST(SimdParity, PatternModuleProcessMultiMatchesProcess) {
+TEST(SimdParity, PatternModuleProcessBatchMatchesProcess) {
   CapGuard guard;
   Xoshiro256 rng{0xFA11BACull};
   const std::vector<std::string> patterns{"attack", "overflow", "evil",
@@ -449,12 +449,18 @@ TEST(SimdParity, PatternModuleProcessMultiMatchesProcess) {
       want.push_back(mod.process({copy.data(), copy.size()}).result);
       EXPECT_EQ(copy, p) << "process() must not rewrite payload bytes";
     }
-    // Batched: process_multi over all packets at once.
+    // Batched: process_batch over all packets at once.
     std::vector<std::vector<std::uint8_t>> copies = pkts;
     std::vector<std::span<std::uint8_t>> datas;
     for (auto& c : copies) datas.emplace_back(c.data(), c.size());
-    std::vector<std::uint64_t> got(pkts.size(), 0);
-    mod.process_multi(datas, got);
+    std::vector<fpga::ProcessResult> results(pkts.size());
+    mod.process_batch(datas, results);
+    std::vector<std::uint64_t> got;
+    for (std::size_t i = 0; i < pkts.size(); ++i) {
+      got.push_back(results[i].result);
+      EXPECT_EQ(results[i].new_len, pkts[i].size());
+      EXPECT_TRUE(results[i].data_unmodified);
+    }
     EXPECT_EQ(got, want) << simd::to_string(isa);
     EXPECT_EQ(copies, pkts);
   }
