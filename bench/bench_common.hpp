@@ -29,6 +29,7 @@
 #include "dhl/common/rng.hpp"
 #include "dhl/common/simd.hpp"
 #include "dhl/crypto/aes.hpp"
+#include "dhl/crypto/sha1.hpp"
 #include "dhl/fpga/device.hpp"
 #include "dhl/runtime/config_load.hpp"
 #include "dhl/runtime/fault.hpp"
@@ -684,7 +685,7 @@ inline bool run_crc_ab_suite(int pairs = 15) {
 // one registered CPU vector kernel (common/simd.hpp registry) against its
 // scalar reference by flipping the process-wide ISA cap between arms, on the
 // same buffers in the same process.  The speedups land in BENCH_micro.json
-// under "kernels" and CI's Release perf smoke gates the AES-CTR and
+// under "kernels" and CI's Release perf smoke gates the AES-CTR, SHA-1 and
 // pattern-matching rows.
 
 /// One kernel's paired measurement.  `isa` is the tier the kernel selects on
@@ -769,6 +770,17 @@ inline std::vector<KernelAbRow> run_kernel_ab(int blocks = 40) {
     rng.fill(in.data(), in.size());
     measure("aes256_ctr", in.size(), 200,
             [&] { crypto::aes256_ctr(cipher, ctr, in, out); });
+  }
+  {  // sha1: HMAC-SHA1 of one MTU payload, the ESP authentication shape:
+    // 24 inner compressions and one outer (the key blocks are precomputed).
+    std::array<std::uint8_t, 20> key{};
+    rng.fill(key.data(), key.size());
+    const crypto::HmacSha1 hmac{key};
+    std::vector<std::uint8_t> in(1500);
+    rng.fill(in.data(), in.size());
+    volatile std::uint8_t sink = 0;
+    measure("sha1", in.size(), 200, [&] { sink = hmac.mac(in)[0]; });
+    (void)sink;
   }
   {  // ac_multilane: a full lane group of MTU payloads, the batch-fallback
     // shape (random patterns approximate a small Snort content set).

@@ -32,6 +32,7 @@
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
 #define DHL_SIMD_X86 1
+#include <cpuid.h>
 #include <immintrin.h>
 #endif
 
@@ -94,6 +95,25 @@ int init_cap_from_env();
 /// True when the host CPU can run `tier` at all (ignores the cap).
 inline bool host_supports(Isa tier) {
   return (detail::host_isa_mask() >> static_cast<unsigned>(tier)) & 1u;
+}
+
+/// True when the host CPU has the SHA extensions (SHA-NI), cached at first
+/// use.  SHA-NI is off the linear tier ladder -- Haswell to Skylake have AVX2
+/// without it, Goldmont has it without AVX2 -- so the "sha1" kernel runs it
+/// iff enabled(Isa::kSse42) && host_has_sha(); every SHA-NI CPU has SSE4.2.
+/// CPUID leaf 7, EBX bit 29, because older clangs lack
+/// __builtin_cpu_supports("sha").
+inline bool host_has_sha() {
+#ifdef DHL_SIMD_X86
+  static const bool has = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    return __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0 &&
+           (ebx & bit_SHA) != 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
 }
 
 /// Best tier the host supports.

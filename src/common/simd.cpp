@@ -55,23 +55,27 @@ int init_cap_from_env() {
 }  // namespace detail
 
 std::vector<KernelInfo> kernel_report() {
-  // The kernel list is declarative: `tier` here must match the enabled(tier)
-  // guard inside each kernel's dispatch site, so the gauge reflects what the
-  // hot path actually executes.
+  // The kernel list is declarative: `tier` (and `needs_sha`) here must match
+  // the guard inside each kernel's dispatch site, so the gauge reflects what
+  // the hot path actually executes.  SHA-NI is not a tier, so a kernel that
+  // uses it also requires host_has_sha().
   static constexpr struct {
     const char* name;
     Isa tier;
+    bool needs_sha;
   } kKernels[] = {
-      {"crc32c", Isa::kSse42},            // common/crc32.hpp
-      {"aes256_ctr", Isa::kAesni},        // crypto/aes.cpp
-      {"ac_multilane", Isa::kSse42},      // match/aho_corasick.cpp
-      {"batch_copy", Isa::kAvx2},         // common/simd.hpp copy_bytes
-      {"gf256_addmul", Isa::kAvx2},       // common/gf256.cpp
+      {"crc32c", Isa::kSse42, false},        // common/crc32.hpp
+      {"aes256_ctr", Isa::kAesni, false},    // crypto/aes.cpp
+      {"ac_multilane", Isa::kSse42, false},  // match/aho_corasick.cpp
+      {"batch_copy", Isa::kAvx2, false},     // common/simd.hpp copy_bytes
+      {"gf256_addmul", Isa::kAvx2, false},   // common/gf256.cpp
+      {"sha1", Isa::kSse42, true},           // crypto/sha1.cpp
   };
   std::vector<KernelInfo> out;
   out.reserve(std::size(kKernels));
   for (const auto& k : kKernels) {
-    out.push_back({k.name, k.tier, enabled(k.tier) ? k.tier : Isa::kScalar});
+    const bool on = enabled(k.tier) && (!k.needs_sha || host_has_sha());
+    out.push_back({k.name, k.tier, on ? k.tier : Isa::kScalar});
   }
   return out;
 }

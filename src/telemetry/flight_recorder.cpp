@@ -142,7 +142,8 @@ std::string FlightRecorder::dump_auto(std::string_view reason) {
   std::string path = auto_dump_path_;
   if (dumps_written_ > 0) {
     const std::size_t dot = path.rfind('.');
-    const std::string n = "." + std::to_string(dumps_written_);
+    std::string n = std::to_string(dumps_written_);
+    n.insert(n.begin(), '.');
     if (dot == std::string::npos) {
       path += n;
     } else {

@@ -8,6 +8,7 @@
 #include "dhl/accel/lz77.hpp"
 #include "dhl/accel/pattern_matching.hpp"
 #include "dhl/accel/regex_classifier.hpp"
+#include "dhl/common/hexdump.hpp"
 #include "dhl/crypto/md5.hpp"
 #include "dhl/match/ruleset.hpp"
 #include "dhl/netio/mempool.hpp"
@@ -48,7 +49,17 @@ TEST(IpsecCryptoModule, MatchesCpuEspSealBitExact) {
   crypto::Aes256 cipher{sa.key};
   crypto::HmacSha1 hmac{sa.auth_key};
 
-  for (const std::uint32_t len : {64u, 128u, 777u, 1500u}) {
+  // The 12-byte ICV of each sealed frame, pinned independently of
+  // HmacSha1 (both paths below use it): blessed from the scalar MAC and
+  // cross-checked with Python's hmac over the frame's ESP auth region.
+  const struct {
+    std::uint32_t len;
+    const char* icv;
+  } kCases[] = {{64, "075a69a320dc9c0a9d93e96a"},
+                {128, "25e6378429700231fea37a37"},
+                {777, "ae7ca064a3b8533e964e7b19"},
+                {1500, "f485f288d269d558c87d2717"}};
+  for (const auto& [len, want_icv] : kCases) {
     // Build an encapsulated-but-unencrypted frame.
     MbufPool pool{"p", 1, 4096, 0};
     Mbuf* m = pool.alloc();
@@ -69,6 +80,10 @@ TEST(IpsecCryptoModule, MatchesCpuEspSealBitExact) {
     const auto res = module.process(fpga_frame);
     EXPECT_EQ(res.result, IpsecCryptoModule::kOk);
     EXPECT_EQ(fpga_frame, cpu_frame) << "len=" << len;
+    EXPECT_EQ(to_hex(std::span<const std::uint8_t>{cpu_frame}.last(
+                  kEspIcvLen)),
+              want_icv)
+        << "len=" << len;
   }
 }
 

@@ -20,6 +20,7 @@
 #include "dhl/common/rng.hpp"
 #include "dhl/common/simd.hpp"
 #include "dhl/crypto/aes.hpp"
+#include "dhl/crypto/sha1.hpp"
 #include "dhl/fpga/device.hpp"
 #include "dhl/match/aho_corasick.hpp"
 #include "dhl/runtime/runtime.hpp"
@@ -98,9 +99,9 @@ TEST(SimdDispatch, CapGatesEnabled) {
 
 TEST(SimdDispatch, KernelReportTracksCap) {
   CapGuard guard;
-  const std::vector<const char*> expected{"crc32c", "aes256_ctr",
+  const std::vector<const char*> expected{"crc32c",     "aes256_ctr",
                                           "ac_multilane", "batch_copy",
-                                          "gf256_addmul"};
+                                          "gf256_addmul", "sha1"};
   simd::set_cap(simd::Isa::kScalar);
   auto report = simd::kernel_report();
   ASSERT_EQ(report.size(), expected.size());
@@ -112,8 +113,12 @@ TEST(SimdDispatch, KernelReportTracksCap) {
   simd::set_cap(simd::kMaxIsa);
   report = simd::kernel_report();
   for (const auto& k : report) {
-    const simd::Isa want =
-        simd::host_supports(k.tier) ? k.tier : simd::Isa::kScalar;
+    // SHA-NI is off the tier ladder: the sha1 row also needs its probe.
+    const bool probe_ok =
+        std::strcmp(k.name, "sha1") != 0 || simd::host_has_sha();
+    const simd::Isa want = simd::host_supports(k.tier) && probe_ok
+                               ? k.tier
+                               : simd::Isa::kScalar;
     EXPECT_EQ(k.selected, want) << k.name;
   }
 }
@@ -248,6 +253,86 @@ TEST(SimdParity, AesEncryptDecryptBlockAllTiers) {
   }
 }
 
+// --- SHA-1 block kernel ------------------------------------------------------
+
+using Sha1Digest = std::array<std::uint8_t, crypto::Sha1::kDigestBytes>;
+
+/// Sha1 fed in two update() calls split at `split`: the first call leaves a
+/// partial block buffered, the second completes it and hands the remaining
+/// whole blocks to the kernel straight from `data`.
+Sha1Digest split_digest(std::span<const std::uint8_t> data,
+                        std::size_t split) {
+  crypto::Sha1 s;
+  s.update(data.first(split));
+  s.update(data.subspan(split));
+  Sha1Digest d{};
+  s.finish(d);
+  return d;
+}
+
+TEST(SimdParity, Sha1HmacAndUpdateAllTiers) {
+  CapGuard guard;
+  Xoshiro256 rng{0x5A1F00Dull};
+  // Every padding shape up to two blocks past the ipad block, then random
+  // lengths up to 2000 B.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 130; ++n) lengths.push_back(n);
+  for (int i = 0; i < 40; ++i) lengths.push_back(rng.bounded(2001));
+  // Keys below, at and past the block size (65 and 80 are hashed first).
+  for (const std::size_t key_len : {0ul, 20ul, 64ul, 65ul, 80ul}) {
+    std::vector<std::uint8_t> key(key_len);
+    rng.fill(key.data(), key.size());
+    for (const std::size_t len : lengths) {
+      for (const std::size_t off : {0ul, 1ul, 7ul, 15ul}) {
+        std::vector<std::uint8_t> backing(len + 16);
+        rng.fill(backing.data(), backing.size());
+        const std::span<const std::uint8_t> data{backing.data() + off, len};
+        const std::size_t split = rng.bounded(len + 1);
+
+        simd::set_cap(simd::Isa::kScalar);
+        const auto want_mac = crypto::HmacSha1{key}.mac(data);
+        const Sha1Digest want_digest = split_digest(data, split);
+
+        for (const auto isa : host_tiers()) {
+          simd::set_cap(isa);
+          EXPECT_EQ(crypto::HmacSha1{key}.mac(data), want_mac)
+              << "key=" << key_len << " len=" << len << " off=" << off
+              << " isa=" << simd::to_string(isa);
+          EXPECT_EQ(split_digest(data, split), want_digest)
+              << "len=" << len << " off=" << off << " split=" << split
+              << " isa=" << simd::to_string(isa);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdParity, Sha1CrossPage) {
+  CapGuard guard;
+  Xoshiro256 rng{0x5A1FACEull};
+  std::vector<std::uint8_t> key(20);
+  rng.fill(key.data(), key.size());
+  TwoPages pages;
+  for (const std::size_t back : {1ul, 15ul, 64ul, 100ul}) {
+    const std::size_t len = back + 200;  // always crosses
+    std::uint8_t* p = pages.straddle(back);
+    rng.fill(p, len);
+    const std::span<const std::uint8_t> data{p, len};
+
+    simd::set_cap(simd::Isa::kScalar);
+    const auto want_mac = crypto::HmacSha1{key}.mac(data);
+    const Sha1Digest want_digest = crypto::Sha1::digest(data);
+
+    for (const auto isa : host_tiers()) {
+      simd::set_cap(isa);
+      EXPECT_EQ(crypto::HmacSha1{key}.mac(data), want_mac)
+          << "back=" << back << " isa=" << simd::to_string(isa);
+      EXPECT_EQ(crypto::Sha1::digest(data), want_digest)
+          << "back=" << back << " isa=" << simd::to_string(isa);
+    }
+  }
+}
+
 // --- Aho-Corasick multi-lane stepper -----------------------------------------
 
 std::vector<std::string> fuzz_patterns(Xoshiro256& rng, std::size_t n) {
@@ -362,10 +447,13 @@ TEST(SimdParity, CopyBytesMatchesMemcpy) {
     for (const std::size_t len : lengths) {
       for (const std::size_t src_off : {0ul, 1ul, 7ul, 15ul}) {
         for (const std::size_t dst_off : {0ul, 3ul, 9ul}) {
-          std::vector<std::uint8_t> src(len + 16), dst(len + 16, 0),
-              want(len + 16, 0);
+          std::vector<std::uint8_t> src(len + 16), dst(len + 16, 0);
           rng.fill(src.data(), src.size());
-          std::memcpy(want.data() + dst_off, src.data() + src_off, len);
+          // Expected: dst_off zero bytes, the copied range, zeros to size.
+          std::vector<std::uint8_t> want(dst_off, 0);
+          want.insert(want.end(), src.begin() + src_off,
+                      src.begin() + src_off + len);
+          want.resize(dst.size(), 0);
           simd::copy_bytes(dst.data() + dst_off, src.data() + src_off, len);
           EXPECT_EQ(dst, want) << "len=" << len << " s+" << src_off << " d+"
                                << dst_off << " isa=" << simd::to_string(isa);
