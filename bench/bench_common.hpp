@@ -805,10 +805,8 @@ inline std::vector<KernelAbRow> run_kernel_ab(int blocks = 40) {
     // Short blocks (~0.5 ms): the slowest kernel here is also the one most
     // sensitive to co-tenant interference, and a block only contributes a
     // clean floor sample if the whole block ran undisturbed.
-    measure("ac_multilane", kLanes * 1500, 40, [&] {
-      for (auto& h : hits) h.clear();
-      ac.find_all_multi(spans, hits);
-    });
+    measure("ac_multilane", kLanes * 1500, 40,
+            [&] { ac.find_all_multi(spans, hits); });
   }
   {  // batch_copy: one 240 B record payload -- the linearize() copy shape at
     // the micro-bench frame size, inside the kCopyVectorMax window where the
@@ -841,8 +839,9 @@ struct FallbackAb {
 /// i.e. the multi-lane AC kernel) and back out the OBQ.  The timed section
 /// is the Packer poll that runs the fallback; flipping the ISA cap between
 /// arms shows how much of the kernel speedup survives runtime framing.
-/// Frame/burst are chosen so each 6 KB batch holds exactly kLanes records:
-/// the fallback sees full lane groups.
+/// The Packer's health fast path serves each packet through the fallback
+/// as a one-record batch, so every scan is one 720 B record, which the
+/// kernel cuts into pieces to fill its lanes.
 inline FallbackAb run_fallback_quarantine_ab(int blocks = 24,
                                              int rounds_per_block = 8) {
   namespace simd = common::simd;
@@ -1036,7 +1035,7 @@ inline bool write_transfer_micro_json(
       << "  },\n";
   }
   // Per-kernel scalar-vs-vector speedups (run_kernel_ab): CI's Release
-  // perf gate asserts aes256_ctr >= 3x and ac_multilane >= 2x.
+  // perf gate asserts aes256_ctr >= 3x, sha1 >= 3x and ac_multilane >= 2x.
   if (kernels != nullptr && !kernels->empty()) {
     f << "  \"kernels\": [\n";
     for (std::size_t i = 0; i < kernels->size(); ++i) {

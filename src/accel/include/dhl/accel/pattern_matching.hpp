@@ -61,8 +61,9 @@ class PatternMatchingModule final : public fpga::AcceleratorModule {
 
   /// The module's one scan, shared by the FPGA model, the software
   /// fallback and the CPU-only NIDS: every record's payload goes through
-  /// the automaton's multi-lane stepper (find_all_multi) so the per-byte
-  /// DFA loads of up to AhoCorasick::kLanes records overlap.  The module
+  /// the automaton's multi-lane stepper (find_all_multi), which keeps
+  /// AhoCorasick::kLanes DFA walks in flight -- one per record, or several
+  /// per record when the call holds fewer, longer records.  The module
   /// never rewrites bytes, so the result word is its whole observable
   /// effect.
   void process_batch(std::span<const std::span<std::uint8_t>> datas,

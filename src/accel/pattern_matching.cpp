@@ -44,7 +44,6 @@ void PatternMatchingModule::process_batch(
     const netio::PacketView view = netio::parse_packet(datas[i]);
     haystacks_.push_back(
         datas[i].subspan(view.valid ? view.payload_offset : 0));
-    matches_[i].clear();
   }
   automaton_->find_all_multi(haystacks_, {matches_.data(), n});
   for (std::size_t i = 0; i < n; ++i) {

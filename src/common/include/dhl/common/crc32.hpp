@@ -10,6 +10,10 @@
 // matters: the x86-64 path uses the SSE4.2 crc32 instruction (selected at
 // runtime, same polynomial), everything else gets slice-by-8 tables; a
 // byte-at-a-time loop remains for big-endian hosts and ragged tails.
+// crc32q has 3-cycle latency and 1-cycle throughput, so the hardware path
+// runs three independent chains over consecutive 256 B blocks and folds
+// them together with two zero-shift tables (no PCLMULQDQ, so no extra CPU
+// probe).
 
 #include <array>
 #include <bit>
@@ -51,6 +55,47 @@ make_crc32c_tables() {
 inline constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc32cTables =
     make_crc32c_tables();
 
+/// Table form of the linear map that advances a raw CRC across `zeros` zero
+/// bytes: entry [k][b] is the image of byte b at bit 8k, so the image of a
+/// 32-bit CRC is the xor of four lookups (crc32c_shift).  Built from the
+/// images of the 32 single-bit CRCs.
+inline constexpr std::array<std::array<std::uint32_t, 256>, 4>
+make_crc32c_shift_table(std::size_t zeros) {
+  std::uint32_t basis[32] = {};
+  for (int bit = 0; bit < 32; ++bit) {
+    std::uint32_t crc = 1u << bit;
+    for (std::size_t z = 0; z < zeros; ++z) {
+      crc = (crc >> 8) ^ kCrc32cTables[0][crc & 0xffu];
+    }
+    basis[bit] = crc;
+  }
+  std::array<std::array<std::uint32_t, 256>, 4> t{};
+  for (std::size_t k = 0; k < 4; ++k) {
+    for (std::uint32_t b = 0; b < 256; ++b) {
+      std::uint32_t image = 0;
+      for (std::size_t bit = 0; bit < 8; ++bit) {
+        if ((b >> bit) & 1u) image ^= basis[8 * k + bit];
+      }
+      t[k][b] = image;
+    }
+  }
+  return t;
+}
+
+/// Block length of each of the hardware path's three chains.
+inline constexpr std::size_t kCrc32cBlock = 256;
+inline constexpr std::array<std::array<std::uint32_t, 256>, 4>
+    kCrc32cShift1Block = make_crc32c_shift_table(kCrc32cBlock);
+inline constexpr std::array<std::array<std::uint32_t, 256>, 4>
+    kCrc32cShift2Blocks = make_crc32c_shift_table(2 * kCrc32cBlock);
+
+inline std::uint32_t crc32c_shift(
+    const std::array<std::array<std::uint32_t, 256>, 4>& t,
+    std::uint32_t crc) {
+  return t[0][crc & 0xffu] ^ t[1][(crc >> 8) & 0xffu] ^
+         t[2][(crc >> 16) & 0xffu] ^ t[3][crc >> 24];
+}
+
 /// Raw (pre-inverted) CRC update over `data` -- table paths.
 inline std::uint32_t crc32c_update_sw(std::span<const std::uint8_t> data,
                                       std::uint32_t crc) {
@@ -86,6 +131,30 @@ __attribute__((target("sse4.2"))) inline std::uint32_t crc32c_update_hw(
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
 #if defined(__x86_64__)
+  // Raw CRC updates are linear: crc(A|B|C, x) = crc(C, 0) ^ shift_|C|(
+  // crc(B, 0)) ^ shift_|B|+|C|(crc(A, x)), so chains over B and C can start
+  // from 0 and run beside the chain over A.
+  while (n >= 3 * kCrc32cBlock) {
+    std::uint64_t a = crc;
+    std::uint64_t b = 0;
+    std::uint64_t c = 0;
+    for (std::size_t i = 0; i < kCrc32cBlock; i += 8) {
+      std::uint64_t va;
+      std::uint64_t vb;
+      std::uint64_t vc;
+      std::memcpy(&va, p + i, 8);
+      std::memcpy(&vb, p + kCrc32cBlock + i, 8);
+      std::memcpy(&vc, p + 2 * kCrc32cBlock + i, 8);
+      a = __builtin_ia32_crc32di(a, va);
+      b = __builtin_ia32_crc32di(b, vb);
+      c = __builtin_ia32_crc32di(c, vc);
+    }
+    crc = crc32c_shift(kCrc32cShift2Blocks, static_cast<std::uint32_t>(a)) ^
+          crc32c_shift(kCrc32cShift1Block, static_cast<std::uint32_t>(b)) ^
+          static_cast<std::uint32_t>(c);
+    p += 3 * kCrc32cBlock;
+    n -= 3 * kCrc32cBlock;
+  }
   std::uint64_t c = crc;
   while (n >= 8) {
     std::uint64_t v;

@@ -99,16 +99,21 @@ void Md5::update(std::span<const std::uint8_t> data) {
 }
 
 void Md5::finish(std::span<std::uint8_t, kDigestBytes> out) {
+  // The final one or two blocks in one go: tail, 0x80, zeros, then the
+  // 64-bit little-endian bit count.  Two blocks when the tail leaves fewer
+  // than 9 bytes free.
+  std::uint8_t block[2 * kBlockBytes] = {};
+  if (buffered_ > 0) std::memcpy(block, buffer_.data(), buffered_);
+  block[buffered_] = 0x80;
+  const std::size_t nblocks = buffered_ < kBlockBytes - 8 ? 1 : 2;
   const std::uint64_t bit_len = total_bytes_ * 8;
-  const std::uint8_t pad = 0x80;
-  update({&pad, 1});
-  const std::uint8_t zero = 0;
-  while (buffered_ != 56) update({&zero, 1});
-  std::uint8_t len_le[8];
+  std::uint8_t* len_le = block + nblocks * kBlockBytes - 8;
   for (int i = 0; i < 8; ++i) {
     len_le[i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
   }
-  update({len_le, 8});
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    process_block(block + b * kBlockBytes);
+  }
   for (int i = 0; i < 4; ++i) {
     out[4 * i] = static_cast<std::uint8_t>(state_[i]);
     out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 8);

@@ -71,8 +71,9 @@ AhoCorasick AhoCorasick::build(std::span<const std::string> patterns,
       }
     }
     trie[state].out.push_back(static_cast<std::uint32_t>(p));
-    ac.pattern_lens_.push_back(static_cast<std::uint32_t>(pat.size()));
+    ac.longest_ = std::max(ac.longest_, pat.size());
   }
+  ac.pattern_count_ = patterns.size();
 
   // BFS failure links + output merging.
   std::deque<std::uint32_t> queue;
@@ -96,13 +97,23 @@ AhoCorasick AhoCorasick::build(std::span<const std::string> patterns,
     }
   }
 
-  // Dense DFA: delta(s, b) = goto(s, b) if present else delta(fail(s), b).
+  // Number the states non-accepting first, accepting last, so the scans
+  // test acceptance with one compare (has_output).  Root accepts nothing
+  // (empty patterns are rejected) and keeps id 0, the scans' start state.
   const std::size_t n = trie.size();
-  ac.dfa_.assign(n * 256, 0);
-  ac.fail_.resize(n);
-  ac.output_range_.resize(n);
-  for (std::size_t s = 0; s < n; ++s) ac.fail_[s] = trie[s].fail;
+  std::vector<std::uint32_t> id(n);
+  std::uint32_t next_id = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    if (trie[s].out.empty()) id[s] = next_id++;
+  }
+  ac.first_accept_ = next_id;
+  for (std::size_t s = 0; s < n; ++s) {
+    if (!trie[s].out.empty()) id[s] = next_id++;
+  }
+  DHL_CHECK(id[0] == 0);
 
+  // Dense DFA: delta(s, b) = goto(s, b) if present else delta(fail(s), b).
+  ac.dfa_.assign(n * 256, 0);
   // BFS order guarantees delta(fail(s), .) is already filled.
   std::vector<std::uint32_t> order;
   order.reserve(n);
@@ -123,15 +134,17 @@ AhoCorasick AhoCorasick::build(std::span<const std::string> patterns,
     // binary searches.  Rows are built over *folded* bytes first; the case
     // fold is then baked into the raw-byte columns below so the scan loops
     // never touch fold_ -- one dependent load per byte instead of two.
+    std::uint32_t* row = &ac.dfa_[static_cast<std::size_t>(id[s]) * 256];
     const std::uint32_t* inherit =
-        s == 0 ? nullptr : &ac.dfa_[static_cast<std::size_t>(node.fail) * 256];
+        s == 0 ? nullptr
+               : &ac.dfa_[static_cast<std::size_t>(id[node.fail]) * 256];
     std::size_t e = 0;
     for (int b = 0; b < 256; ++b) {
       if (e < node.next.size() && node.next[e].first == b) {
-        ac.dfa_[s * 256 + b] = node.next[e].second;
+        row[b] = id[node.next[e].second];
         ++e;
       } else {
-        ac.dfa_[s * 256 + b] = inherit == nullptr ? 0 : inherit[b];
+        row[b] = inherit == nullptr ? 0 : inherit[b];
       }
     }
   }
@@ -150,12 +163,11 @@ AhoCorasick AhoCorasick::build(std::span<const std::string> patterns,
   }
 
   // Flatten outputs.
-  ac.has_output_.assign(n, 0);
+  ac.output_range_.resize(n);
   for (std::size_t s = 0; s < n; ++s) {
-    ac.output_range_[s] = {static_cast<std::uint32_t>(ac.outputs_.size()),
-                           static_cast<std::uint32_t>(trie[s].out.size())};
+    ac.output_range_[id[s]] = {static_cast<std::uint32_t>(ac.outputs_.size()),
+                               static_cast<std::uint32_t>(trie[s].out.size())};
     ac.outputs_.insert(ac.outputs_.end(), trie[s].out.begin(), trie[s].out.end());
-    ac.has_output_[s] = trie[s].out.empty() ? 0 : 1;
   }
 
   // Narrow the table when every state id fits uint16: half the bytes means
@@ -184,43 +196,113 @@ std::size_t AhoCorasick::find_all(std::span<const std::uint8_t> text,
   return found;
 }
 
+namespace {
+
+/// Step N lanes through up to `len` bytes each, lane i reading from cur[i]
+/// and walking state[i].  Stops one byte past the first step after which
+/// some lane accepts (a state >= first_accept) and returns the bytes
+/// consumed; the caller emits and resumes.  The loop makes no call, so gcc
+/// keeps the N states in registers; a call here would spill them.
+template <std::size_t N, typename Entry>
+std::size_t scan_chunk(const Entry* table, std::uint32_t first_accept,
+                       const std::uint8_t* const* cur, std::uint32_t* state,
+                       std::size_t len) {
+  std::uint32_t st[N];
+  const std::uint8_t* p[N];
+  for (std::size_t i = 0; i < N; ++i) {
+    st[i] = state[i];
+    p[i] = cur[i];
+  }
+  std::size_t k = 0;
+  while (k < len) {
+    std::uint32_t top = 0;
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < N; ++i) {
+      st[i] = table[static_cast<std::size_t>(st[i]) * 256 + p[i][k]];
+      top = std::max(top, st[i]);
+    }
+    ++k;
+    if (top >= first_accept) [[unlikely]] break;
+  }
+  for (std::size_t i = 0; i < N; ++i) state[i] = st[i];
+  return k;
+}
+
+/// Restore end-offset order in `v`, the matches of one text whose pieces of
+/// `piece` bytes ran side by side: each piece emitted its own matches in
+/// order, interleaved with the other pieces'.  Insertion would cost a move
+/// per out-of-order pair, ~m^2/4 for m dense matches; a stable counting
+/// pass by piece through the vector's own tail is O(m).  The tail is spare
+/// capacity that persists as the match lists themselves do, so a caller
+/// that reuses `v` allocates nothing at steady state.
+void restore_order(std::vector<PatternMatch>& v, std::size_t piece) {
+  const auto by_end = [](const PatternMatch& a, const PatternMatch& b) {
+    return a.end_offset < b.end_offset;
+  };
+  if (std::is_sorted(v.begin(), v.end(), by_end)) return;
+  const std::size_t n = v.size();
+  std::size_t at[AhoCorasick::kLanes] = {};
+  for (const PatternMatch& m : v) ++at[(m.end_offset - 1) / piece];
+  for (std::size_t j = 0, sum = n; j < AhoCorasick::kLanes; ++j) {
+    const std::size_t count = at[j];
+    at[j] = sum;
+    sum += count;
+  }
+  v.resize(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[at[(v[i].end_offset - 1) / piece]++] = v[i];
+  }
+  std::copy(v.begin() + static_cast<std::ptrdiff_t>(n), v.end(), v.begin());
+  v.resize(n);
+}
+
+}  // namespace
+
 template <typename Entry>
 std::size_t AhoCorasick::scan_lanes(
     const Entry* table, std::span<const std::span<const std::uint8_t>> texts,
-    std::span<std::vector<PatternMatch>> out) const {
-  // Lane state kept in parallel local arrays (not an array of structs) so
-  // the full-lane fast loop below can hold every lane's DFA state in a
-  // register and issue kLanes independent dependent-load chains per byte.
-  const std::uint8_t* cursor[kLanes];  // advances through the chunk
-  std::size_t pos[kLanes];             // bytes consumed before this chunk
-  std::size_t remaining[kLanes];
-  std::size_t idx[kLanes];
+    std::span<std::vector<PatternMatch>> out, std::size_t piece) const {
+  // A lane runs one piece: the text bytes [from, own + piece) clipped to the
+  // text, where from = own - overlap for every piece but a text's first.
+  const std::size_t overlap = longest_ - 1;
+  const std::uint8_t* cur[kLanes];  // next byte to read
+  std::size_t off[kLanes];          // text offset of cur
+  std::size_t own[kLanes];          // first offset this piece reports
+  std::size_t left[kLanes];         // bytes still to read
+  std::size_t idx[kLanes];          // text index
   std::uint32_t state[kLanes];
   std::size_t next_text = 0;
+  std::size_t next_off = 0;
   std::size_t total = 0;
-  const std::uint8_t* const accept = has_output_.data();
 
   const auto refill = [&](std::size_t lane) {
     while (next_text < texts.size()) {
       const auto t = texts[next_text];
-      if (t.empty()) {
+      if (next_off == t.size()) {
         ++next_text;
+        next_off = 0;
         continue;
       }
-      cursor[lane] = t.data();
-      pos[lane] = 0;
-      remaining[lane] = t.size();
-      idx[lane] = next_text++;
+      // piece >= overlap, so a non-first piece never starts before byte 0.
+      const std::size_t from = next_off == 0 ? 0 : next_off - overlap;
+      const std::size_t end = std::min(t.size(), next_off + piece);
+      cur[lane] = t.data() + from;
+      off[lane] = from;
+      own[lane] = next_off;
+      left[lane] = end - from;
+      idx[lane] = next_text;
       state[lane] = 0;
+      next_off = end;
       return true;
     }
     return false;
   };
-  // Rare path, deliberately out of the byte loops: record the matches
-  // accepted at `s` for lane `i` after its k-th chunk byte.
-  const auto emit = [&](std::size_t i, std::uint32_t s, std::size_t k) {
-    for (const std::uint32_t p : outputs(s)) {
-      out[idx[i]].push_back({p, pos[i] + k + 1});
+  // Record lane i's matches unless they end in its overlap: those belong to
+  // the previous piece, which reports them.
+  const auto emit = [&](std::size_t i) {
+    if (off[i] <= own[i]) return;
+    for (const std::uint32_t p : outputs(state[i])) {
+      out[idx[i]].push_back({p, off[i]});
       ++total;
     }
   };
@@ -232,58 +314,49 @@ std::size_t AhoCorasick::scan_lanes(
     // Run every live lane for the shortest remaining length: inside the
     // chunk there are no end-of-text branches, just nl independent
     // state->load->state chains the core can overlap.
-    std::size_t chunk = ~std::size_t{0};
-    for (std::size_t i = 0; i < nl; ++i) chunk = std::min(chunk, remaining[i]);
-
-    if (nl == kLanes) {
-      // Full complement: fixed-trip inner loop the compiler fully unrolls,
-      // states pinned in registers.
-      std::uint32_t st[kLanes];
-      for (std::size_t i = 0; i < kLanes; ++i) st[i] = state[i];
-      for (std::size_t k = 0; k < chunk; ++k) {
-        for (std::size_t i = 0; i < kLanes; ++i) {
-          const std::uint32_t s = static_cast<std::uint32_t>(
-              table[static_cast<std::size_t>(st[i]) * 256 + cursor[i][k]]);
-          st[i] = s;
-          if (accept[s] != 0) [[unlikely]] {
-            emit(i, s, k);
-          }
-        }
+    std::size_t chunk = left[0];
+    for (std::size_t i = 1; i < nl; ++i) chunk = std::min(chunk, left[i]);
+    for (std::size_t done = 0; done < chunk;) {
+      const std::size_t len = chunk - done;
+      const std::uint32_t fa = first_accept_;
+      std::size_t k = 0;
+      switch (nl) {
+        case 1: k = scan_chunk<1>(table, fa, cur, state, len); break;
+        case 2: k = scan_chunk<2>(table, fa, cur, state, len); break;
+        case 3: k = scan_chunk<3>(table, fa, cur, state, len); break;
+        case 4: k = scan_chunk<4>(table, fa, cur, state, len); break;
+        case 5: k = scan_chunk<5>(table, fa, cur, state, len); break;
+        case 6: k = scan_chunk<6>(table, fa, cur, state, len); break;
+        case 7: k = scan_chunk<7>(table, fa, cur, state, len); break;
+        default: k = scan_chunk<8>(table, fa, cur, state, len); break;
       }
-      for (std::size_t i = 0; i < kLanes; ++i) state[i] = st[i];
-    } else {
-      for (std::size_t k = 0; k < chunk; ++k) {
-        for (std::size_t i = 0; i < nl; ++i) {
-          const std::uint32_t s = static_cast<std::uint32_t>(
-              table[static_cast<std::size_t>(state[i]) * 256 + cursor[i][k]]);
-          state[i] = s;
-          if (accept[s] != 0) [[unlikely]] {
-            emit(i, s, k);
-          }
-        }
+      done += k;
+      for (std::size_t i = 0; i < nl; ++i) {
+        cur[i] += k;
+        off[i] += k;
+        if (has_output(state[i])) emit(i);
       }
     }
 
-    for (std::size_t i = 0; i < nl; ++i) {
-      cursor[i] += chunk;
-      pos[i] += chunk;
-      remaining[i] -= chunk;
-    }
-    // Retire exhausted lanes: refill from the pending texts or compact.
+    // Retire exhausted lanes: refill from the pending pieces or compact.
+    for (std::size_t i = 0; i < nl; ++i) left[i] -= chunk;
     for (std::size_t i = 0; i < nl;) {
-      if (remaining[i] == 0) {
-        if (!refill(i)) {
-          --nl;
-          cursor[i] = cursor[nl];
-          pos[i] = pos[nl];
-          remaining[i] = remaining[nl];
-          idx[i] = idx[nl];
-          state[i] = state[nl];
-        }
+      if (left[i] == 0 && !refill(i)) {
+        --nl;
+        cur[i] = cur[nl];
+        off[i] = off[nl];
+        own[i] = own[nl];
+        left[i] = left[nl];
+        idx[i] = idx[nl];
+        state[i] = state[nl];
       } else {
         ++i;
       }
     }
+  }
+
+  for (std::size_t t = 0; t < texts.size(); ++t) {
+    if (texts[t].size() > piece) restore_order(out[t], piece);
   }
   return total;
 }
@@ -292,19 +365,27 @@ std::size_t AhoCorasick::find_all_multi(
     std::span<const std::span<const std::uint8_t>> texts,
     std::span<std::vector<PatternMatch>> out) const {
   DHL_CHECK(out.size() >= texts.size());
+  for (std::size_t i = 0; i < texts.size(); ++i) out[i].clear();
   // Kernel "ac_multilane" (simd::kernel_report): no vector instructions,
   // but the lane interleave is the same scalar-vs-fast contract, so it sits
   // behind the sse42 tier -- DHL_SIMD=scalar forces the reference loop.
-  if (texts.size() < 2 ||
-      !common::simd::enabled(common::simd::Isa::kSse42)) {
+  if (!common::simd::enabled(common::simd::Isa::kSse42)) {
     std::size_t total = 0;
     for (std::size_t i = 0; i < texts.size(); ++i) {
       total += find_all(texts[i], out[i]);
     }
     return total;
   }
-  return dfa16_.empty() ? scan_lanes(dfa_.data(), texts, out)
-                        : scan_lanes(dfa16_.data(), texts, out);
+  if (pattern_count_ == 0) return 0;
+  // Cut texts into pieces so the batch fills kLanes lanes.  A piece re-reads
+  // (longest - 1) bytes of overlap; the 4x floor keeps that under a quarter
+  // of its bytes, and the 64 B floor keeps short texts whole.
+  std::size_t bytes = 0;
+  for (const auto t : texts) bytes += t.size();
+  const std::size_t piece = std::max({(bytes + kLanes - 1) / kLanes,
+                                      4 * (longest_ - 1), std::size_t{64}});
+  return dfa16_.empty() ? scan_lanes(dfa_.data(), texts, out, piece)
+                        : scan_lanes(dfa16_.data(), texts, out, piece);
 }
 
 bool AhoCorasick::contains_any(std::span<const std::uint8_t> text) const {

@@ -11,16 +11,21 @@
 //
 // Construction: trie (sorted-vector edges) -> BFS failure links -> output
 // merging -> dense next-state table (state x 256), stored as uint16 when the
-// automaton has <= 65536 states to halve its cache footprint.
+// automaton has <= 65536 states to halve its cache footprint.  States are
+// numbered non-accepting first, so "does this state accept" is one compare
+// against first_accept_ and the scan loops load nothing but the table.
 //
-// Scanning: the per-byte loop is a single dependent table load, so one lane
-// is bounded by load latency, not bandwidth.  find_all_multi() walks up to
-// kLanes texts concurrently -- the records of one Packer batch, or one
-// worker burst -- so the independent lanes' loads overlap in the memory
-// pipeline.
-// Under a DHL_SIMD=scalar cap (common/simd.hpp) it degrades to the
-// single-lane reference loop; outputs are bit-identical either way
-// (test_simd_parity).
+// Scanning: the per-byte step is a single dependent table load, so one walk
+// is bounded by load latency, not bandwidth.  find_all_multi() keeps kLanes
+// independent walks in registers, one call-free kernel per live-lane width,
+// so their loads overlap in the memory pipeline.  To fill the lanes when a
+// call holds fewer than kLanes texts (one record, a 4-record Packer batch),
+// it cuts long texts into pieces; each piece after a text's first starts
+// (longest pattern - 1) bytes early, which puts the DFA in the whole-text
+// state by the first byte of its own range, and reports only matches that
+// end inside that range.  Under a DHL_SIMD=scalar cap (common/simd.hpp) it
+// runs the single-lane reference find_all() per text; outputs are
+// bit-identical either way (test_simd_parity).
 
 #include <array>
 #include <cstdint>
@@ -51,8 +56,8 @@ class AhoCorasick {
                            bool case_insensitive = false,
                            bool compact_table = true);
 
-  std::size_t pattern_count() const { return pattern_lens_.size(); }
-  std::size_t state_count() const { return fail_.size(); }
+  std::size_t pattern_count() const { return pattern_count_; }
+  std::size_t state_count() const { return output_range_.size(); }
   bool case_insensitive() const { return case_insensitive_; }
   bool compact_table() const { return !dfa16_.empty(); }
 
@@ -60,10 +65,10 @@ class AhoCorasick {
   std::size_t find_all(std::span<const std::uint8_t> text,
                        std::vector<PatternMatch>& out) const;
 
-  /// Multi-lane find_all: scan `texts[i]` appending its matches to `out[i]`
-  /// (out must be at least texts.size() long; entries are appended to, not
-  /// cleared).  Returns the total number of matches.  Per-text results are
-  /// byte-identical to find_all on that text.
+  /// Multi-lane find_all: clear `out[i]`, then fill it with the matches of
+  /// `texts[i]` (out must be at least texts.size() long).  Returns the total
+  /// number of matches.  Per-text results are byte-identical to find_all on
+  /// that text, order included.
   std::size_t find_all_multi(
       std::span<const std::span<const std::uint8_t>> texts,
       std::span<std::vector<PatternMatch>> out) const;
@@ -81,11 +86,9 @@ class AhoCorasick {
     const std::size_t i = static_cast<std::size_t>(state) * 256 + byte;
     return dfa16_.empty() ? dfa_[i] : dfa16_[i];
   }
-  /// True when `state` accepts at least one pattern (cheaper than
-  /// outputs().empty() in the per-byte loop: one byte load, no span).
-  bool has_output(std::uint32_t state) const {
-    return has_output_[state] != 0;
-  }
+  /// True when `state` accepts at least one pattern: accepting states are
+  /// numbered last, so this is one compare and no load.
+  bool has_output(std::uint32_t state) const { return state >= first_accept_; }
   /// Patterns accepted at `state` (indices into the pattern list).
   std::span<const std::uint32_t> outputs(std::uint32_t state) const {
     const auto& range = output_range_[state];
@@ -98,17 +101,18 @@ class AhoCorasick {
   template <typename Entry>
   std::size_t scan_lanes(const Entry* table,
                          std::span<const std::span<const std::uint8_t>> texts,
-                         std::span<std::vector<PatternMatch>> out) const;
+                         std::span<std::vector<PatternMatch>> out,
+                         std::size_t piece) const;
 
   bool case_insensitive_ = false;
   std::array<std::uint8_t, 256> fold_{};      // identity or tolower
   std::vector<std::uint32_t> dfa_;            // dense: state*256 + byte
   std::vector<std::uint16_t> dfa16_;          // narrow form (exclusive w/ dfa_)
-  std::vector<std::uint8_t> has_output_;      // per state: any pattern accepted
-  std::vector<std::uint32_t> fail_;           // kept for inspection/tests
+  std::uint32_t first_accept_ = 0;            // states >= this accept
   std::vector<std::pair<std::uint32_t, std::uint32_t>> output_range_;
   std::vector<std::uint32_t> outputs_;        // flattened output lists
-  std::vector<std::uint32_t> pattern_lens_;
+  std::size_t pattern_count_ = 0;
+  std::size_t longest_ = 0;                   // longest pattern, bytes
 };
 
 }  // namespace dhl::match

@@ -1,6 +1,6 @@
 #include "dhl/netio/pktgen.hpp"
 
-#include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "dhl/common/check.hpp"
@@ -12,6 +12,16 @@ namespace {
 constexpr char kFillerText[] =
     "the quick brown fox jumps over the lazy dog while packets flow through "
     "the network function chain at line rate without loss ";
+constexpr std::size_t kTextLen = sizeof(kFillerText) - 1;
+
+/// The filler text repeated past 16 KB + one period, so a text payload of up
+/// to 16 KB at any starting phase is one copy out of this buffer.
+constexpr std::size_t kTiledPayloadMax = 16 * 1024;
+constexpr auto kTiledFiller = [] {
+  std::array<char, kTiledPayloadMax + kTextLen> t{};
+  for (std::size_t i = 0; i < t.size(); ++i) t[i] = kFillerText[i % kTextLen];
+  return t;
+}();
 }  // namespace
 
 FrameFactory::FrameFactory(TrafficConfig config)
@@ -67,15 +77,11 @@ void FrameFactory::fill_payload(std::span<std::uint8_t> payload,
       return;
     case PayloadKind::kText:
     case PayloadKind::kTextAttacks: {
-      constexpr std::size_t kTextLen = sizeof(kFillerText) - 1;
       // Start at a random phase so payloads differ across frames.
-      std::size_t phase = rng_.bounded(kTextLen);
-      for (std::size_t i = 0; i < payload.size();) {
-        const std::size_t n = std::min(kTextLen - phase, payload.size() - i);
-        std::memcpy(payload.data() + i, kFillerText + phase, n);
-        i += n;
-        phase = 0;
-      }
+      const std::size_t phase = rng_.bounded(kTextLen);
+      DHL_CHECK_MSG(payload.size() <= kTiledPayloadMax,
+                    "text payload over " << kTiledPayloadMax << " B");
+      std::memcpy(payload.data(), kTiledFiller.data() + phase, payload.size());
       if (config_.payload == PayloadKind::kTextAttacks &&
           rng_.uniform() < config_.attack_probability) {
         const std::string& attack = config_.attack_strings[rng_.bounded(

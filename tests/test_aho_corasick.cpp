@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <vector>
@@ -102,6 +103,45 @@ TEST(AhoCorasick, DfaStepMatchesOutputs) {
   s = ac.step(s, 'b');
   s = ac.step(s, 'c');
   EXPECT_EQ(ac.outputs(s).size(), 1u);
+}
+
+TEST(AhoCorasick, AcceptingStatesNumberedLast) {
+  // has_output() is one compare because build() numbers every accepting
+  // state after every non-accepting one; the scans start at root, id 0.
+  Xoshiro256 rng{0xACCE97ull};
+  std::vector<std::string> patterns{"he", "she", "his", "hers"};
+  for (int i = 0; i < 40; ++i) {
+    std::string p;
+    const std::size_t len = 1 + rng.bounded(8);
+    for (std::size_t j = 0; j < len; ++j) {
+      p.push_back(static_cast<char>('a' + rng.bounded(5)));
+    }
+    patterns.push_back(std::move(p));
+  }
+  for (const bool compact : {true, false}) {
+    const auto ac = AhoCorasick::build(patterns, /*case_insensitive=*/false,
+                                       compact);
+    std::size_t first_accepting = ac.state_count();
+    std::size_t last_plain = 0;
+    for (std::uint32_t s = 0; s < ac.state_count(); ++s) {
+      const bool accepts = !ac.outputs(s).empty();
+      EXPECT_EQ(ac.has_output(s), accepts) << "state " << s;
+      if (accepts) {
+        first_accepting = std::min<std::size_t>(first_accepting, s);
+      } else {
+        last_plain = s;
+      }
+    }
+    EXPECT_LT(last_plain, first_accepting);
+    EXPECT_LT(first_accepting, ac.state_count());
+    // Root is 0: it accepts nothing, a byte no pattern holds returns to it,
+    // and "he" read from 0 accepts pattern 0.
+    EXPECT_FALSE(ac.has_output(0));
+    EXPECT_EQ(ac.step(ac.step(0, 'h'), 'z'), 0u);
+    const std::uint32_t he = ac.step(ac.step(0, 'h'), 'e');
+    ASSERT_TRUE(ac.has_output(he));
+    EXPECT_EQ(ac.outputs(he)[0], 0u);
+  }
 }
 
 TEST(AhoCorasick, WideTableMatchesCompact) {

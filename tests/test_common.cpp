@@ -147,18 +147,28 @@ TEST(Crc32c, KnownVectors) {
   const std::vector<std::uint8_t> ones(32, 0xff);
   EXPECT_EQ(crc32c(ones), 0x62a8ab43u);
   EXPECT_EQ(crc32c({}), 0u);
+  // 6145 bytes: eight of the hardware path's three-block rounds plus a
+  // one-byte tail.  Reference from a bitwise CRC-32C in Python.
+  std::vector<std::uint8_t> long_buf(6145);
+  for (std::size_t i = 0; i < long_buf.size(); ++i) {
+    long_buf[i] = static_cast<std::uint8_t>(i * 131 + (i >> 8));
+  }
+  EXPECT_EQ(crc32c(long_buf), 0x28b8af60u);
 }
 
 TEST(Crc32c, SeedChainsAcrossPieces) {
   Xoshiro256 rng{11};
   // Every split of a buffer must give the same checksum as one pass, at
   // every length that exercises the 8/4/1-byte strides of both the
-  // hardware and slice-by-8 paths.
-  for (const std::size_t len : {1u, 7u, 8u, 9u, 63u, 256u, 1000u}) {
+  // hardware and slice-by-8 paths and the hardware path's three-block
+  // rounds; cuts off the 8-byte grid start a piece's rounds unaligned.
+  for (const std::size_t len : {1u, 7u, 8u, 9u, 63u, 256u, 1000u, 2500u}) {
     std::vector<std::uint8_t> buf(len);
     rng.fill(buf.data(), buf.size());
     const std::uint32_t whole = crc32c(buf);
-    for (const std::size_t cut : {std::size_t{0}, len / 3, len / 2, len}) {
+    for (const std::size_t cut : {std::size_t{0}, std::size_t{1}, len / 3,
+                                  len / 2, ((len * 2) / 3) | 1, len - 3, len}) {
+      if (cut > len) continue;
       const std::uint32_t part = crc32c(
           std::span{buf}.subspan(cut), crc32c(std::span{buf}.first(cut)));
       EXPECT_EQ(part, whole) << "len=" << len << " cut=" << cut;
@@ -170,7 +180,8 @@ TEST(Crc32c, SoftwarePathMatchesDispatchedPath) {
   // crc32c() may dispatch to the SSE4.2 instruction; the portable
   // slice-by-8/byte path must produce identical checksums.
   Xoshiro256 rng{13};
-  for (const std::size_t len : {1u, 5u, 64u, 255u, 4096u}) {
+  for (const std::size_t len : {1u, 5u, 64u, 255u, 767u, 768u, 769u, 1535u,
+                                2304u, 4096u, 6144u, 6145u}) {
     std::vector<std::uint8_t> buf(len);
     rng.fill(buf.data(), buf.size());
     EXPECT_EQ(~common::detail::crc32c_update_sw(buf, ~0u), crc32c(buf))

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "dhl/netio/headers.hpp"
 #include "dhl/netio/mempool.hpp"
@@ -138,6 +140,51 @@ TEST(Pktgen, CleanTextPayloadHasNoAttacks) {
   for (int i = 0; i < 100; ++i) factory.build(*m);
   EXPECT_EQ(factory.attack_frames(), 0u);
   m->release();
+}
+
+TEST(Pktgen, TextPayloadIsFillerFromOnePhase) {
+  // A text payload is the filler text read cyclically from one random
+  // phase, whatever the payload length, up to the 16 KB limit.
+  static constexpr char kFiller[] =
+      "the quick brown fox jumps over the lazy dog while packets flow through "
+      "the network function chain at line rate without loss ";
+  constexpr std::size_t kLen = sizeof(kFiller) - 1;
+  constexpr std::uint32_t kHeaders = 42;  // Ethernet + IPv4 + UDP
+  MbufPool pool{"p", 1, 17 * 1024, 0};
+  TrafficConfig cfg;
+  cfg.payload = PayloadKind::kText;
+  cfg.size_mix = {{64, 1}, {1500, 1}, {9000, 1}, {16 * 1024 + kHeaders, 1}};
+  FrameFactory factory{cfg};
+  Mbuf* m = pool.alloc();
+  std::vector<bool> phases_seen(kLen, false);
+  for (int f = 0; f < 200; ++f) {
+    factory.build(*m);
+    const PacketView v = parse_packet(m->payload());
+    ASSERT_TRUE(v.valid);
+    ASSERT_EQ(v.payload_offset, kHeaders);
+    const std::uint8_t* payload = m->data() + v.payload_offset;
+    const std::size_t n = m->data_len() - v.payload_offset;
+    std::size_t phase = kLen;
+    for (std::size_t p = 0; p < kLen && phase == kLen; ++p) {
+      bool all = true;
+      for (std::size_t i = 0; i < n && all; ++i) {
+        all = payload[i] == static_cast<std::uint8_t>(kFiller[(p + i) % kLen]);
+      }
+      if (all) phase = p;
+    }
+    ASSERT_LT(phase, kLen) << "frame " << f << " payload " << n << " B";
+    phases_seen[phase] = true;
+  }
+  m->release();
+  EXPECT_GT(std::count(phases_seen.begin(), phases_seen.end(), true), 50);
+
+  TrafficConfig too_long;
+  too_long.payload = PayloadKind::kText;
+  too_long.frame_len = 16 * 1024 + kHeaders + 1;
+  FrameFactory over{too_long};
+  Mbuf* big = pool.alloc();
+  EXPECT_THROW(over.build(*big), std::logic_error);
+  big->release();
 }
 
 TEST(Pktgen, RejectsBadConfig) {

@@ -434,6 +434,82 @@ TEST(SimdParity, AhoCorasickMultiLaneAllTiers) {
   }
 }
 
+TEST(SimdParity, AhoCorasickLongTextsMatchSingleLane) {
+  // One record, one long text, a 4-record Packer batch and a 9-text burst:
+  // the first three are cut into overlapping pieces.  A 40 B word planted
+  // every 43 bytes, at each of the 43 phases, ends at, just before and just
+  // after every piece boundary; its suffixes are patterns too, so several
+  // patterns end at one offset, and short random patterns over the same
+  // 3-letter alphabet add dense matches across every boundary.
+  CapGuard guard;
+  Xoshiro256 rng{0x1046AC5ull};
+  const auto letter = [&rng] {
+    return static_cast<char>('a' + rng.bounded(3));
+  };
+  std::string word;
+  for (int i = 0; i < 40; ++i) word.push_back(letter());
+  std::vector<std::string> patterns{word, word.substr(10), word.substr(23),
+                                    word.substr(35)};
+  for (int i = 0; i < 12; ++i) {
+    std::string p;
+    const std::size_t len = 1 + rng.bounded(40);
+    for (std::size_t j = 0; j < len; ++j) p.push_back(letter());
+    patterns.push_back(std::move(p));
+  }
+  constexpr std::size_t kPeriod = 43;
+  const std::vector<std::vector<std::size_t>> shapes{
+      {1458}, {5000}, {1458, 1458, 1458, 1458},
+      std::vector<std::size_t>(9, 700)};
+
+  for (const bool compact : {true, false}) {
+    const bool nocase = compact;
+    const match::AhoCorasick ac =
+        match::AhoCorasick::build(patterns, nocase, compact);
+    for (const auto& lens : shapes) {
+      for (std::size_t phase = 0; phase < kPeriod; ++phase) {
+        std::vector<std::vector<std::uint8_t>> texts;
+        for (const std::size_t len : lens) {
+          std::vector<std::uint8_t> t(len);
+          for (auto& b : t) b = static_cast<std::uint8_t>(letter());
+          for (std::size_t at = phase; at + word.size() <= len;
+               at += kPeriod) {
+            std::memcpy(t.data() + at, word.data(), word.size());
+          }
+          if (nocase) {
+            for (auto& b : t) {
+              if (rng.bounded(2) != 0) b = static_cast<std::uint8_t>(b - 32);
+            }
+          }
+          texts.push_back(std::move(t));
+        }
+        std::vector<std::span<const std::uint8_t>> spans(texts.begin(),
+                                                         texts.end());
+        std::vector<std::vector<match::PatternMatch>> want(texts.size());
+        for (std::size_t i = 0; i < texts.size(); ++i) {
+          ac.find_all(spans[i], want[i]);
+        }
+        for (const auto isa : host_tiers()) {
+          simd::set_cap(isa);
+          std::vector<std::vector<match::PatternMatch>> got(texts.size());
+          ac.find_all_multi(spans, got);
+          for (std::size_t i = 0; i < texts.size(); ++i) {
+            ASSERT_EQ(got[i].size(), want[i].size())
+                << "text " << i << " of " << texts.size() << " phase "
+                << phase << " compact=" << compact
+                << " isa=" << simd::to_string(isa);
+            for (std::size_t k = 0; k < want[i].size(); ++k) {
+              ASSERT_EQ(got[i][k].pattern, want[i][k].pattern)
+                  << "text " << i << " match " << k;
+              ASSERT_EQ(got[i][k].end_offset, want[i][k].end_offset)
+                  << "text " << i << " match " << k;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- copy kernel -------------------------------------------------------------
 
 TEST(SimdParity, CopyBytesMatchesMemcpy) {
@@ -489,7 +565,9 @@ TEST(SimdParity, CopyBytesCrossPage) {
 TEST(SimdParity, Crc32cAllTiers) {
   CapGuard guard;
   Xoshiro256 rng{0xCCC32ull};
-  for (const std::size_t len : {0ul, 1ul, 7ul, 8ul, 9ul, 100ul, 1500ul}) {
+  for (const std::size_t len : {0ul, 1ul, 7ul, 8ul, 9ul, 100ul, 767ul, 768ul,
+                                769ul, 1500ul, 1535ul, 2304ul, 6144ul,
+                                6145ul}) {
     std::vector<std::uint8_t> buf(len);
     rng.fill(buf.data(), buf.size());
     simd::set_cap(simd::Isa::kScalar);
@@ -517,8 +595,10 @@ TEST(SimdParity, PatternModuleProcessBatchMatchesProcess) {
   // various lengths (the module parses packet headers when present and
   // scans payload bytes otherwise -- both shapes appear here).
   std::vector<std::vector<std::uint8_t>> pkts;
-  for (int i = 0; i < 24; ++i) {
-    std::vector<std::uint8_t> p(20 + rng.bounded(1400));
+  for (int i = 0; i < 32; ++i) {
+    // The last 8 are MTU frames, which one-record and 4-record scans cut
+    // into pieces.
+    std::vector<std::uint8_t> p(i < 24 ? 20 + rng.bounded(1400) : 1500);
     rng.fill(p.data(), p.size());
     if (i % 3 == 0) {
       static constexpr char kText[] = "an OVERFLOW attack hides here";
@@ -551,6 +631,14 @@ TEST(SimdParity, PatternModuleProcessBatchMatchesProcess) {
     }
     EXPECT_EQ(got, want) << simd::to_string(isa);
     EXPECT_EQ(copies, pkts);
+    // The Packer batch shape: runs of 4 records.
+    for (std::size_t first = 0; first < pkts.size(); first += 4) {
+      mod.process_batch({datas.data() + first, 4}, {results.data(), 4});
+      for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(results[i].result, want[first + i])
+            << "record " << first + i << " " << simd::to_string(isa);
+      }
+    }
   }
 }
 
