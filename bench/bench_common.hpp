@@ -29,6 +29,7 @@
 #include "dhl/common/rng.hpp"
 #include "dhl/common/simd.hpp"
 #include "dhl/crypto/aes.hpp"
+#include "dhl/crypto/md5.hpp"
 #include "dhl/crypto/sha1.hpp"
 #include "dhl/fpga/device.hpp"
 #include "dhl/runtime/config_load.hpp"
@@ -685,8 +686,8 @@ inline bool run_crc_ab_suite(int pairs = 15) {
 // one registered CPU vector kernel (common/simd.hpp registry) against its
 // scalar reference by flipping the process-wide ISA cap between arms, on the
 // same buffers in the same process.  The speedups land in BENCH_micro.json
-// under "kernels" and CI's Release perf smoke gates the AES-CTR, SHA-1 and
-// pattern-matching rows.
+// under "kernels" and CI's Release perf smoke gates the AES-CTR, SHA-1,
+// pattern-matching and MD5 rows.
 
 /// One kernel's paired measurement.  `isa` is the tier the kernel selects on
 /// this host when uncapped (matches the dhl.simd.kernel_isa gauge).
@@ -699,28 +700,45 @@ struct KernelAbRow {
   std::uint64_t bytes = 0;  ///< payload bytes per call
 };
 
-/// Minimum block-average ns per call of `fn` over `blocks` blocks of `iters`
-/// calls.  Means are useless for this on a shared box: preemption arrives in
-/// multi-millisecond slices and run averages of the same kernel wander by
-/// 50% between invocations.  The per-block minimum converges on the
-/// interference-free floor and repeats to a few percent, which is what a CI
-/// ratio gate needs.
-inline double min_block_ns(int iters, int blocks,
-                           const std::function<void()>& fn) {
-  using Clock = std::chrono::steady_clock;
-  double best = std::numeric_limits<double>::infinity();
-  for (int b = 0; b < blocks; ++b) {
-    const auto t0 = Clock::now();
-    for (int i = 0; i < iters; ++i) fn();
-    const auto t1 = Clock::now();
-    const double ns =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                .count()) /
-        static_cast<double>(iters);
-    if (ns < best) best = ns;
+/// Each arm's minimum block cost from interleaved_min_ns().
+struct ArmMinimums {
+  double scalar_ns = std::numeric_limits<double>::infinity();
+  double vector_ns = std::numeric_limits<double>::infinity();
+};
+
+/// Run `blocks` pairs of blocks, one under the scalar cap and one under
+/// `ambient`, alternating which goes first, and keep each arm's minimum of
+/// `block()` (a block's cost).  Means are useless for this on a shared box:
+/// preemption arrives in multi-millisecond slices and run averages of the
+/// same kernel wander by 50% between invocations.  The per-block minimum
+/// converges on the interference-free floor, and interleaving puts both arms
+/// in the same stretch of host time, so a co-tenant period cannot slow one
+/// whole arm and miss the other.  Leaves the cap at `ambient`.
+inline ArmMinimums interleaved_min_ns(int blocks, common::simd::Isa ambient,
+                                      const std::function<double()>& block) {
+  namespace simd = common::simd;
+  ArmMinimums m;
+  for (int pair = 0; pair < blocks; ++pair) {
+    for (const bool scalar : {pair % 2 == 0, pair % 2 != 0}) {
+      simd::set_cap(scalar ? simd::Isa::kScalar : ambient);
+      double& best = scalar ? m.scalar_ns : m.vector_ns;
+      best = std::min(best, block());
+    }
   }
-  return best;
+  simd::set_cap(ambient);
+  return m;
+}
+
+/// Average ns per call of `iters` back-to-back calls of `fn`.
+inline double block_ns(int iters, const std::function<void()>& fn) {
+  using Clock = std::chrono::steady_clock;
+  const auto t0 = Clock::now();
+  for (int i = 0; i < iters; ++i) fn();
+  const auto t1 = Clock::now();
+  return static_cast<double>(
+             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                 .count()) /
+         static_cast<double>(iters);
 }
 
 /// Measure every registered kernel; restores the ambient ISA cap on return
@@ -744,10 +762,10 @@ inline std::vector<KernelAbRow> run_kernel_ab(int blocks = 40) {
     KernelAbRow r;
     r.kernel = kernel;
     r.isa = isa_of(kernel);
-    simd::set_cap(simd::Isa::kScalar);
-    r.scalar_ns = min_block_ns(iters, blocks, fn);
-    simd::set_cap(ambient);
-    r.vector_ns = min_block_ns(iters, blocks, fn);
+    const ArmMinimums m = interleaved_min_ns(
+        blocks, ambient, [&] { return block_ns(iters, fn); });
+    r.scalar_ns = m.scalar_ns;
+    r.vector_ns = m.vector_ns;
     r.speedup = r.vector_ns > 0 ? r.scalar_ns / r.vector_ns : 0;
     r.bytes = bytes;
     rows.push_back(std::move(r));
@@ -807,6 +825,28 @@ inline std::vector<KernelAbRow> run_kernel_ab(int blocks = 40) {
     // clean floor sample if the whole block ran undisturbed.
     measure("ac_multilane", kLanes * 1500, 40,
             [&] { ac.find_all_multi(spans, hits); });
+  }
+  {  // md5: one 16-record run of the fused md5-auth -> aes256-ctr chain:
+    // the IMIX frames' L4 payloads (22, 528 and 1458 B) in the 7:4:1 mix,
+    // rounded to 9:5:2, in shuffled arrival order.
+    std::vector<std::size_t> lens(9, 22);
+    lens.insert(lens.end(), 5, 528);
+    lens.insert(lens.end(), 2, 1458);
+    for (std::size_t i = lens.size() - 1; i > 0; --i) {
+      std::swap(lens[i], lens[rng.bounded(i + 1)]);
+    }
+    std::vector<std::vector<std::uint8_t>> payloads;
+    std::uint64_t bytes = 0;
+    for (const std::size_t len : lens) {
+      payloads.emplace_back(len);
+      rng.fill(payloads.back().data(), len);
+      bytes += len;
+    }
+    const std::vector<std::span<const std::uint8_t>> msgs(payloads.begin(),
+                                                          payloads.end());
+    std::vector<crypto::Md5::Digest> digests(msgs.size());
+    measure("md5", bytes, 100,
+            [&] { crypto::Md5::digest_many(msgs, digests); });
   }
   {  // batch_copy: one 240 B record payload -- the linearize() copy shape at
     // the micro-bench frame size, inside the kCopyVectorMax window where the
@@ -941,25 +981,18 @@ inline FallbackAb run_fallback_quarantine_ab(int blocks = 24,
   };
 
   const double pkts_per_round = static_cast<double>(kBurst);
-  auto arm_ns_per_pkt = [&]() {
-    double best = std::numeric_limits<double>::infinity();
-    for (int b = 0; b < blocks; ++b) {
-      std::uint64_t ns = 0;
-      for (int r = 0; r < rounds_per_block; ++r) ns += round();
-      const double per_pkt = static_cast<double>(ns) /
-                             (pkts_per_round * rounds_per_block);
-      if (per_pkt < best) best = per_pkt;
-    }
-    return best;
+  auto block_ns_per_pkt = [&]() {
+    std::uint64_t ns = 0;
+    for (int r = 0; r < rounds_per_block; ++r) ns += round();
+    return static_cast<double>(ns) / (pkts_per_round * rounds_per_block);
   };
 
   const simd::Isa ambient = simd::cap();
   FallbackAb ab;
   for (int i = 0; i < 4; ++i) round();  // warmup (also primes quarantine)
-  simd::set_cap(simd::Isa::kScalar);
-  ab.scalar_ns_per_pkt = arm_ns_per_pkt();
-  simd::set_cap(ambient);
-  ab.vector_ns_per_pkt = arm_ns_per_pkt();
+  const ArmMinimums m = interleaved_min_ns(blocks, ambient, block_ns_per_pkt);
+  ab.scalar_ns_per_pkt = m.scalar_ns;
+  ab.vector_ns_per_pkt = m.vector_ns;
   ab.speedup = ab.vector_ns_per_pkt > 0
                    ? ab.scalar_ns_per_pkt / ab.vector_ns_per_pkt
                    : 0;
@@ -1035,7 +1068,8 @@ inline bool write_transfer_micro_json(
       << "  },\n";
   }
   // Per-kernel scalar-vs-vector speedups (run_kernel_ab): CI's Release
-  // perf gate asserts aes256_ctr >= 3x, sha1 >= 3x and ac_multilane >= 2x.
+  // perf gate asserts aes256_ctr >= 3x, sha1 >= 3x, ac_multilane >= 2x and
+  // md5 >= 1.4x.
   if (kernels != nullptr && !kernels->empty()) {
     f << "  \"kernels\": [\n";
     for (std::size_t i = 0; i < kernels->size(); ++i) {

@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "dhl/accel/lz77.hpp"
-#include "dhl/crypto/md5.hpp"
+#include "dhl/common/check.hpp"
 #include "dhl/netio/headers.hpp"
 
 namespace dhl::accel {
@@ -16,17 +16,30 @@ void Md5Module::configure(std::span<const std::uint8_t> config) {
 }
 
 fpga::ProcessResult Md5Module::process(std::span<std::uint8_t> data) {
-  const netio::PacketView view = netio::parse_packet(data);
-  const std::size_t start = view.valid ? view.payload_offset : 0;
-  const auto digest =
-      crypto::Md5::digest({data.data() + start, data.size() - start});
-  std::uint64_t result = 0;
-  for (int i = 0; i < 8; ++i) {
-    result |= static_cast<std::uint64_t>(digest[static_cast<std::size_t>(i)])
-              << (8 * i);
+  fpga::ProcessResult result;
+  process_batch({&data, 1}, {&result, 1});
+  return result;
+}
+
+void Md5Module::process_batch(std::span<const std::span<std::uint8_t>> datas,
+                              std::span<fpga::ProcessResult> out) {
+  DHL_CHECK(out.size() >= datas.size());
+  const std::size_t n = datas.size();
+  payloads_.clear();
+  for (const std::span<std::uint8_t> data : datas) {
+    const netio::PacketView view = netio::parse_packet(data);
+    payloads_.push_back(data.subspan(view.valid ? view.payload_offset : 0));
   }
-  return {result, static_cast<std::uint32_t>(data.size()),
-          /*data_unmodified=*/true};
+  digests_.resize(n);
+  crypto::Md5::digest_many(payloads_, digests_);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t result = 0;
+    for (std::size_t b = 0; b < 8; ++b) {
+      result |= static_cast<std::uint64_t>(digests_[i][b]) << (8 * b);
+    }
+    out[i] = {result, static_cast<std::uint32_t>(datas[i].size()),
+              /*data_unmodified=*/true};
+  }
 }
 
 void CompressionModule::configure(std::span<const std::uint8_t> config) {

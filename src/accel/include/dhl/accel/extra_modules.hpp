@@ -15,13 +15,15 @@
 #include <vector>
 
 #include "dhl/crypto/aes.hpp"
+#include "dhl/crypto/md5.hpp"
 #include "dhl/fpga/accelerator.hpp"
 #include "dhl/fpga/bitstream.hpp"
 
 namespace dhl::accel {
 
-/// md5-auth: computes the MD5 digest of the packet's L4 payload and returns
-/// the first 8 digest bytes in the result word (little-endian).
+/// md5-auth: computes the MD5 digest of the packet's L4 payload (the whole
+/// record when it does not parse as a packet) and returns the first 8
+/// digest bytes in the result word (little-endian).
 class Md5Module final : public fpga::AcceleratorModule {
  public:
   const std::string& name() const override {
@@ -33,7 +35,18 @@ class Md5Module final : public fpga::AcceleratorModule {
     return {Bandwidth::gbps(48.0), 68};
   }
   void configure(std::span<const std::uint8_t> config) override;
+  /// One-record process_batch().
   fpga::ProcessResult process(std::span<std::uint8_t> data) override;
+  /// Hashes the run's payloads side by side (crypto::Md5::digest_many).
+  /// The module never rewrites bytes, so the result word is its whole
+  /// observable effect.
+  void process_batch(std::span<const std::span<std::uint8_t>> datas,
+                     std::span<fpga::ProcessResult> out) override;
+
+ private:
+  /// Scratch reused across calls, so a steady-state run allocates nothing.
+  std::vector<std::span<const std::uint8_t>> payloads_;
+  std::vector<crypto::Md5::Digest> digests_;
 };
 
 /// compression: LZ77-compresses the record in place when that shrinks it.

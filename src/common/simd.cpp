@@ -70,6 +70,7 @@ std::vector<KernelInfo> kernel_report() {
       {"batch_copy", Isa::kAvx2, false},     // common/simd.hpp copy_bytes
       {"gf256_addmul", Isa::kAvx2, false},   // common/gf256.cpp
       {"sha1", Isa::kSse42, true},           // crypto/sha1.cpp
+      {"md5", Isa::kAvx2, false},            // crypto/md5.cpp digest_many
   };
   std::vector<KernelInfo> out;
   out.reserve(std::size(kKernels));

@@ -78,21 +78,39 @@ void ChainModule::configure(std::span<const std::uint8_t> config) {
 }
 
 ProcessResult ChainModule::process(std::span<std::uint8_t> data) {
-  std::uint32_t len = static_cast<std::uint32_t>(data.size());
-  std::uint64_t result = 0;
-  bool all_unmodified = true;
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    ChainStageSlot& s = stages_[i];
-    const ProcessResult r = s.module->process(data.first(len));
-    DHL_CHECK_MSG(r.new_len <= len, "chain stage grew a record in place");
-    if (s.records != nullptr) s.records->add(1);
-    if (s.bytes != nullptr) s.bytes->add(len);
-    if (i == result_stage_) result = r.result;
-    all_unmodified = all_unmodified && r.data_unmodified;
-    len = r.new_len;
+  ProcessResult result;
+  process_batch({&data, 1}, {&result, 1});
+  return result;
+}
+
+void ChainModule::process_batch(std::span<const std::span<std::uint8_t>> datas,
+                                std::span<ProcessResult> out) {
+  DHL_CHECK(out.size() >= datas.size());
+  const std::size_t n = datas.size();
+  windows_.assign(datas.begin(), datas.end());
+  stage_out_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) out[i].data_unmodified = true;
+  for (std::size_t s = 0; s < stages_.size(); ++s) {
+    ChainStageSlot& stage = stages_[s];
+    stage.module->process_batch(windows_, stage_out_);
+    std::uint64_t bytes = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const ProcessResult& r = stage_out_[i];
+      DHL_CHECK_MSG(r.new_len <= windows_[i].size(),
+                    "chain stage grew a record in place");
+      bytes += windows_[i].size();
+      if (s == result_stage_) out[i].result = r.result;
+      out[i].data_unmodified = out[i].data_unmodified && r.data_unmodified;
+      windows_[i] = windows_[i].first(r.new_len);
+    }
+    if (stage.records != nullptr) stage.records->add(n);
+    if (stage.bytes != nullptr) stage.bytes->add(bytes);
   }
-  return {result, len,
-          all_unmodified && len == static_cast<std::uint32_t>(data.size())};
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i].new_len = static_cast<std::uint32_t>(windows_[i].size());
+    out[i].data_unmodified =
+        out[i].data_unmodified && windows_[i].size() == datas[i].size();
+  }
 }
 
 std::vector<std::uint8_t> encode_chain_config(

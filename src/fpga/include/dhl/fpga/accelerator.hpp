@@ -14,8 +14,9 @@
 //    completions in virtual time.
 //
 // The Dispatcher hands a module each run of same-acc_id records in one
-// process_batch() call.  An override (the multi-pipeline pattern matcher)
-// must return exactly what per-record process() calls would.
+// process_batch() call.  An override (the multi-pipeline pattern matcher,
+// the multi-buffer MD5 module, the stage-major fused chain) must return
+// exactly what per-record process() calls would.
 
 #include <cstdint>
 #include <memory>

@@ -7,8 +7,13 @@
 // traverses every constituent inside the fabric (lz77 -> aes256-ctr,
 // nc-encode -> aes256-ctr, ...), and returns once -- instead of paying one
 // PCIe round trip per stage.  Functionally the chain is exactly the
-// composition of its stages' process() transforms over a shrinking span, so
-// fused output is bit-identical to per-stage round trips.  Timing-wise the
+// composition of its stages' transforms over a shrinking span, so fused
+// output is bit-identical to per-stage round trips.  The host model runs
+// stage-major: each stage takes the whole run in one process_batch() call
+// (md5-auth hashes eight records side by side), then the next stage takes
+// the shrunken windows.  That is exact because every stage still sees its
+// own records in run order, and stages share no state, so the order in
+// which two stages' calls interleave is not observable.  Timing-wise the
 // chain reports one ModuleTiming per constituent through stage_timings(),
 // which the device turns into a store-and-forward pipeline: record N sits
 // in the AES stage while record N+1 is still in lz77.
@@ -60,7 +65,14 @@ class ChainModule final : public AcceleratorModule {
   /// throws std::invalid_argument.
   void configure(std::span<const std::uint8_t> config) override;
 
+  /// One-record process_batch().
   ProcessResult process(std::span<std::uint8_t> data) override;
+
+  /// Stage-major: each stage gets one process_batch() call over the whole
+  /// run, then every record's window shrinks to the length that stage
+  /// reported.
+  void process_batch(std::span<const std::span<std::uint8_t>> datas,
+                     std::span<ProcessResult> out) override;
 
   std::size_t stage_count() const { return stages_.size(); }
   const AcceleratorModule& stage(std::size_t i) const {
@@ -71,6 +83,10 @@ class ChainModule final : public AcceleratorModule {
   std::string name_;
   std::vector<ChainStageSlot> stages_;
   std::size_t result_stage_;
+  /// Per-record windows and one stage's results, reused across calls so a
+  /// steady-state run allocates nothing.
+  std::vector<std::span<std::uint8_t>> windows_;
+  std::vector<ProcessResult> stage_out_;
 };
 
 /// Build a ChainModule::configure() blob from per-stage blobs (empty ones

@@ -266,6 +266,39 @@ TEST(Md5Module, ResultIsDigestPrefix) {
   }
 }
 
+TEST(Md5Module, ProcessBatchMatchesProcess) {
+  // IMIX frames (7:4:1 of 64/570/1500 B) and a record that does not parse
+  // as a packet, which the module hashes whole.
+  std::vector<std::vector<std::uint8_t>> records;
+  for (std::uint64_t i = 0; i < 24; ++i) {
+    const std::uint32_t len = i % 12 < 7 ? 64 : i % 12 < 11 ? 570 : 1500;
+    records.push_back(make_frame(len, 100 + i));
+  }
+  records.emplace_back(300, 0);
+  const std::vector<std::uint8_t>& raw = records.back();
+  ASSERT_FALSE(netio::parse_packet(raw).valid);
+
+  Md5Module module;
+  std::vector<std::uint64_t> want;
+  for (auto r : records) want.push_back(module.process(r).result);
+  const auto raw_digest = crypto::Md5::digest(raw);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(static_cast<std::uint8_t>(want.back() >> (8 * i)),
+              raw_digest[static_cast<std::size_t>(i)]);
+  }
+
+  const auto before = records;
+  std::vector<std::span<std::uint8_t>> datas(records.begin(), records.end());
+  std::vector<fpga::ProcessResult> out(records.size());
+  module.process_batch(datas, out);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(out[i].result, want[i]) << "record " << i;
+    EXPECT_EQ(out[i].new_len, records[i].size());
+    EXPECT_TRUE(out[i].data_unmodified);
+  }
+  EXPECT_EQ(records, before);
+}
+
 TEST(CompressionModule, ShrinksCompressibleRecords) {
   CompressionModule module;
   std::vector<std::uint8_t> data(2000, 'A');

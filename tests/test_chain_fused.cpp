@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +19,8 @@
 #include "dhl/accel/network_coding.hpp"
 #include "dhl/crypto/aes.hpp"
 #include "dhl/fpga/chain_module.hpp"
+#include "dhl/netio/mempool.hpp"
+#include "dhl/netio/pktgen.hpp"
 #include "dhl/nf/chain.hpp"
 #include "dhl/nf/dhl_nf.hpp"
 #include "dhl/nf/nids.hpp"
@@ -132,6 +136,155 @@ TEST(ChainModuleUnit, ConfigureRoutesFramedBlobsToStages) {
                std::invalid_argument);  // stage index out of range
   EXPECT_THROW(chain.configure(std::vector<std::uint8_t>{0, 9, 0, 0, 0, 1}),
                std::invalid_argument);  // truncated payload
+}
+
+using StageFactory = std::function<fpga::ModulePtr()>;
+
+fpga::ModulePtr make_aes_stage() {
+  auto aes = std::make_unique<accel::Aes256CtrModule>();
+  aes->configure(accel::aes256_ctr_test_config());
+  return aes;
+}
+
+/// One chain built from `stages`, each stage slot with its own
+/// records/bytes counters (the dhl.chain.stage_records/bytes seam).
+struct CountedChain {
+  CountedChain(const std::vector<StageFactory>& stages,
+               std::size_t result_stage) {
+    std::vector<fpga::ChainStageSlot> slots;
+    for (const StageFactory& make : stages) {
+      telemetry::Counter& records = counters.emplace_back();
+      telemetry::Counter& bytes = counters.emplace_back();
+      slots.push_back({make(), &records, &bytes});
+    }
+    chain = std::make_unique<fpga::ChainModule>("twin", std::move(slots),
+                                                result_stage);
+  }
+  std::deque<telemetry::Counter> counters;
+  std::unique_ptr<fpga::ChainModule> chain;
+};
+
+/// One process_batch() call over `records` must equal per-record process()
+/// calls on a twin chain: bytes, result words, lengths, the unmodified
+/// flag and every stage counter.
+void expect_batch_matches_per_record(
+    const std::vector<StageFactory>& stages, std::size_t result_stage,
+    const std::vector<std::vector<std::uint8_t>>& records) {
+  CountedChain per_record{stages, result_stage};
+  CountedChain batched{stages, result_stage};
+
+  std::vector<std::vector<std::uint8_t>> want_bytes = records;
+  std::vector<fpga::ProcessResult> want;
+  for (auto& r : want_bytes) want.push_back(per_record.chain->process(r));
+
+  std::vector<std::vector<std::uint8_t>> got_bytes = records;
+  std::vector<std::span<std::uint8_t>> datas(got_bytes.begin(),
+                                             got_bytes.end());
+  std::vector<fpga::ProcessResult> got(records.size());
+  batched.chain->process_batch(datas, got);
+
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(got[i].result, want[i].result) << "record " << i;
+    EXPECT_EQ(got[i].new_len, want[i].new_len) << "record " << i;
+    EXPECT_EQ(got[i].data_unmodified, want[i].data_unmodified)
+        << "record " << i;
+    EXPECT_EQ(got_bytes[i], want_bytes[i]) << "record " << i;
+  }
+  ASSERT_EQ(batched.counters.size(), per_record.counters.size());
+  for (std::size_t c = 0; c < batched.counters.size(); ++c) {
+    EXPECT_EQ(batched.counters[c].value(), per_record.counters[c].value())
+        << "counter " << c;
+  }
+  // Independently of both paths: every stage counts every record, the
+  // first stage the entry lengths and the last stage (never a shrinking
+  // one in these chains) the final lengths.
+  std::uint64_t entry_bytes = 0;
+  std::uint64_t final_bytes = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    entry_bytes += records[i].size();
+    final_bytes += want[i].new_len;
+  }
+  for (std::size_t s = 0; s < stages.size(); ++s) {
+    EXPECT_EQ(batched.counters[2 * s].value(), records.size()) << "stage " << s;
+  }
+  EXPECT_EQ(batched.counters[1].value(), entry_bytes);
+  EXPECT_EQ(batched.counters.back().value(), final_bytes);
+}
+
+/// IMIX frames (7:4:1 of 64/570/1500 B) with random payloads.
+std::vector<std::vector<std::uint8_t>> imix_frames(std::size_t n) {
+  netio::TrafficConfig cfg;
+  cfg.size_mix = {{64, 7}, {570, 4}, {1500, 1}};
+  cfg.seed = 24;
+  netio::FrameFactory factory{cfg};
+  netio::MbufPool pool{"imix", 1, 2048, 0};
+  std::vector<std::vector<std::uint8_t>> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    netio::Mbuf* m = pool.alloc();
+    factory.build(*m);
+    out.emplace_back(m->payload().begin(), m->payload().end());
+    m->release();
+  }
+  return out;
+}
+
+/// Compressible text and random (incompressible) records, interleaved, so
+/// a shrinking front stage changes lengths mid-run.
+std::vector<std::vector<std::uint8_t>> mixed_compressibility() {
+  std::vector<std::vector<std::uint8_t>> out;
+  for (std::size_t i = 0; i < 12; ++i) {
+    if (i % 2 == 0) {
+      out.push_back(compressible_text(300 + 90 * i));
+    } else {
+      std::vector<std::uint8_t> r(200 + 70 * i);
+      for (std::size_t b = 0; b < r.size(); ++b) {
+        r[b] = static_cast<std::uint8_t>((b * 2654435761u + i) >> 13);
+      }
+      out.push_back(std::move(r));
+    }
+  }
+  return out;
+}
+
+TEST(ChainModuleUnit, ProcessBatchMatchesPerRecord) {
+  const StageFactory md5 = [] { return std::make_unique<accel::Md5Module>(); };
+  const StageFactory lz = [] {
+    return std::make_unique<accel::CompressionModule>();
+  };
+  const StageFactory aes = make_aes_stage;
+  const StageFactory nested = [] {
+    return std::make_unique<fpga::ChainModule>(make_compncrypt_chain());
+  };
+  constexpr std::size_t kLast = fpga::ChainModule::kResultFromLast;
+
+  const auto frames = imix_frames(16);
+  const auto mixed = mixed_compressibility();
+  // The mixed run really does shrink some records and not others.
+  accel::CompressionModule probe;
+  std::size_t shrunk = 0;
+  for (auto r : mixed) shrunk += probe.process(r).new_len < r.size();
+  ASSERT_GT(shrunk, 0u);
+  ASSERT_LT(shrunk, mixed.size());
+
+  {
+    SCOPED_TRACE("md5-auth -> aes256-ctr");
+    expect_batch_matches_per_record({md5, aes}, kLast, frames);
+  }
+  {
+    SCOPED_TRACE("compression -> aes256-ctr");
+    expect_batch_matches_per_record({lz, aes}, kLast, mixed);
+  }
+  {
+    SCOPED_TRACE("nested (compression -> aes256-ctr) -> md5-auth");
+    std::vector<std::vector<std::uint8_t>> both = mixed;
+    both.insert(both.end(), frames.begin(), frames.end());
+    expect_batch_matches_per_record({nested, md5}, kLast, both);
+  }
+  {
+    SCOPED_TRACE("result_stage = 0");
+    expect_batch_matches_per_record({lz, aes}, 0, mixed);
+    expect_batch_matches_per_record({md5, aes}, 0, frames);
+  }
 }
 
 // --- runtime-level fixtures -------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <iterator>
 #include <string>
 
@@ -127,6 +128,16 @@ TEST(Md5, EveryPaddingLength) {
   ASSERT_EQ(std::size(kDigests), sizeof(msg) + 1);
   for (std::size_t n = 0; n <= sizeof(msg); ++n) {
     EXPECT_EQ(to_hex(Md5::digest({msg, n})), kDigests[n]) << "len=" << n;
+  }
+}
+
+TEST(Md5, RoundConstantsAreSineDerived) {
+  // The transcribed table must equal its RFC 1321 definition,
+  // K[i] = floor(2^32 * |sin(i + 1)|).
+  for (std::size_t i = 0; i < Md5::kK.size(); ++i) {
+    const double k = std::floor(
+        std::abs(std::sin(static_cast<double>(i + 1))) * 4294967296.0);
+    EXPECT_EQ(Md5::kK[i], static_cast<std::uint32_t>(k)) << "i=" << i;
   }
 }
 

@@ -20,6 +20,7 @@
 #include "dhl/common/rng.hpp"
 #include "dhl/common/simd.hpp"
 #include "dhl/crypto/aes.hpp"
+#include "dhl/crypto/md5.hpp"
 #include "dhl/crypto/sha1.hpp"
 #include "dhl/fpga/device.hpp"
 #include "dhl/match/aho_corasick.hpp"
@@ -99,9 +100,9 @@ TEST(SimdDispatch, CapGatesEnabled) {
 
 TEST(SimdDispatch, KernelReportTracksCap) {
   CapGuard guard;
-  const std::vector<const char*> expected{"crc32c",     "aes256_ctr",
-                                          "ac_multilane", "batch_copy",
-                                          "gf256_addmul", "sha1"};
+  const std::vector<const char*> expected{
+      "crc32c",       "aes256_ctr", "ac_multilane", "batch_copy",
+      "gf256_addmul", "sha1",       "md5"};
   simd::set_cap(simd::Isa::kScalar);
   auto report = simd::kernel_report();
   ASSERT_EQ(report.size(), expected.size());
@@ -329,6 +330,68 @@ TEST(SimdParity, Sha1CrossPage) {
           << "back=" << back << " isa=" << simd::to_string(isa);
       EXPECT_EQ(crypto::Sha1::digest(data), want_digest)
           << "back=" << back << " isa=" << simd::to_string(isa);
+    }
+  }
+}
+
+// --- MD5 multi-buffer kernel -------------------------------------------------
+
+/// digest_many over `msgs` must give Md5::digest of each message.
+void expect_md5_many_matches(
+    std::span<const std::span<const std::uint8_t>> msgs,
+    const std::string& what) {
+  std::vector<crypto::Md5::Digest> got(msgs.size());
+  crypto::Md5::digest_many(msgs, got);
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    EXPECT_EQ(got[i], crypto::Md5::digest(msgs[i]))
+        << what << " msg " << i << " len=" << msgs[i].size()
+        << " isa=" << simd::to_string(simd::cap());
+  }
+}
+
+TEST(SimdParity, Md5DigestManyAllTiers) {
+  CapGuard guard;
+  Xoshiro256 rng{0x3D5AB1Eull};
+  // Every padding shape (lengths 0..200), random lengths up to 2000, the
+  // one/two-tail-block edges in one run, and one 23-block record among
+  // 1-block ones (longest-first order must not leave it to run alone).
+  std::vector<std::size_t> every;
+  for (std::size_t n = 0; n <= 200; ++n) every.push_back(n);
+  std::vector<std::size_t> random;
+  for (int i = 0; i < 40; ++i) random.push_back(rng.bounded(2001));
+  const std::vector<std::size_t> edges{55, 56, 63, 64, 119, 120, 0, 1};
+  const std::vector<std::size_t> one_long{22, 22, 22, 1458, 22, 22, 22,
+                                          22, 22, 22, 22, 22};
+
+  for (const std::size_t off : {0ul, 1ul, 7ul}) {
+    std::vector<std::vector<std::uint8_t>> backing;
+    auto make = [&](const std::vector<std::size_t>& lens) {
+      std::vector<std::span<const std::uint8_t>> msgs;
+      for (const std::size_t len : lens) {
+        backing.emplace_back(len + off);
+        rng.fill(backing.back().data(), backing.back().size());
+        msgs.emplace_back(backing.back().data() + off, len);
+      }
+      return msgs;
+    };
+    const auto all = make(every);
+    const auto rnd = make(random);
+    const auto edge = make(edges);
+    const auto lng = make(one_long);
+
+    for (const auto isa : host_tiers()) {
+      simd::set_cap(isa);
+      const std::string at = "off=" + std::to_string(off);
+      // 201 messages: more than one fixed-size lane session.
+      expect_md5_many_matches(all, at + " every-length");
+      expect_md5_many_matches(rnd, at + " random");
+      for (const std::size_t n : {1ul, 2ul, 7ul, 8ul, 9ul, 16ul, 17ul}) {
+        expect_md5_many_matches({rnd.data(), n},
+                                at + " run=" + std::to_string(n));
+      }
+      expect_md5_many_matches({all.data() + 60, 130}, at + " run=130");
+      expect_md5_many_matches(edge, at + " padding-edges");
+      expect_md5_many_matches(lng, at + " one-long");
     }
   }
 }
