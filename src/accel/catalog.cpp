@@ -2,7 +2,6 @@
 
 #include "dhl/accel/extra_modules.hpp"
 #include "dhl/accel/ipsec_crypto.hpp"
-#include "dhl/accel/network_coding.hpp"
 #include "dhl/accel/pattern_matching.hpp"
 #include "dhl/accel/regex_classifier.hpp"
 #include "dhl/fpga/loopback.hpp"
@@ -24,9 +23,6 @@ fpga::BitstreamDatabase standard_module_database(
   db.add(md5_bitstream());
   db.add(compression_bitstream());
   db.add(aes256_ctr_bitstream());
-  db.add(nc_encode_bitstream());
-  db.add(nc_recode_bitstream());
-  db.add(nc_decode_bitstream());
   return db;
 }
 

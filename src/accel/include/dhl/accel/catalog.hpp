@@ -12,9 +12,10 @@
 
 namespace dhl::accel {
 
-/// Build the standard database: ipsec-crypto, pattern-matching (compiled
-/// over `nids_automaton`), loopback, md5-auth, compression, and -- when a
-/// DFA bank is supplied -- regex-classifier.
+/// Build the standard database: ipsec-crypto, loopback, md5-auth,
+/// compression, aes256-ctr, pattern-matching (compiled over
+/// `nids_automaton`, when one is supplied) and regex-classifier (when a DFA
+/// bank is supplied).
 fpga::BitstreamDatabase standard_module_database(
     std::shared_ptr<const match::AhoCorasick> nids_automaton,
     std::shared_ptr<const match::RegexClassifier> regex_bank = nullptr);

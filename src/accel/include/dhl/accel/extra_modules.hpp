@@ -69,7 +69,7 @@ class CompressionModule final : public fpga::AcceleratorModule {
 
 /// aes256-ctr: raw AES-256-CTR over the whole record payload, the crypto
 /// half of the lz77 -> AES "CompNcrypt" fused chain (SNIPPETS.md) and of
-/// nc_encode -> aes chains.  Unlike ipsec-crypto it has no ESP framing:
+/// the md5-auth -> AES chain.  Unlike ipsec-crypto it has no ESP framing:
 /// whatever bytes arrive are XORed with the keystream, so it composes
 /// behind any payload-shrinking stage.  CTR is an involution -- the same
 /// configuration decrypts.

@@ -68,7 +68,6 @@ std::vector<KernelInfo> kernel_report() {
       {"aes256_ctr", Isa::kAesni, false},    // crypto/aes.cpp
       {"ac_multilane", Isa::kSse42, false},  // match/aho_corasick.cpp
       {"batch_copy", Isa::kAvx2, false},     // common/simd.hpp copy_bytes
-      {"gf256_addmul", Isa::kAvx2, false},   // common/gf256.cpp
       {"sha1", Isa::kSse42, true},           // crypto/sha1.cpp
       {"md5", Isa::kAvx2, false},            // crypto/md5.cpp digest_many
   };

@@ -33,13 +33,6 @@ void apply_runtime_config(const common::ConfigFile& file,
   config.dispatch_policy = parse_policy(
       file.get_string(s, "dispatch_policy", ""), config.dispatch_policy);
   config.crc_check = file.get_bool(s, "crc_check", config.crc_check);
-  config.auto_replicate =
-      file.get_bool(s, "auto_replicate", config.auto_replicate);
-  config.auto_replicate_threshold_bytes = file.get_uint(
-      s, "auto_replicate_threshold_bytes",
-      config.auto_replicate_threshold_bytes);
-  config.max_auto_replicas = static_cast<std::uint32_t>(
-      file.get_uint(s, "max_auto_replicas", config.max_auto_replicas));
   // Process-wide ISA cap for the CPU vector kernels (common/simd.hpp):
   // `simd = scalar|sse42|aesni|avx2`.  Unset keeps the DHL_SIMD
   // environment variable (or no cap) in charge.

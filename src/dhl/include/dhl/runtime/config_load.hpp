@@ -35,9 +35,7 @@ struct TenantStanza {
 /// Overlay `[runtime]` keys onto `config` (fields without a key keep their
 /// current value).  Recognized keys: num_sockets, ibq_size, obq_size,
 /// ibq_burst, numa_aware, dispatch_policy
-/// (numa_local|round_robin|least_outstanding_bytes), crc_check,
-/// auto_replicate, auto_replicate_threshold_bytes, max_auto_replicas,
-/// simd.
+/// (numa_local|round_robin|least_outstanding_bytes), crc_check, simd.
 void apply_runtime_config(const common::ConfigFile& file,
                           RuntimeConfig& config);
 

@@ -70,8 +70,8 @@ class HwFunctionTable {
 
   /// DHL_acc_configure(): write a module-specific configuration blob to
   /// every replica of `acc_id`'s hardware function.  The blob is retained
-  /// and replayed onto replicas loaded later (replicate / auto-replicate),
-  /// so all replicas stay interchangeable.
+  /// and replayed onto replicas loaded later (replicate), so all replicas
+  /// stay interchangeable.
   void configure(netio::AccId acc_id, std::span<const std::uint8_t> config);
 
   /// Remove every replica of `hf_name`; frees ready regions immediately,

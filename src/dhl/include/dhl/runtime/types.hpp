@@ -129,12 +129,6 @@ struct RuntimeConfig {
   /// desynchronizing records and mbufs.  Off = trust the wire, keep only
   /// the structural parse checks (the pre-PR-4 behaviour).
   bool crc_check = true;
-  /// When true, a replica whose outstanding bytes exceed the threshold at
-  /// flush time triggers loading one more replica of its hardware function
-  /// (up to max_auto_replicas), so a hot function spreads across regions.
-  bool auto_replicate = false;
-  std::uint64_t auto_replicate_threshold_bytes = 64 * 1024;
-  std::uint32_t max_auto_replicas = 2;
   /// Shared telemetry context; when null the runtime creates a private one.
   telemetry::TelemetryPtr telemetry;
 };

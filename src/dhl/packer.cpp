@@ -253,17 +253,6 @@ double Packer::flush_batch(int socket, AccId acc_id, OpenBatch&& open,
   // context); the Distributor books dma.tx from this stamp too.
   batch->flushed_at = sim_.now();
   pending.emplace_back(dev, std::move(batch));
-
-  // Replication pressure valve: a backed-up replica asks the control plane
-  // for one more region (no-op while a previous replica is still loading,
-  // since loading replicas already count toward the set size).
-  if (config_.auto_replicate &&
-      target->outstanding_bytes > config_.auto_replicate_threshold_bytes) {
-    ReplicaSet* set = table_.replica_set(primary->hf_name);
-    if (set != nullptr && set->replicas.size() < config_.max_auto_replicas) {
-      table_.replicate(primary->hf_name, set->replicas.size() + 1);
-    }
-  }
   return rt.packer_per_batch_cycles;
 }
 

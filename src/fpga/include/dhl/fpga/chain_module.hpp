@@ -5,7 +5,7 @@
 // DHL_compose_chain() fuses an ordered list of loaded hardware functions
 // into one dispatchable module: a DMA batch enters the chain's region once,
 // traverses every constituent inside the fabric (lz77 -> aes256-ctr,
-// nc-encode -> aes256-ctr, ...), and returns once -- instead of paying one
+// md5-auth -> aes256-ctr, ...), and returns once -- instead of paying one
 // PCIe round trip per stage.  Functionally the chain is exactly the
 // composition of its stages' transforms over a shrinking span, so fused
 // output is bit-identical to per-stage round trips.  The host model runs

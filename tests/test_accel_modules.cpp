@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dhl/accel/catalog.hpp"
 #include "dhl/accel/extra_modules.hpp"
 #include "dhl/accel/ipsec_crypto.hpp"
 #include "dhl/accel/lz77.hpp"
@@ -145,6 +146,32 @@ TEST(IpsecCryptoModule, TableVICharacterization) {
   EXPECT_EQ(module.resources().brams, 242u);
   EXPECT_NEAR(module.timing().max_throughput.gbps(), 65.27, 0.01);
   EXPECT_EQ(module.timing().delay_cycles, 110u);
+}
+
+TEST(PatternMatchingModule, TableVICharacterization) {
+  const auto rules = std::make_shared<match::RuleSet>(
+      match::RuleSet::builtin_snort_sample());
+  PatternMatchingModule module{nf::NidsProcessor::build_automaton(*rules)};
+  EXPECT_EQ(module.resources().luts, 6'336u);
+  EXPECT_EQ(module.resources().brams, 524u);
+  EXPECT_NEAR(module.timing().max_throughput.gbps(), 32.40, 0.01);
+  EXPECT_EQ(module.timing().delay_cycles, 55u);
+}
+
+TEST(StandardModuleDatabase, ListsExactlyTheModuleLibrary) {
+  // The paper's two evaluated functions, the extras it names (md5-auth,
+  // compression, regex-classifier), the aes256-ctr half of the fused
+  // chains, and loopback.  names() is sorted.
+  const auto rules = std::make_shared<match::RuleSet>(
+      match::RuleSet::builtin_snort_sample());
+  const auto bank = std::make_shared<const match::RegexClassifier>(
+      std::vector<std::string>{"a+"});
+  const fpga::BitstreamDatabase db = standard_module_database(
+      nf::NidsProcessor::build_automaton(*rules), bank);
+  const std::vector<std::string> expected{
+      "aes256-ctr", "compression",      "ipsec-crypto",    "loopback",
+      "md5-auth",   "pattern-matching", "regex-classifier"};
+  EXPECT_EQ(db.names(), expected);
 }
 
 TEST(PatternMatchingModule, MatchesCpuScan) {

@@ -1,9 +1,10 @@
 // Fabric-level service chaining (DESIGN.md section 3.7): ChainModule unit
 // behaviour, DHL_compose_chain validation, fused-vs-per-stage bit parity,
 // live reconfiguration under a running chain, tenant quota policing of
-// chain traffic, the nc-encode -> aes256-ctr chain with decode-side
-// verification at the host, and the engine's bad-port and stale-handle
-// fixes under every core layout and NF shape.
+// chain traffic, a compression -> aes256-ctr chain behind a record-resizing
+// CPU stage whose outputs the host inverts independently of the modules,
+// and the engine's bad-port and stale-handle fixes under every core layout
+// and NF shape.
 
 #include <gtest/gtest.h>
 
@@ -13,10 +14,12 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dhl/accel/extra_modules.hpp"
-#include "dhl/accel/network_coding.hpp"
+#include "dhl/accel/lz77.hpp"
+#include "dhl/common/rng.hpp"
 #include "dhl/crypto/aes.hpp"
 #include "dhl/fpga/chain_module.hpp"
 #include "dhl/netio/mempool.hpp"
@@ -36,6 +39,27 @@ std::vector<std::uint8_t> compressible_text(std::size_t n) {
   while (out.size() < n) {
     const std::size_t take = std::min(phrase.size(), n - out.size());
     out.insert(out.end(), phrase.begin(), phrase.begin() + take);
+  }
+  return out;
+}
+
+/// A compressible record: `seq` as a host-order u32, then words drawn from
+/// a small vocabulary by a generator seeded with `seq`.  The same generator
+/// draws the length from [160, 1200), which never equals `avoid_len`.
+std::vector<std::uint8_t> vocabulary_record(std::uint32_t seq,
+                                            std::size_t avoid_len) {
+  static constexpr std::string_view kWords[] = {
+      "alpha ", "bravo ", "charlie ", "delta ",
+      "echo ",  "foxtrot ", "golf ", "hotel "};
+  Xoshiro256 rng{seq};
+  std::size_t len = 160 + rng.bounded(1200 - 160);
+  if (len == avoid_len) ++len;
+  std::vector<std::uint8_t> out(sizeof seq);
+  std::memcpy(out.data(), &seq, sizeof seq);
+  while (out.size() < len) {
+    const std::string_view w = kWords[rng.bounded(std::size(kWords))];
+    const std::size_t take = std::min(w.size(), len - out.size());
+    out.insert(out.end(), w.begin(), w.begin() + take);
   }
   return out;
 }
@@ -500,41 +524,33 @@ TEST_F(FusedChainFixture, ChainOffloadsPassTenantQuotaAdmission) {
   EXPECT_TRUE(tb.quiesce_ledger().clean());
 }
 
-TEST_F(FusedChainFixture, NcEncodeThenEncryptChainDecodesAtTheHost) {
-  constexpr unsigned kWindow = 4;
-  constexpr unsigned kSymLen = 64;
+TEST_F(FusedChainFixture, CompressThenEncryptChainInvertsAtTheHost) {
   auto& rt = tb.init_runtime(automaton);
 
-  // Fixed source generation, known to the "receiver" below.
-  std::vector<std::uint8_t> block(kWindow * kSymLen);
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    block[i] = static_cast<std::uint8_t>(i * 7 + 3);
-  }
-
-  // Ingress prep: replace each frame's payload with an nc-encode input
-  // record over the fixed block, a fresh draw seed per packet.
-  auto seed = std::make_shared<std::uint32_t>(0x5eed'0000);
+  // Ingress prep: a CPU stage replaces each frame's payload with a seeded,
+  // compressible record of another length, so the fused run starts from a
+  // record the prep resized.  Every record opens with its sequence number,
+  // which lets the host pair each output with the record it came from.
+  std::vector<std::vector<std::uint8_t>> built;
   ChainStage prep = ChainStage::cpu(
-      "nc-prep",
-      [&block, seed](netio::Mbuf& m) {
-        m.assign(accel::nc_encode_record(block, kWindow, kSymLen, (*seed)++));
+      "lz-prep",
+      [&built](netio::Mbuf& m) {
+        const auto seq = static_cast<std::uint32_t>(built.size());
+        built.push_back(vocabulary_record(seq, m.data_len()));
+        m.assign(built.back());
         return Verdict::kForward;
       },
       [](const netio::Mbuf&) { return 120.0; });
 
-  std::vector<std::vector<std::uint8_t>> rows;
-  ChainStage capture = capture_stage(&rows);
-
+  std::vector<std::vector<std::uint8_t>> outputs;
   ChainNf chain{tb.sim(),
-                ChainConfig{.name = "nc-chain", .timing = tb.timing()},
+                ChainConfig{.name = "lz-chain", .timing = tb.timing()},
                 {port0},
                 &rt,
-                {std::move(prep),
-                 ChainStage::offload("nc-enc", "nc-encode", {}, nullptr,
-                                     nullptr),
-                 encrypt_stage(), std::move(capture)}};
+                {std::move(prep), compress_stage(), encrypt_stage(),
+                 capture_stage(&outputs)}};
   ASSERT_EQ(chain.segments().size(), 1u);
-  EXPECT_EQ(chain.segments()[0].chain_name, "nc-encode+aes256-ctr");
+  EXPECT_EQ(chain.segments()[0].chain_name, "compression+aes256-ctr");
 
   tb.run_for(milliseconds(150));
   ASSERT_TRUE(chain.ready());
@@ -549,33 +565,35 @@ TEST_F(FusedChainFixture, NcEncodeThenEncryptChainDecodesAtTheHost) {
   tb.run_for(milliseconds(3));
 
   EXPECT_GT(chain.stats().fused_offloads, 0u);
-  ASSERT_GE(rows.size(), kWindow);
+  ASSERT_GT(outputs.size(), 100u);
+  ASSERT_EQ(outputs.size(), built.size());
+  const auto longer = std::count_if(
+      built.begin(), built.end(),
+      [&](const auto& r) { return r.size() > traffic.frame_len; });
+  EXPECT_GT(longer, 0);
+  EXPECT_LT(longer, static_cast<std::ptrdiff_t>(built.size()));
 
-  // Receiver side: decrypt (CTR is an involution), parse the coded row,
-  // and feed the decoder until the generation is recovered.
+  // Receiver side, independent of the modules: decrypt (CTR is an
+  // involution), then decompress; the result must be the record the prep
+  // built, and every record must come back exactly once.
   const auto key_iv = accel::aes256_ctr_test_config();
   const crypto::Aes256 cipher{
       std::span<const std::uint8_t, 32>{key_iv.data(), 32}};
   const std::span<const std::uint8_t, 16> iv{key_iv.data() + 32, 16};
-  accel::NcDecoder decoder{kWindow, kSymLen};
-  for (auto& row : rows) {
-    if (decoder.complete()) break;
-    crypto::aes256_ctr(cipher, iv, row, row);
-    const auto header = accel::nc_parse_header(row);
-    ASSERT_TRUE(header.has_value());
-    ASSERT_EQ(header->window, kWindow);
-    ASSERT_EQ(header->count, 1u);
-    ASSERT_EQ(header->sym_len, kSymLen);
-    ASSERT_EQ(row.size(), accel::kNcHeaderBytes + kWindow + kSymLen);
-    const std::span<const std::uint8_t> body{row};
-    decoder.add_row(body.subspan(accel::kNcHeaderBytes, kWindow),
-                    body.subspan(accel::kNcHeaderBytes + kWindow, kSymLen));
-  }
-  ASSERT_TRUE(decoder.complete());
-  for (unsigned i = 0; i < kWindow; ++i) {
-    const auto sym = decoder.symbol(i);
-    EXPECT_EQ(0, std::memcmp(sym.data(), block.data() + i * kSymLen, kSymLen))
-        << "decoded symbol " << i << " differs from the source";
+  std::vector<bool> seen(built.size(), false);
+  for (std::size_t i = 0; i < outputs.size(); ++i) {
+    std::vector<std::uint8_t>& out = outputs[i];
+    crypto::aes256_ctr(cipher, iv, out, out);
+    std::vector<std::uint8_t> plain;
+    ASSERT_NO_THROW(plain = accel::lz77_decompress(out)) << "output " << i;
+    ASSERT_GE(plain.size(), 4u) << "output " << i;
+    std::uint32_t seq = 0;
+    std::memcpy(&seq, plain.data(), sizeof seq);
+    ASSERT_LT(seq, built.size()) << "output " << i;
+    EXPECT_FALSE(seen[seq]) << "record " << seq << " delivered twice";
+    seen[seq] = true;
+    EXPECT_LT(out.size(), plain.size()) << "record " << seq << " not shrunk";
+    EXPECT_EQ(plain, built[seq]) << "record " << seq;
   }
 
   EXPECT_EQ(

@@ -181,38 +181,6 @@ TEST(Replication, NumaLocalDefaultKeepsTrafficOnLocalBoard) {
   for (Mbuf* m : out) m->release();
 }
 
-TEST(Replication, AutoReplicateAddsReplicaUnderPressure) {
-  RuntimeConfig cfg;
-  cfg.dispatch_policy = DispatchPolicyKind::kLeastOutstandingBytes;
-  cfg.auto_replicate = true;
-  cfg.auto_replicate_threshold_bytes = 1024;  // first full batch trips it
-  cfg.max_auto_replicas = 2;
-  ReplHarness h{2, cfg};
-  const netio::NfId nf = h.rt->register_nf("nf0", 0);
-  const AccHandle acc = h.rt->search_by_name("loopback", 0);
-  h.settle(milliseconds(50));
-  ASSERT_EQ(h.rt->function_table().snapshot().size(), 1u);
-  h.rt->start();
-
-  for (int i = 0; i < 64; ++i) {
-    Mbuf* m = h.make_pkt(nf, acc.acc_id, 1000);
-    h.rt->send_packets(nf, &m, 1);
-  }
-  // The pressure valve fires at flush time; the new replica then finishes
-  // its PR load in the background.
-  h.settle(milliseconds(50));
-  EXPECT_EQ(h.rt->function_table().snapshot().size(), 2u);
-  for (const auto& row : h.rt->function_table().snapshot()) {
-    EXPECT_TRUE(row.ready);
-  }
-
-  Mbuf* out[64];
-  ASSERT_EQ(DhlRuntime::receive_packets(h.rt->get_private_obq(nf), out, 64),
-            64u);
-  for (Mbuf* m : out) m->release();
-  EXPECT_EQ(h.pool.in_use(), 0u);
-}
-
 TEST(Replication, UnloadRacingOpenBatchDropsPacketsLoudly) {
   // A batch opened by the Packer but not yet flushed when unload_function()
   // erases the entry must be released (counted), not submitted or leaked.
