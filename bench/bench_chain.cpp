@@ -47,7 +47,6 @@ ChainResult run_chain(bool offload, std::uint32_t frame_len, double offered) {
   auto ipsec = std::make_shared<nf::IpsecProcessor>(sa, nf::IpsecPolicy{});
 
   std::unique_ptr<nf::ChainNf> chain;
-  std::unique_ptr<nf::CpuPipelineNf> cpu;
   if (offload) {
     auto& rt = tb.init_runtime(automaton);
     std::vector<nf::ChainStage> stages;
@@ -69,15 +68,17 @@ ChainResult run_chain(bool offload, std::uint32_t frame_len, double offered) {
     rt.start();
     chain->start();
   } else {
-    // CPU-only: one worker function doing scan + encrypt, costs summed.
-    nf::PipelineConfig cfg;
+    // CPU-only: one worker stage doing scan + encrypt, costs summed.
+    nf::ChainConfig cfg;
     cfg.name = "chain-cpu";
     cfg.timing = tb.timing();
-    cfg.num_workers = 2;
+    cfg.layout = nf::CoreLayout::kPipeline;
+    cfg.workers = 2;
     auto nids_cost = nf::nids_cpu_cost(tb.timing());
     auto ipsec_cost = nf::ipsec_cpu_cost(tb.timing());
-    cpu = std::make_unique<nf::CpuPipelineNf>(
-        tb.sim(), cfg, std::vector<netio::NicPort*>{port},
+    std::vector<nf::ChainStage> stages;
+    stages.push_back(nf::ChainStage::cpu(
+        "nids+ipsec",
         [nids, ipsec](netio::Mbuf& m) {
           if (nids->cpu_process(m) == nf::Verdict::kDrop) {
             return nf::Verdict::kDrop;
@@ -86,8 +87,11 @@ ChainResult run_chain(bool offload, std::uint32_t frame_len, double offered) {
         },
         [nids_cost, ipsec_cost](const netio::Mbuf& m) {
           return nids_cost(m) + ipsec_cost(m);
-        });
-    cpu->start();
+        }));
+    chain = std::make_unique<nf::ChainNf>(
+        tb.sim(), cfg, std::vector<netio::NicPort*>{port}, nullptr,
+        std::move(stages));
+    chain->start();
   }
 
   netio::TrafficConfig traffic;

@@ -149,53 +149,42 @@ inline PointResult run_single_nf(const SingleNfOptions& opt) {
   auto ipsec = std::make_shared<nf::IpsecProcessor>(sa, nf::IpsecPolicy{});
   auto nids = std::make_shared<nf::NidsProcessor>(rules, automaton);
 
-  std::unique_ptr<nf::CpuPipelineNf> cpu_nf;
-  std::unique_ptr<nf::RunToCompletionNf> io_nf;
-  std::unique_ptr<nf::DhlOffloadNf> dhl_nf;
+  std::unique_ptr<nf::ChainNf> app;
 
   switch (opt.mode) {
     case ExecMode::kCpuOnly: {
-      nf::PipelineConfig cfg;
+      nf::ChainConfig cfg;
       cfg.name = "nf-cpu";
       cfg.timing = tb.timing();
-      cfg.num_workers = 2;  // Table IV: 2 worker + 2 I/O cores
+      cfg.layout = nf::CoreLayout::kPipeline;
+      cfg.workers = 2;  // Table IV: 2 worker + 2 I/O cores
       cfg.ring_size = opt.cpu_ring_size;
-      nf::PacketFn fn =
+      nf::ChainStage stage =
           opt.kind == NfKind::kIpsec
-              ? nf::PacketFn{[ipsec](netio::Mbuf& m) {
-                  return ipsec->cpu_encrypt(m);
-                }}
-              : nf::PacketFn{[nids](netio::Mbuf& m) {
-                  return nids->cpu_process(m);
-                }};
-      nf::CostFn cost = opt.kind == NfKind::kIpsec
-                            ? nf::ipsec_cpu_cost(tb.timing())
-                            : nf::nids_cpu_cost(tb.timing());
-      cpu_nf = std::make_unique<nf::CpuPipelineNf>(
-          tb.sim(), cfg, std::vector<netio::NicPort*>{port}, std::move(fn),
-          std::move(cost));
-      if (opt.kind == NfKind::kNids) {
-        // Batch the worker bursts through the pattern-matching module's
-        // process_batch, the one multi-lane scan the fabric model and the
-        // fallback path use too.
-        cpu_nf->set_batch_fn(
-            [nids](std::span<netio::Mbuf* const> pkts,
-                   std::span<nf::Verdict> out) {
-              nids->cpu_process_multi(pkts, out);
-            });
-      }
-      cpu_nf->start();
+              ? nf::ChainStage::cpu(
+                    "ipsec",
+                    [ipsec](netio::Mbuf& m) { return ipsec->cpu_encrypt(m); },
+                    nf::ipsec_cpu_cost(tb.timing()))
+              : nf::ChainStage::cpu(
+                    "nids",
+                    [nids](netio::Mbuf& m) { return nids->cpu_process(m); },
+                    nf::nids_cpu_cost(tb.timing()));
+      app = std::make_unique<nf::ChainNf>(
+          tb.sim(), cfg, std::vector<netio::NicPort*>{port}, nullptr,
+          std::vector<nf::ChainStage>{std::move(stage)});
+      app->start();
       break;
     }
     case ExecMode::kIoOnly: {
-      nf::RunToCompletionConfig cfg;
+      nf::ChainConfig cfg;
       cfg.name = "io";
       cfg.timing = tb.timing();
-      cfg.num_cores = 2;  // the paper's 2-core raw-I/O baseline
-      io_nf = std::make_unique<nf::RunToCompletionNf>(
-          tb.sim(), cfg, std::vector<netio::NicPort*>{port}, nf::io_fwd_fn(),
-          nf::zero_cost());
-      io_nf->start();
+      cfg.workers = 2;  // the paper's 2-core raw-I/O baseline
+      app = std::make_unique<nf::ChainNf>(
+          tb.sim(), cfg, std::vector<netio::NicPort*>{port}, nullptr,
+          std::vector<nf::ChainStage>{
+              nf::ChainStage::cpu("io", nf::io_fwd_fn(), nf::zero_cost())});
+      app->start();
       break;
     }
     case ExecMode::kDhl: {
@@ -206,7 +195,7 @@ inline PointResult run_single_nf(const SingleNfOptions& opt) {
         cfg.name = "ipsec-dhl";
         cfg.hf_name = "ipsec-crypto";
         cfg.acc_config = accel::ipsec_module_config(false, sa);
-        dhl_nf = std::make_unique<nf::DhlOffloadNf>(
+        app = std::make_unique<nf::DhlOffloadNf>(
             tb.sim(), cfg, std::vector<netio::NicPort*>{port}, rt,
             [ipsec](netio::Mbuf& m) { return ipsec->dhl_prep(m); },
             nf::ipsec_dhl_prep_cost(tb.timing()),
@@ -215,7 +204,7 @@ inline PointResult run_single_nf(const SingleNfOptions& opt) {
       } else {
         cfg.name = "nids-dhl";
         cfg.hf_name = "pattern-matching";
-        dhl_nf = std::make_unique<nf::DhlOffloadNf>(
+        app = std::make_unique<nf::DhlOffloadNf>(
             tb.sim(), cfg, std::vector<netio::NicPort*>{port}, rt,
             [nids](netio::Mbuf& m) { return nids->dhl_prep(m); },
             nf::nids_dhl_prep_cost(tb.timing()),
@@ -224,7 +213,7 @@ inline PointResult run_single_nf(const SingleNfOptions& opt) {
       }
       tb.run_for(milliseconds(40));  // PR load
       rt.start();
-      dhl_nf->start();
+      app->start();
       break;
     }
   }

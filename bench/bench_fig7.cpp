@@ -44,7 +44,7 @@ MultiNfResult run_multi(bool second_is_nids, std::uint32_t frame_len) {
     cfg.timing = tb.timing();
     cfg.hf_name = "ipsec-crypto";
     cfg.acc_config = accel::ipsec_module_config(false, sa);
-    cfg.split_ingress_egress = false;  // one core per 10G port (paper V-D)
+    cfg.layout = nf::CoreLayout::kPerPort;  // one core per 10G port (paper V-D)
     return std::make_unique<nf::DhlOffloadNf>(
         tb.sim(), cfg, std::move(nf_ports), rt,
         [proc](netio::Mbuf& m) { return proc->dhl_prep(m); },
@@ -57,7 +57,7 @@ MultiNfResult run_multi(bool second_is_nids, std::uint32_t frame_len) {
     cfg.name = "nids";
     cfg.timing = tb.timing();
     cfg.hf_name = "pattern-matching";
-    cfg.split_ingress_egress = false;
+    cfg.layout = nf::CoreLayout::kPerPort;
     return std::make_unique<nf::DhlOffloadNf>(
         tb.sim(), cfg, std::move(nf_ports), rt,
         [nids](netio::Mbuf& m) { return nids->dhl_prep(m); },

@@ -32,12 +32,12 @@ double run_l2fwd(const sim::TimingParams& timing) {
   cfg.runtime.timing = timing;
   nf::Testbed tb{cfg};
   auto* port = tb.add_port("x520", Bandwidth::gbps(10));
-  nf::RunToCompletionConfig nf_cfg;
-  nf_cfg.name = "l2fwd";
-  nf_cfg.timing = timing;
-  nf_cfg.num_cores = 1;
-  nf::RunToCompletionNf app{tb.sim(), nf_cfg, {port}, nf::l2fwd_fn(),
-                            nf::l2fwd_cost(timing)};
+  nf::ChainNf app{tb.sim(),
+                  nf::ChainConfig{.name = "l2fwd", .timing = timing},
+                  {port},
+                  nullptr,
+                  {nf::ChainStage::cpu("l2fwd", nf::l2fwd_fn(),
+                                       nf::l2fwd_cost(timing))}};
   app.start();
   netio::TrafficConfig traffic;
   traffic.frame_len = 64;
@@ -54,12 +54,12 @@ double run_l3fwd(const sim::TimingParams& timing) {
   netio::TrafficConfig traffic;
   traffic.frame_len = 64;
   auto routes = nf::make_test_routes(traffic.dst_ip_base, traffic.num_flows);
-  nf::RunToCompletionConfig nf_cfg;
-  nf_cfg.name = "l3fwd";
-  nf_cfg.timing = timing;
-  nf_cfg.num_cores = 1;
-  nf::RunToCompletionNf app{tb.sim(), nf_cfg, {port}, nf::l3fwd_fn(routes),
-                            nf::l3fwd_cost(timing)};
+  nf::ChainNf app{tb.sim(),
+                  nf::ChainConfig{.name = "l3fwd", .timing = timing},
+                  {port},
+                  nullptr,
+                  {nf::ChainStage::cpu("l3fwd", nf::l3fwd_fn(routes),
+                                       nf::l3fwd_cost(timing))}};
   app.start();
   port->start_traffic(traffic, 1.0);
   tb.measure(milliseconds(2), milliseconds(5));
@@ -73,14 +73,14 @@ double run_ipsec(const sim::TimingParams& timing) {
   auto* port = tb.add_port("x520", Bandwidth::gbps(10));
   auto proc = std::make_shared<nf::IpsecProcessor>(
       nf::test_security_association(), nf::IpsecPolicy{});
-  nf::RunToCompletionConfig nf_cfg;
-  nf_cfg.name = "ipsec-gw";
-  nf_cfg.timing = timing;
-  nf_cfg.num_cores = 1;
-  nf::RunToCompletionNf app{
-      tb.sim(), nf_cfg, {port},
-      [proc](netio::Mbuf& m) { return proc->cpu_encrypt(m); },
-      nf::ipsec_cpu_cost(timing)};
+  nf::ChainNf app{
+      tb.sim(),
+      nf::ChainConfig{.name = "ipsec-gw", .timing = timing},
+      {port},
+      nullptr,
+      {nf::ChainStage::cpu(
+          "ipsec", [proc](netio::Mbuf& m) { return proc->cpu_encrypt(m); },
+          nf::ipsec_cpu_cost(timing))}};
   app.start();
   netio::TrafficConfig traffic;
   traffic.frame_len = 64;

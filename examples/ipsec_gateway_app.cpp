@@ -27,15 +27,15 @@ double run_cpu_version() {
   auto proc = std::make_shared<nf::IpsecProcessor>(
       nf::test_security_association(), nf::IpsecPolicy{});
 
-  nf::PipelineConfig cfg;
+  nf::ChainConfig cfg;
   cfg.name = "ipsec-cpu";
   cfg.timing = tb.timing();
-  cfg.num_workers = 2;
-  nf::CpuPipelineNf app{tb.sim(),
-                        cfg,
-                        {port},
-                        [proc](netio::Mbuf& m) { return proc->cpu_encrypt(m); },
-                        nf::ipsec_cpu_cost(tb.timing())};
+  cfg.layout = nf::CoreLayout::kPipeline;  // 2 I/O cores + 2 workers
+  cfg.workers = 2;
+  auto encrypt = [proc](netio::Mbuf& m) { return proc->cpu_encrypt(m); };
+  nf::ChainNf app{tb.sim(), cfg, {port}, nullptr,
+                  {nf::ChainStage::cpu("ipsec", encrypt,
+                                       nf::ipsec_cpu_cost(tb.timing()))}};
   app.start();
 
   netio::TrafficConfig traffic;

@@ -35,7 +35,7 @@ int main() {
   ipsec_cfg.timing = tb.timing();
   ipsec_cfg.hf_name = "ipsec-crypto";
   ipsec_cfg.acc_config = accel::ipsec_module_config(false, sa);
-  ipsec_cfg.split_ingress_egress = false;
+  ipsec_cfg.layout = nf::CoreLayout::kPerPort;
   nf::DhlOffloadNf ipsec_nf{
       tb.sim(),
       ipsec_cfg,
@@ -70,7 +70,7 @@ int main() {
   nids_cfg.name = "nids";
   nids_cfg.timing = tb.timing();
   nids_cfg.hf_name = "pattern-matching";
-  nids_cfg.split_ingress_egress = false;
+  nids_cfg.layout = nf::CoreLayout::kPerPort;
   nf::DhlOffloadNf nids_nf{
       tb.sim(),
       nids_cfg,

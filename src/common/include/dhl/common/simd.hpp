@@ -116,15 +116,6 @@ inline bool host_has_sha() {
 #endif
 }
 
-/// Best tier the host supports.
-inline Isa host_isa() {
-  const std::uint32_t m = detail::host_isa_mask();
-  for (int t = static_cast<int>(kMaxIsa); t > 0; --t) {
-    if ((m >> t) & 1u) return static_cast<Isa>(t);
-  }
-  return Isa::kScalar;
-}
-
 /// The active cap (DHL_SIMD, config, or set_cap; kMaxIsa when unset).
 inline Isa cap() {
   const int c = detail::cap_cell().load(std::memory_order_relaxed);
@@ -133,14 +124,9 @@ inline Isa cap() {
 }
 
 /// Force the cap (tests / `[runtime] simd=` config key).  Wins over the
-/// environment until clear_cap().
+/// environment from then on.
 inline void set_cap(Isa isa) {
   detail::cap_cell().store(static_cast<int>(isa), std::memory_order_relaxed);
-}
-
-/// Drop back to the DHL_SIMD environment variable (or no cap).
-inline void clear_cap() {
-  detail::cap_cell().store(-1, std::memory_order_relaxed);
 }
 
 /// The dispatch predicate: may a kernel use its `tier` variant right now?

@@ -8,6 +8,22 @@ namespace dhl::nf {
 
 using netio::Mbuf;
 
+namespace {
+
+/// Packets an NF core moves per NIC, ring or OBQ burst.
+constexpr std::uint32_t kIoBurst = 32;
+
+/// The port among `ports` with id `port_id`, or nullptr.
+netio::NicPort* port_by_id(const std::vector<netio::NicPort*>& ports,
+                           std::uint16_t port_id) {
+  for (netio::NicPort* p : ports) {
+    if (p->port_id() == port_id) return p;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 ChainNf::ChainNf(sim::Simulator& simulator, ChainConfig config,
                  std::vector<netio::NicPort*> ports,
                  runtime::DhlRuntime* runtime, std::vector<ChainStage> stages)
@@ -24,6 +40,14 @@ ChainNf::ChainNf(sim::Simulator& simulator, ChainConfig config,
   for (const ChainStage& s : stages_) any_offload |= s.is_offload();
   DHL_CHECK_MSG(!any_offload || runtime_ != nullptr,
                 "offload stages require a DHL runtime");
+  DHL_CHECK_MSG(config_.layout != CoreLayout::kPipeline || !any_offload,
+                "the pipeline layout runs CPU stages only");
+  DHL_CHECK_MSG(config_.workers >= 1, "a chain needs at least one worker");
+  // Several ingress cores only where none drains the OBQ.
+  DHL_CHECK_MSG(config_.workers == 1 ||
+                    config_.layout == CoreLayout::kPipeline ||
+                    (config_.layout == CoreLayout::kSplit && !any_offload),
+                "several ingress cores need a split chain without offloads");
 
   handles_.resize(stages_.size());
   seg_at_.assign(stages_.size(), -1);
@@ -53,37 +77,64 @@ ChainNf::ChainNf(sim::Simulator& simulator, ChainConfig config,
         config_.socket));
     cores_.back()->set_idle_poll_cycles(config_.timing.cpu.idle_poll_cycles);
     cores_.back()->set_poll(std::move(poll));
+    return cores_.back().get();
   };
-  // Idle polls park their core; NIC arrivals wake the ingress side and
-  // OBQ deliveries the egress side.
-  if (config_.split_ingress_egress) {
-    add_core(".in", [this](sim::Lcore&) {
-      return ingress_poll(0, ports_.size());
-    });
-    for (netio::NicPort* port : ports_) port->add_rx_waiter(cores_[0].get());
-    if (any_offload) {
-      add_core(".out", [this](sim::Lcore&) { return egress_poll(); });
-      runtime_->set_obq_consumer(nf_id_, cores_[1].get());
-    }
-    return;
-  }
-  // Per-port layout: core 0 drains the single-consumer OBQ after its own
-  // port's ingress; both halves are offset from the poll's start, and the
-  // core parks only when both were idle.
-  for (std::size_t p = 0; p < ports_.size(); ++p) {
-    const bool also_egress = any_offload && p == 0;
-    add_core(".in" + std::to_string(p), [this, p, also_egress](sim::Lcore&) {
-      sim::PollResult r = ingress_poll(p, 1);
-      if (also_egress) {
-        const sim::PollResult out = egress_poll();
-        r.cycles += out.cycles;
-        r.park = r.park && out.park;
+  const auto wake_on_rx = [this](sim::Lcore* core) {
+    for (netio::NicPort* port : ports_) port->add_rx_waiter(core);
+  };
+  // Idle polls park their core; NIC arrivals wake the ingress side, OBQ
+  // deliveries the egress side, and the pipeline's ring enqueues its
+  // workers and TX core.
+  switch (config_.layout) {
+    case CoreLayout::kSplit:
+      for (std::size_t c = 0; c < config_.workers; ++c) {
+        const std::size_t first = c % ports_.size();
+        wake_on_rx(add_core(".in" + std::to_string(c),
+                            [this, first](sim::Lcore&) {
+                              return ingress_poll(first, ports_.size());
+                            }));
       }
-      return r;
-    });
-    ports_[p]->add_rx_waiter(cores_[p].get());
+      if (any_offload) {
+        runtime_->set_obq_consumer(
+            nf_id_,
+            add_core(".out", [this](sim::Lcore&) { return egress_poll(); }));
+      }
+      break;
+    case CoreLayout::kPerPort:
+      // Core 0 drains the single-consumer OBQ after its own port's ingress;
+      // both halves are offset from the poll's start, and the core parks
+      // only when both were idle.
+      for (std::size_t p = 0; p < ports_.size(); ++p) {
+        const bool also_egress = any_offload && p == 0;
+        ports_[p]->add_rx_waiter(add_core(
+            ".in" + std::to_string(p), [this, p, also_egress](sim::Lcore&) {
+              sim::PollResult r = ingress_poll(p, 1);
+              if (also_egress) {
+                const sim::PollResult out = egress_poll();
+                r.cycles += out.cycles;
+                r.park = r.park && out.park;
+              }
+              return r;
+            }));
+      }
+      if (any_offload) runtime_->set_obq_consumer(nf_id_, cores_[0].get());
+      break;
+    case CoreLayout::kPipeline:
+      rx_ring_ = std::make_unique<netio::MbufRing>(
+          config_.name + ".rx_ring", config_.ring_size,
+          netio::SyncMode::kSingle, netio::SyncMode::kMulti);
+      tx_ring_ = std::make_unique<netio::MbufRing>(
+          config_.name + ".tx_ring", config_.ring_size,
+          netio::SyncMode::kMulti, netio::SyncMode::kSingle);
+      wake_on_rx(
+          add_core(".io_rx", [this](sim::Lcore&) { return rx_io_poll(); }));
+      add_core(".io_tx", [this](sim::Lcore&) { return tx_io_poll(); });
+      for (std::size_t w = 0; w < config_.workers; ++w) {
+        add_core(".worker" + std::to_string(w),
+                 [this](sim::Lcore&) { return worker_poll(); });
+      }
+      break;
   }
-  if (any_offload) runtime_->set_obq_consumer(nf_id_, cores_[0].get());
 }
 
 ChainNf::~ChainNf() {
@@ -204,42 +255,49 @@ bool ChainNf::segment_usable(FusedSegment& seg) {
   return runtime_->acc_ready(seg.handle);
 }
 
-void ChainNf::run_from(Mbuf* m, std::size_t stage, double& cycles) {
+std::size_t ChainNf::run_cpu(Mbuf* m, std::size_t stage, double& cycles) {
   for (std::size_t i = stage; i < stages_.size(); ++i) {
     ChainStage& s = stages_[i];
-    if (s.is_offload()) {
-      // Fused run starting here: one round trip covers stages i..last and
-      // resumes past the whole run.
-      if (seg_at_[i] >= 0) {
-        FusedSegment& seg = segments_[static_cast<std::size_t>(seg_at_[i])];
-        if (segment_usable(seg)) {
-          m->set_user_tag(static_cast<std::uint16_t>(seg.last + 1));
-          m->set_acc_id(seg.handle.acc_id);
-          ++stats_.offloads;
-          ++stats_.fused_offloads;
-          to_send_.push_back(m);
-          return;
-        }
-      }
-      // Ship to the FPGA; resume at stage i+1 when it returns.
-      m->set_user_tag(static_cast<std::uint16_t>(i + 1));
-      m->set_acc_id(stage_handle_fresh(i).acc_id);
-      ++stats_.offloads;
-      to_send_.push_back(m);
-      return;
-    }
+    if (s.is_offload()) return i;
     cycles += s.cost(*m);
     const Verdict v = s.fn(*m);
     if (v == Verdict::kDrop) {
       ++stats_.prep_drops;
       ++stats_.dropped;
       m->release();
-      return;
+      return kDropped;
     }
     if (v == Verdict::kBypass) break;  // skip the rest of the chain
   }
-  cycles += config_.timing.cpu.nic_rxtx_per_pkt_cycles;
-  transmit_at(m, cycles);
+  return stages_.size();
+}
+
+void ChainNf::run_from(Mbuf* m, std::size_t stage, double& cycles) {
+  const std::size_t i = run_cpu(m, stage, cycles);
+  if (i == kDropped) return;
+  if (i == stages_.size()) {
+    cycles += config_.timing.cpu.nic_rxtx_per_pkt_cycles;
+    transmit_at(m, cycles);
+    return;
+  }
+  // Fused run starting here: one round trip covers stages i..last and
+  // resumes past the whole run.
+  if (seg_at_[i] >= 0) {
+    FusedSegment& seg = segments_[static_cast<std::size_t>(seg_at_[i])];
+    if (segment_usable(seg)) {
+      m->set_user_tag(static_cast<std::uint16_t>(seg.last + 1));
+      m->set_acc_id(seg.handle.acc_id);
+      ++stats_.offloads;
+      ++stats_.fused_offloads;
+      to_send_.push_back(m);
+      return;
+    }
+  }
+  // Ship to the FPGA; resume at stage i+1 when it returns.
+  m->set_user_tag(static_cast<std::uint16_t>(i + 1));
+  m->set_acc_id(stage_handle_fresh(i).acc_id);
+  ++stats_.offloads;
+  to_send_.push_back(m);
 }
 
 void ChainNf::send_at(double cycles) {
@@ -266,26 +324,31 @@ void ChainNf::send_at(double cycles) {
 }
 
 void ChainNf::transmit_at(Mbuf* m, double cycles) {
-  sim_.schedule_after(config_.timing.cpu.core_clock.cycles(cycles), [this, m] {
-    netio::NicPort* out = port_by_id(ports_, m->port());
-    if (out == nullptr) {
-      // A stage steered the packet to a port this NF doesn't own.
-      ++stats_.bad_port_drops;
-      if (bad_port_counter_ != nullptr) bad_port_counter_->add(1);
-      m->release();
-      return;
-    }
-    Mbuf* pkt = m;
-    out->tx_burst(&pkt, 1);
-    ++stats_.completed;
-  });
+  sim_.schedule_after(config_.timing.cpu.core_clock.cycles(cycles),
+                      [this, m] { transmit(m); });
+}
+
+bool ChainNf::transmit(Mbuf* m) {
+  netio::NicPort* out = port_by_id(ports_, m->port());
+  if (out == nullptr) {
+    // A stage steered the packet to a port this NF doesn't own.
+    ++stats_.bad_port_drops;
+    if (bad_port_counter_ != nullptr) bad_port_counter_->add(1);
+    m->release();
+    return false;
+  }
+  out->tx_burst(&m, 1);
+  ++stats_.completed;
+  return true;
 }
 
 sim::PollResult ChainNf::ingress_poll(std::size_t first, std::size_t count) {
   const auto& cpu = config_.timing.cpu;
   double cycles = 0;
   bool idle = true;
-  for (std::size_t p = first; p < first + count; ++p) {
+  std::size_t p = first;
+  for (std::size_t k = 0; k < count; ++k, ++p) {
+    if (p == ports_.size()) p = 0;
     const std::size_t n = ports_[p]->rx_burst(burst_.data(), burst_.size());
     if (n == 0) continue;
     idle = false;
@@ -330,6 +393,76 @@ sim::PollResult ChainNf::egress_poll() {
     run_from(m, resume, cycles);
   }
   send_at(cycles);
+  cycles += cpu.nic_rxtx_fixed_cycles;
+  return {cycles, false};
+}
+
+// The three pipeline polls act at the start of the poll (see chain.hpp).
+
+sim::PollResult ChainNf::rx_io_poll() {
+  const auto& cpu = config_.timing.cpu;
+  double cycles = 0;
+  bool idle = true;
+  Mbuf** pkts = burst_.data();
+  for (netio::NicPort* port : ports_) {
+    const std::size_t n = port->rx_burst(pkts, kIoBurst);
+    if (n == 0) continue;
+    idle = false;
+    stats_.rx_pkts += n;
+    cycles += cpu.nic_rxtx_fixed_cycles +
+              cpu.nic_rxtx_per_pkt_cycles * static_cast<double>(n);
+    const std::size_t queued = rx_ring_->enqueue_burst({pkts, n});
+    cycles += cpu.ring_op_fixed_cycles +
+              cpu.ring_op_per_pkt_cycles * static_cast<double>(queued);
+    for (std::size_t i = queued; i < n; ++i) {
+      ++stats_.ring_drops;
+      pkts[i]->release();
+    }
+  }
+  // Every worker may take the new packets; the first in line does.
+  if (!idle) {
+    for (std::size_t w = 2; w < cores_.size(); ++w) cores_[w]->wake();
+  }
+  return {cycles, idle};
+}
+
+sim::PollResult ChainNf::worker_poll() {
+  const auto& cpu = config_.timing.cpu;
+  const Frequency clock = cpu.core_clock;
+  Mbuf** pkts = burst_.data();
+  const std::size_t n = rx_ring_->dequeue_burst({pkts, kIoBurst});
+  if (n == 0) return {0, true};
+  double cycles = cpu.ring_op_fixed_cycles +
+                  cpu.ring_op_per_pkt_cycles * static_cast<double>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Mbuf* m = pkts[i];
+    if (run_cpu(m, 0, cycles) == kDropped) continue;
+    cycles += cpu.ring_op_per_pkt_cycles;
+    // The packet becomes visible to the TX I/O core only after the worker
+    // cycles spent on it (and its predecessors in the burst) have elapsed:
+    // the position-in-burst wait is real latency.
+    sim_.schedule_after(clock.cycles(cycles), [this, m] {
+      if (!tx_ring_->enqueue(m)) {
+        ++stats_.ring_drops;
+        m->release();
+        return;
+      }
+      cores_[1]->wake();  // the TX I/O core
+    });
+  }
+  return {cycles, false};
+}
+
+sim::PollResult ChainNf::tx_io_poll() {
+  const auto& cpu = config_.timing.cpu;
+  Mbuf** pkts = burst_.data();
+  const std::size_t n = tx_ring_->dequeue_burst({pkts, kIoBurst});
+  if (n == 0) return {0, true};
+  double cycles = cpu.ring_op_fixed_cycles +
+                  cpu.ring_op_per_pkt_cycles * static_cast<double>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (transmit(pkts[i])) cycles += cpu.nic_rxtx_per_pkt_cycles;
+  }
   cycles += cpu.nic_rxtx_fixed_cycles;
   return {cycles, false};
 }

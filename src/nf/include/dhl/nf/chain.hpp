@@ -1,6 +1,7 @@
 #pragma once
 
-// The DHL NF engine: every NF that offloads to the FPGA runs on ChainNf.
+// The NF engine: every NF runs on ChainNf, the CPU-only DPDK baselines as
+// well as every NF that offloads to the FPGA.
 //
 // The NFV service chains of the paper's introduction ("it is thus inflexible
 // to use FPGA to implement the entire NFV service chain") are exactly where
@@ -8,7 +9,8 @@
 // CPU and may offload its deep processing to a hardware function, and one
 // FPGA serves all the stages' modules simultaneously.  The paper's own NFs
 // are the two-stage case (DhlOffloadNf, dhl_nf.hpp): a CPU prep stage, then
-// an offload stage with a post step.
+// an offload stage with a post step.  Their CPU-only versions are chains of
+// CPU stages alone.
 //
 // A ChainNf runs an ordered list of stages per packet:
 //   * CPU stages execute a packet function inline on the chain's cores;
@@ -16,16 +18,25 @@
 //     chain at the next stage when it returns (the resume point rides the
 //     mbuf's user_tag, and each offload stage has its own acc_id).
 //
-// Core layouts (ChainConfig::split_ingress_egress), the paper's two
-// experiment shapes (Table IV):
-//   * split (single NF on a 40G port, V-C): one ingress core polls every
-//     port (NIC RX -> stages until the first offload) and one egress core
-//     drains the private OBQ (remaining stages -> NIC TX);
-//   * per-port (multi-NF on 10G ports, V-D): one ingress core per port;
-//     core 0 also drains the OBQ (a single-consumer ring) after its ingress.
-// Chains without offload stages never touch the runtime or the OBQ.  A
+// Core layouts (ChainConfig::layout), chosen once at construction, the
+// paper's experiment shapes (Table I, Table IV):
+//   * kSplit (single NF on one port, V-C): `workers` ingress cores, core i
+//     polling every port from port i (NIC RX -> stages until the first
+//     offload), plus one egress core draining the private OBQ (remaining
+//     stages -> NIC TX) when a stage offloads.  A chain of CPU stages on
+//     this layout is DPDK run-to-completion (Table I, the Fig 6 I/O
+//     baseline);
+//   * kPerPort (multi-NF on 10G ports, V-D): one ingress core per port;
+//     core 0 also drains the OBQ (a single-consumer ring) after its ingress;
+//   * kPipeline (DPDK pipeline mode, V-B, the CPU-only NFs of Fig 6): an RX
+//     I/O core polls every port into a `ring_size` ring, `workers` worker
+//     cores run the chain's CPU stages into a second ring, and a TX I/O core
+//     transmits from it.  CPU stages only.
+// Chains without offload stages never touch the runtime or the OBQ.  Every
 // core whose poll found nothing parks (sim/lcore.hpp): its ports' arrivals
-// and, for the OBQ's consumer, the runtime's deliveries wake it.
+// wake the ingress and RX I/O cores, the runtime's deliveries the OBQ's
+// consumer, an RX-ring enqueue every worker, and a TX-ring enqueue the TX
+// I/O core.
 //
 // Cycle accounting.  A poll charges its cycles in order and every effect
 // happens at the cumulative offset (from the poll's start) at which its
@@ -35,7 +46,12 @@
 //   * a packet that finishes its last stage (on ingress or egress) is
 //     transmitted at its own offset, after its NIC TX charge;
 //   * an egress poll that dequeued packets flushes its re-offloads, then
-//     charges the NIC TX burst's fixed cost.
+//     charges the NIC TX burst's fixed cost;
+//   * a worker's packet reaches the TX ring at its own offset, after its
+//     ring-op charge.
+// The pipeline's I/O cores act at the start of their polls instead: the RX
+// core enqueues its bursts and the TX core transmits its dequeued packets
+// there, then charges the work.
 // TX resolves the packet's port by id; a port the NF does not own is a
 // counted drop (bad_port_drops), never a transmit on some other port.
 //
@@ -51,14 +67,33 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "dhl/nf/pipeline.hpp"
+#include "dhl/netio/mbuf.hpp"
+#include "dhl/netio/nic.hpp"
+#include "dhl/netio/ring.hpp"
 #include "dhl/runtime/api.hpp"
+#include "dhl/sim/lcore.hpp"
+#include "dhl/sim/simulator.hpp"
+#include "dhl/sim/timing_params.hpp"
 
 namespace dhl::nf {
+
+/// What to do with a packet after a stage.
+///  kForward -- continue to the next stage.
+///  kBypass  -- skip the remaining stages and transmit directly (e.g. a
+///              packet with no SA match).
+///  kDrop    -- free the packet.
+enum class Verdict : std::uint8_t { kForward, kBypass, kDrop };
+
+/// Per-packet processing: transform `m` (really), return a verdict.
+using PacketFn = std::function<Verdict(netio::Mbuf&)>;
+/// Cycle cost the core running a stage is charged for one packet.  The
+/// function does the real computation (crypto, matching); its cost comes
+/// from a calibrated model, because wall-clock time of this process is not
+/// simulation time.
+using CostFn = std::function<double(const netio::Mbuf&)>;
 
 struct ChainStage {
   std::string name;
@@ -97,6 +132,9 @@ struct ChainStage {
   }
 };
 
+/// Which cores a chain runs on (see the header comment).
+enum class CoreLayout : std::uint8_t { kSplit, kPerPort, kPipeline };
+
 struct ChainConfig {
   std::string name = "chain";
   int socket = 0;
@@ -105,9 +143,12 @@ struct ChainConfig {
   TenantId tenant = kDefaultTenant;
   /// Fuse maximal eligible offload runs via DHL_compose_chain.
   bool fuse = true;
-  /// Core layout: true = one ingress + one egress core; false = one core
-  /// per port, core 0 also egress (see the header comment).
-  bool split_ingress_egress = true;
+  CoreLayout layout = CoreLayout::kSplit;
+  /// kSplit: ingress cores (more than one only without offload stages);
+  /// kPipeline: worker cores; kPerPort: must be 1.
+  std::uint32_t workers = 1;
+  /// kPipeline: slots in each of its two rings (a power of two).
+  std::uint32_t ring_size = 4096;
 };
 
 struct ChainStats {
@@ -119,6 +160,7 @@ struct ChainStats {
   std::uint64_t offloads = 0;   // packets shipped to the FPGA (any stage)
   std::uint64_t fused_offloads = 0;  // of which: via a fused chain handle
   std::uint64_t ibq_drops = 0;  // refused by quota admission or a full IBQ
+  std::uint64_t ring_drops = 0;  // refused by a full kPipeline ring
   std::uint64_t bad_port_drops = 0;  // TX to a port id the chain doesn't own
   std::uint64_t handle_refreshes = 0;  // stale acc handles re-resolved
 };
@@ -162,9 +204,22 @@ class ChainNf {
   const std::vector<FusedSegment>& segments() const { return segments_; }
 
  private:
-  /// NIC RX on ports [first, first + count), one IBQ flush per port.
+  /// NIC RX on `count` ports from port `first`, wrapping past the last;
+  /// one IBQ flush per port.
   sim::PollResult ingress_poll(std::size_t first, std::size_t count);
   sim::PollResult egress_poll();
+  /// kPipeline's cores: NIC RX -> rx ring, rx ring -> stages -> tx ring,
+  /// tx ring -> NIC TX.
+  sim::PollResult rx_io_poll();
+  sim::PollResult worker_poll();
+  sim::PollResult tx_io_poll();
+
+  /// Run CPU stages starting at `stage`, appending their cost to `cycles`.
+  /// Returns the first offload stage reached, stages_.size() when the
+  /// packet is done (last stage or a bypass), or kDropped after releasing
+  /// a dropped packet.
+  std::size_t run_cpu(netio::Mbuf* m, std::size_t stage, double& cycles);
+  static constexpr std::size_t kDropped = static_cast<std::size_t>(-1);
 
   /// Run stages starting at `stage` until the packet drops, offloads, or
   /// completes.  Appends cycle cost to `cycles`; offloads queue for the
@@ -176,6 +231,9 @@ class ChainNf {
   void send_at(double cycles);
   /// Transmit `m` on the port it names once `cycles` have elapsed.
   void transmit_at(netio::Mbuf* m, double cycles);
+  /// Transmit `m` on the port it names now; false (and `m` released) when
+  /// the chain owns no such port.
+  bool transmit(netio::Mbuf* m);
 
   /// Detect maximal fusable offload runs and compose them (constructor).
   void compose_segments();
@@ -199,8 +257,12 @@ class ChainNf {
   telemetry::Counter* bad_port_counter_ = nullptr;
   netio::NfId nf_id_ = netio::kInvalidNfId;
   netio::MbufRing* obq_ = nullptr;
+  /// kPipeline's rings: RX I/O core -> workers -> TX I/O core.
+  std::unique_ptr<netio::MbufRing> rx_ring_;
+  std::unique_ptr<netio::MbufRing> tx_ring_;
+  /// kPipeline: the RX I/O core, the TX I/O core, then the workers.
   std::vector<std::unique_ptr<sim::Lcore>> cores_;
-  /// Poll scratch: the RX/OBQ burst and the offloads awaiting send_at().
+  /// Poll scratch: the RX/OBQ/ring burst and the offloads awaiting send_at().
   std::vector<netio::Mbuf*> burst_;
   std::vector<netio::Mbuf*> to_send_;
   /// Bursts handed to send_at()'s event, recycled once it has sent them.

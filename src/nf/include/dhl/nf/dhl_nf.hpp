@@ -9,8 +9,9 @@
 //
 // A DhlOffloadNf is the two-stage ChainNf [cpu(prep), offload(hf, post)]:
 // NIC RX -> prep -> DHL_send_packets on the ingress side, private OBQ ->
-// post -> NIC TX on the egress side, in either of the engine's two core
-// layouts (chain.hpp; DhlNfConfig::split_ingress_egress).
+// post -> NIC TX on the egress side, on one ingress core per NF (kSplit)
+// or per port (kPerPort) -- the engine's two layouts that may offload
+// (chain.hpp; DhlNfConfig::layout).
 
 #include <cstdint>
 #include <string>

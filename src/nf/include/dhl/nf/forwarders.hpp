@@ -7,7 +7,7 @@
 #include <memory>
 
 #include "dhl/netio/lpm.hpp"
-#include "dhl/nf/pipeline.hpp"
+#include "dhl/nf/chain.hpp"
 
 namespace dhl::nf {
 

@@ -18,7 +18,7 @@
 #include <memory>
 
 #include "dhl/accel/ipsec_common.hpp"
-#include "dhl/nf/pipeline.hpp"
+#include "dhl/nf/chain.hpp"
 
 namespace dhl::nf {
 

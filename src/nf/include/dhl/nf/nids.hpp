@@ -9,13 +9,12 @@
 // rule options on the match bitmap of the module's result word.
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "dhl/accel/pattern_matching.hpp"
 #include "dhl/match/aho_corasick.hpp"
 #include "dhl/match/ruleset.hpp"
-#include "dhl/nf/pipeline.hpp"
+#include "dhl/nf/chain.hpp"
 
 namespace dhl::nf {
 
@@ -31,16 +30,9 @@ class NidsProcessor {
   NidsProcessor(std::shared_ptr<const match::RuleSet> rules,
                 std::shared_ptr<const match::AhoCorasick> automaton);
 
-  /// CPU-only worker body: a one-packet cpu_process_multi().
+  /// CPU-only worker body: the pattern-matching module's scan, then rule
+  /// options on its result bitmap.
   Verdict cpu_process(netio::Mbuf& m);
-
-  /// Batch form of cpu_process for the pipeline worker's BatchPacketFn
-  /// seam: scans the payloads through the pattern-matching module's
-  /// process_batch (the multi-lane Aho-Corasick kernel) and evaluates rule
-  /// options on each result bitmap.  `out[i]` is exactly
-  /// cpu_process(*pkts[i]); stats accrue identically.
-  void cpu_process_multi(std::span<netio::Mbuf* const> pkts,
-                         std::span<Verdict> out);
 
   /// DHL ingress body: light sanity parse (pre-processing stage).
   Verdict dhl_prep(netio::Mbuf& m);
@@ -62,9 +54,6 @@ class NidsProcessor {
   std::vector<std::uint64_t> rule_masks_;  // per-rule required-pattern bitmap
   /// The CPU-only scan: the accelerator's own module, run in software.
   accel::PatternMatchingModule matcher_;
-  /// cpu_process_multi scratch, reused across bursts.
-  std::vector<std::span<std::uint8_t>> payloads_;
-  std::vector<fpga::ProcessResult> results_;
   NidsStats stats_;
 };
 

@@ -74,24 +74,9 @@ Verdict NidsProcessor::evaluate_options(Mbuf& m, std::uint64_t bitmap) {
 }
 
 Verdict NidsProcessor::cpu_process(Mbuf& m) {
-  Mbuf* const pkt = &m;
-  Verdict verdict = Verdict::kForward;
-  cpu_process_multi({&pkt, 1}, {&verdict, 1});
-  return verdict;
-}
-
-void NidsProcessor::cpu_process_multi(std::span<Mbuf* const> pkts,
-                                      std::span<Verdict> out) {
-  DHL_CHECK(out.size() >= pkts.size());
-  payloads_.clear();
-  for (Mbuf* m : pkts) payloads_.push_back(m->payload());
-  results_.resize(pkts.size());
-  matcher_.process_batch(payloads_, results_);
-  stats_.scanned += pkts.size();
-  for (std::size_t i = 0; i < pkts.size(); ++i) {
-    out[i] = evaluate_options(*pkts[i],
-                              accel::pattern_result_bitmap(results_[i].result));
-  }
+  ++stats_.scanned;
+  const fpga::ProcessResult r = matcher_.process(m.payload());
+  return evaluate_options(m, accel::pattern_result_bitmap(r.result));
 }
 
 Verdict NidsProcessor::dhl_prep(Mbuf& m) {

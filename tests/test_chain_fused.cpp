@@ -605,12 +605,13 @@ TEST_F(FusedChainFixture, CompressThenEncryptChainInvertsAtTheHost) {
 
 // One engine runs every DHL NF, so its fixes must hold for each NF shape --
 // a plain ChainNf and the paper's two-stage DhlOffloadNf -- in both core
-// layouts (split ingress/egress, one core per port).
+// layouts that may offload (kSplit, kPerPort).  test_nf_models covers the
+// CPU-only kPipeline.
 enum class NfShape { kChain, kDhlOffload };
 
 struct EngineCase {
   NfShape shape;
-  bool split_ingress_egress;
+  CoreLayout layout;
 };
 
 class EngineRegression : public FusedChainFixture,
@@ -634,19 +635,19 @@ class EngineRegression : public FusedChainFixture,
                                    std::vector<ChainStage> stages,
                                    PacketFn prep) {
     const CostFn cost = [](const netio::Mbuf&) { return 5.0; };
-    const bool split = GetParam().split_ingress_egress;
+    const CoreLayout layout = GetParam().layout;
     if (GetParam().shape == NfShape::kChain) {
       return std::make_unique<ChainNf>(
           tb.sim(),
           ChainConfig{.name = "nf-under-test",
                       .timing = tb.timing(),
-                      .split_ingress_egress = split},
+                      .layout = layout},
           std::vector<netio::NicPort*>{port0, port1}, rt, std::move(stages));
     }
     DhlNfConfig cfg;
     cfg.name = "nf-under-test";
     cfg.timing = tb.timing();
-    cfg.split_ingress_egress = split;
+    cfg.layout = layout;
     cfg.hf_name = "loopback";
     return std::make_unique<DhlOffloadNf>(
         tb.sim(), cfg, std::vector<netio::NicPort*>{port0, port1}, *rt,
@@ -722,14 +723,14 @@ TEST_P(EngineRegression, PerStageHandleReresolvedAfterUnload) {
 
 INSTANTIATE_TEST_SUITE_P(
     Layouts, EngineRegression,
-    ::testing::Values(EngineCase{NfShape::kChain, true},
-                      EngineCase{NfShape::kChain, false},
-                      EngineCase{NfShape::kDhlOffload, true},
-                      EngineCase{NfShape::kDhlOffload, false}),
+    ::testing::Values(EngineCase{NfShape::kChain, CoreLayout::kSplit},
+                      EngineCase{NfShape::kChain, CoreLayout::kPerPort},
+                      EngineCase{NfShape::kDhlOffload, CoreLayout::kSplit},
+                      EngineCase{NfShape::kDhlOffload, CoreLayout::kPerPort}),
     [](const ::testing::TestParamInfo<EngineCase>& info) {
       return std::string{info.param.shape == NfShape::kChain ? "Chain"
                                                              : "DhlOffload"} +
-             (info.param.split_ingress_egress ? "Split" : "PerPort");
+             (info.param.layout == CoreLayout::kSplit ? "Split" : "PerPort");
     });
 
 }  // namespace

@@ -22,16 +22,32 @@ netio::TrafficConfig traffic_64b() {
   return t;
 }
 
+/// The CPU-only IPsec gateway of Fig 6: pipeline mode, 2 I/O cores and 2
+/// workers.
+ChainNf ipsec_cpu_pipeline(Testbed& tb, netio::NicPort* port,
+                           std::shared_ptr<IpsecProcessor> proc) {
+  return ChainNf{
+      tb.sim(),
+      ChainConfig{.name = "ipsec-cpu",
+                  .timing = tb.timing(),
+                  .layout = CoreLayout::kPipeline,
+                  .workers = 2},
+      {port},
+      nullptr,
+      {ChainStage::cpu("ipsec",
+                       [proc](netio::Mbuf& m) { return proc->cpu_encrypt(m); },
+                       ipsec_cpu_cost(tb.timing()))}};
+}
+
 TEST(Integration, L2fwdSaturatesA10GPortWithOneCore) {
   Testbed tb;
   auto* port = tb.add_port("p0", Bandwidth::gbps(10));
 
-  RunToCompletionConfig cfg;
-  cfg.name = "l2fwd";
-  cfg.timing = tb.timing();
-  cfg.num_cores = 1;
-  RunToCompletionNf nf{tb.sim(), cfg, {port}, l2fwd_fn(),
-                       l2fwd_cost(tb.timing())};
+  ChainNf nf{tb.sim(),
+             ChainConfig{.name = "l2fwd", .timing = tb.timing()},
+             {port},
+             nullptr,
+             {ChainStage::cpu("l2fwd", l2fwd_fn(), l2fwd_cost(tb.timing()))}};
   nf.start();
   port->start_traffic(traffic_64b(), 1.0);
   tb.measure(milliseconds(2), milliseconds(5));
@@ -91,15 +107,7 @@ TEST(Integration, CpuOnlyIpsecIsMuchSlowerThanDhl) {
     auto* port = tb.add_port("p40g", Bandwidth::gbps(40));
     auto proc = std::make_shared<IpsecProcessor>(test_security_association(),
                                                  IpsecPolicy{});
-    PipelineConfig cfg;
-    cfg.name = "ipsec-cpu";
-    cfg.timing = tb.timing();
-    cfg.num_workers = 2;
-    CpuPipelineNf nf{tb.sim(),
-                     cfg,
-                     {port},
-                     [proc](netio::Mbuf& m) { return proc->cpu_encrypt(m); },
-                     ipsec_cpu_cost(tb.timing())};
+    ChainNf nf = ipsec_cpu_pipeline(tb, port, proc);
     nf.start();
     netio::TrafficConfig traffic;
     traffic.frame_len = 64;
@@ -211,7 +219,7 @@ TEST(Integration, TwoNfsShareOneModuleWithoutCrosstalk) {
     cfg.timing = tb.timing();
     cfg.hf_name = "ipsec-crypto";
     cfg.acc_config = accel::ipsec_module_config(false, sa);
-    cfg.split_ingress_egress = false;  // one core per port
+    cfg.layout = CoreLayout::kPerPort;  // one core per port
     return std::make_unique<DhlOffloadNf>(
         tb.sim(), cfg, std::vector<netio::NicPort*>{port}, rt,
         [proc](netio::Mbuf& m) { return proc->dhl_prep(m); },
@@ -319,8 +327,8 @@ struct ParkRun {
   /// Per port: TX frames, then latency count, p50, p99 and max.
   std::vector<std::array<std::uint64_t, 5>> ports;
   std::vector<double> stage_means;
-  double packer_busy = 0;
-  double packer_idle = 0;
+  /// Busy, then idle cycles of each watched core.
+  std::vector<std::array<double, 2>> cycles;
 };
 
 void spin(const std::vector<sim::Lcore*>& cores) {
@@ -334,7 +342,9 @@ void spin(const std::vector<sim::Lcore*>& cores) {
   }
 }
 
-ParkRun measure_park_run(Testbed& tb) {
+/// Run a 1 ms warm-up and a 2 ms window, then read the results and the
+/// cycle accounts of `watched`.
+ParkRun measure_park_run(Testbed& tb, const std::vector<sim::Lcore*>& watched) {
   tb.measure(milliseconds(1), milliseconds(2));
   ParkRun r;
   for (netio::NicPort* port : tb.port_ptrs()) {
@@ -347,9 +357,9 @@ ParkRun measure_park_run(Testbed& tb) {
     r.stage_means.push_back(
         tb.telemetry().stages.stage(static_cast<telemetry::Stage>(s)).mean());
   }
-  const sim::Lcore* packer = tb.runtime().transfer_cores().front();
-  r.packer_busy = packer->busy_cycles();
-  r.packer_idle = packer->idle_cycles();
+  for (const sim::Lcore* core : watched) {
+    r.cycles.push_back({core->busy_cycles(), core->idle_cycles()});
+  }
   r.events = tb.sim().executed();
   return r;
 }
@@ -383,7 +393,7 @@ ParkRun ipsec_park_run(bool spinning) {
   netio::TrafficConfig traffic;
   traffic.frame_len = 512;
   port->start_traffic(traffic, 0.3);
-  return measure_park_run(tb);
+  return measure_park_run(tb, {rt.transfer_cores().front()});
 }
 
 /// Two tenants' chains share the fused md5-auth -> aes256-ctr module on
@@ -413,7 +423,7 @@ ParkRun shared_chain_park_run(bool spinning) {
     cfg.name = p == 0 ? "chain-alpha" : "chain-bravo";
     cfg.timing = tb.timing();
     cfg.tenant = p == 0 ? alpha : bravo;
-    cfg.split_ingress_egress = p == 0;
+    cfg.layout = p == 0 ? CoreLayout::kSplit : CoreLayout::kPerPort;
     chains.push_back(std::make_unique<ChainNf>(
         tb.sim(), cfg, std::vector<netio::NicPort*>{ports[p]}, &rt,
         std::move(stages)));
@@ -434,7 +444,39 @@ ParkRun shared_chain_park_run(bool spinning) {
     traffic.seed = p + 1;
     ports[p]->start_traffic(traffic, p == 0 ? 0.3 : 0.6);
   }
-  return measure_park_run(tb);
+  return measure_park_run(tb, {rt.transfer_cores().front()});
+}
+
+/// The CPU-only IPsec gateway of Fig 6 (pipeline mode) below its capacity.
+ParkRun ipsec_cpu_park_run(bool spinning) {
+  Testbed tb;
+  auto* port = tb.add_port("p40g", Bandwidth::gbps(40));
+  auto proc = std::make_shared<IpsecProcessor>(test_security_association(),
+                                               IpsecPolicy{});
+  ChainNf nf = ipsec_cpu_pipeline(tb, port, proc);
+  nf.start();
+  if (spinning) spin(nf.cores());
+  netio::TrafficConfig traffic;
+  traffic.frame_len = 512;
+  port->start_traffic(traffic, 0.1);  // 4 Gbps of its ~6.4 Gbps
+  return measure_park_run(tb, nf.cores());
+}
+
+/// The Fig 6 raw-I/O baseline: two run-to-completion cores on one port.
+ParkRun io_park_run(bool spinning) {
+  Testbed tb;
+  auto* port = tb.add_port("p40g", Bandwidth::gbps(40));
+  ChainNf nf{tb.sim(),
+             ChainConfig{.name = "io", .timing = tb.timing(), .workers = 2},
+             {port},
+             nullptr,
+             {ChainStage::cpu("io", io_fwd_fn(), zero_cost())}};
+  nf.start();
+  if (spinning) spin(nf.cores());
+  netio::TrafficConfig traffic;
+  traffic.frame_len = 1500;
+  port->start_traffic(traffic, 1.0);
+  return measure_park_run(tb, nf.cores());
 }
 
 void expect_park_equivalent(const std::function<ParkRun(bool)>& run) {
@@ -444,8 +486,7 @@ void expect_park_equivalent(const std::function<ParkRun(bool)>& run) {
   EXPECT_GT(parked.ports.front()[0], 1000u);
   EXPECT_EQ(parked.ports, spinning.ports);
   EXPECT_EQ(parked.stage_means, spinning.stage_means);
-  EXPECT_EQ(parked.packer_busy, spinning.packer_busy);
-  EXPECT_EQ(parked.packer_idle, spinning.packer_idle);
+  EXPECT_EQ(parked.cycles, spinning.cycles);
   EXPECT_LE(parked.events * 5, spinning.events)
       << parked.events << " parked vs " << spinning.events << " spinning";
 }
@@ -456,6 +497,14 @@ TEST(ParkEquivalence, IpsecGatewayAtAFixedLoad) {
 
 TEST(ParkEquivalence, TwoTenantFusedChain) {
   expect_park_equivalent(shared_chain_park_run);
+}
+
+TEST(ParkEquivalence, CpuOnlyIpsecPipeline) {
+  expect_park_equivalent(ipsec_cpu_park_run);
+}
+
+TEST(ParkEquivalence, TwoCoreIoBaseline) {
+  expect_park_equivalent(io_park_run);
 }
 
 }  // namespace

@@ -138,48 +138,6 @@ TEST_F(NidsFixture, DhlPathParityWithCpuPath) {
   EXPECT_GT(cpu.stats().pattern_hits, 20u);
 }
 
-TEST_F(NidsFixture, MultiLaneParityWithSingleLane) {
-  // cpu_process_multi (find_all_multi, the PR 8 ILP kernel) must be
-  // verdict- and stats-identical to the one-lane cpu_process loop,
-  // including partial final chunks (< kLanes packets).
-  NidsProcessor single{rules, automaton};
-  NidsProcessor multi{rules, automaton};
-
-  netio::TrafficConfig cfg;
-  cfg.frame_len = 384;
-  cfg.payload = netio::PayloadKind::kTextAttacks;
-  cfg.attack_probability = 0.4;
-  cfg.attack_strings = {"/etc/passwd", "/bin/sh", "union select", "Nikto"};
-  cfg.seed = 21;
-  netio::FrameFactory factory{cfg};
-
-  constexpr std::size_t kBurst = 27;  // not a multiple of kLanes
-  MbufPool burst_pool{"pp", 32, 4096, 0};
-  std::vector<Mbuf*> pkts;
-  for (std::size_t i = 0; i < kBurst; ++i) {
-    Mbuf* m = burst_pool.alloc();
-    ASSERT_NE(m, nullptr);
-    factory.build(*m);
-    pkts.push_back(m);
-  }
-
-  std::vector<Verdict> expected;
-  for (Mbuf* m : pkts) expected.push_back(single.cpu_process(*m));
-
-  std::vector<Verdict> got(pkts.size(), Verdict::kDrop);
-  multi.cpu_process_multi(pkts, got);
-
-  for (std::size_t i = 0; i < pkts.size(); ++i) {
-    EXPECT_EQ(expected[i], got[i]) << "packet " << i;
-  }
-  EXPECT_EQ(single.stats().scanned, multi.stats().scanned);
-  EXPECT_EQ(single.stats().alerts, multi.stats().alerts);
-  EXPECT_EQ(single.stats().drops, multi.stats().drops);
-  EXPECT_EQ(single.stats().pattern_hits, multi.stats().pattern_hits);
-  EXPECT_GT(multi.stats().pattern_hits, 0u);
-  for (Mbuf* m : pkts) m->release();
-}
-
 TEST_F(NidsFixture, DropRuleDropsPacket) {
   const auto drop_rules = std::make_shared<match::RuleSet>(match::RuleSet::parse(
       "drop udp any any -> any any (msg:\"kill\"; content:\"FORBIDDEN\"; sid:1;)"));
