@@ -116,6 +116,36 @@ inline bool host_has_sha() {
 #endif
 }
 
+/// True when the host has PCLMULQDQ (cached by __builtin_cpu_supports).
+/// SSE4.2 does not imply it -- Nehalem has SSE4.2 without it -- so the
+/// "crc32c" kernel folds with it iff enabled(Isa::kSse42) &&
+/// host_has_pclmul().
+inline bool host_has_pclmul() {
+#ifdef DHL_SIMD_X86
+  return __builtin_cpu_supports("pclmul");
+#else
+  return false;
+#endif
+}
+
+/// True when the host has VPCLMULQDQ (carry-less multiply on 256-bit
+/// vectors), cached at first use.  Like SHA-NI it is off the tier ladder
+/// (Ice Lake and Zen 3 have it, Haswell to Cascade Lake do not), so
+/// "crc32c" widens its folds to 256 bits iff enabled(Isa::kAvx2) &&
+/// host_has_vpclmulqdq().  CPUID leaf 7, ECX bit 10.
+inline bool host_has_vpclmulqdq() {
+#ifdef DHL_SIMD_X86
+  static const bool has = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    return __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0 &&
+           (ecx & bit_VPCLMULQDQ) != 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
 /// The active cap (DHL_SIMD, config, or set_cap; kMaxIsa when unset).
 inline Isa cap() {
   const int c = detail::cap_cell().load(std::memory_order_relaxed);

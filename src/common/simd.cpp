@@ -55,26 +55,26 @@ int init_cap_from_env() {
 }  // namespace detail
 
 std::vector<KernelInfo> kernel_report() {
-  // The kernel list is declarative: `tier` (and `needs_sha`) here must match
+  // The kernel list is declarative: `tier` (and `probe`) here must match
   // the guard inside each kernel's dispatch site, so the gauge reflects what
-  // the hot path actually executes.  SHA-NI is not a tier, so a kernel that
-  // uses it also requires host_has_sha().
+  // the hot path actually executes.  PCLMULQDQ and SHA-NI are not tiers, so
+  // a kernel that needs one also requires its host probe.
   static constexpr struct {
     const char* name;
     Isa tier;
-    bool needs_sha;
+    bool (*probe)();
   } kKernels[] = {
-      {"crc32c", Isa::kSse42, false},        // common/crc32.hpp
-      {"aes256_ctr", Isa::kAesni, false},    // crypto/aes.cpp
-      {"ac_multilane", Isa::kSse42, false},  // match/aho_corasick.cpp
-      {"batch_copy", Isa::kAvx2, false},     // common/simd.hpp copy_bytes
-      {"sha1", Isa::kSse42, true},           // crypto/sha1.cpp
-      {"md5", Isa::kAvx2, false},            // crypto/md5.cpp digest_many
+      {"crc32c", Isa::kSse42, host_has_pclmul},  // common/crc32.hpp
+      {"aes256_ctr", Isa::kAesni, nullptr},      // crypto/aes.cpp
+      {"ac_multilane", Isa::kSse42, nullptr},    // match/aho_corasick.cpp
+      {"batch_copy", Isa::kAvx2, nullptr},       // common/simd.hpp copy_bytes
+      {"sha1", Isa::kSse42, host_has_sha},       // crypto/sha1.cpp
+      {"md5", Isa::kAvx2, nullptr},              // crypto/md5.cpp digest_many
   };
   std::vector<KernelInfo> out;
   out.reserve(std::size(kKernels));
   for (const auto& k : kKernels) {
-    const bool on = enabled(k.tier) && (!k.needs_sha || host_has_sha());
+    const bool on = enabled(k.tier) && (k.probe == nullptr || k.probe());
     out.push_back({k.name, k.tier, on ? k.tier : Isa::kScalar});
   }
   return out;

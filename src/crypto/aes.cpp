@@ -101,9 +101,7 @@ std::uint32_t sub_word(std::uint32_t w) {
 
 std::uint32_t rot_word(std::uint32_t w) { return (w << 8) | (w >> 24); }
 
-/// Increment a 128-bit big-endian counter in place.  Shared by the scalar
-/// and AES-NI CTR paths so both walk the identical counter sequence --
-/// which is what makes their keystreams bit-identical.
+/// Increment a 128-bit big-endian counter in place (scalar reference).
 void inc_ctr_be128(std::uint8_t ctr[16]) {
   for (int i = 15; i >= 0; --i) {
     if (++ctr[i] != 0) break;
@@ -127,54 +125,110 @@ __attribute__((target("aes,sse2"))) void encrypt_block_aesni(
   _mm_storeu_si128(reinterpret_cast<__m128i*>(out), b);
 }
 
-/// CTR keystream with up to 8 independent counter blocks in flight: the
-/// aesenc latency (4-7 cycles) is hidden by the other lanes' rounds, so
-/// throughput approaches one block per round instead of one block per
-/// latency chain.  Counters are materialized with the shared scalar
-/// increment -- its cost is noise next to 14 AES rounds.
-__attribute__((target("aes,sse2"))) void aes256_ctr_aesni(
-    const std::uint8_t* rk, std::uint8_t ctr[16], const std::uint8_t* in,
-    std::uint8_t* out, std::size_t len) {
-  constexpr int kPipe = 8;
-  while (len > 0) {
-    const std::size_t blocks_left = (len + 15) / 16;
-    const int group =
-        blocks_left < kPipe ? static_cast<int>(blocks_left) : kPipe;
-    alignas(16) std::uint8_t ctrs[kPipe][16];
-    for (int i = 0; i < group; ++i) {
-      std::memcpy(ctrs[i], ctr, 16);
-      inc_ctr_be128(ctr);
-    }
-    __m128i b[kPipe];
-    const __m128i k0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rk));
-    for (int i = 0; i < group; ++i) {
-      b[i] = _mm_xor_si128(
-          _mm_load_si128(reinterpret_cast<const __m128i*>(ctrs[i])), k0);
-    }
-    for (int round = 1; round < Aes256::kRounds; ++round) {
-      const __m128i k = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(rk + 16 * round));
-      for (int i = 0; i < group; ++i) b[i] = _mm_aesenc_si128(b[i], k);
-    }
-    const __m128i klast = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(rk + 16 * Aes256::kRounds));
-    for (int i = 0; i < group; ++i) b[i] = _mm_aesenclast_si128(b[i], klast);
+/// The big-endian 128-bit CTR counter as two host-order halves.  Block i of
+/// a group is (hi:lo) + i; a wrap of the low half carries into the high
+/// half, and the high half wraps mod 2^64 like the scalar byte increment.
+struct Ctr128 {
+  std::uint64_t hi;
+  std::uint64_t lo;
 
-    for (int i = 0; i < group; ++i) {
-      if (len >= 16) {
-        const __m128i v =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(in));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
-                         _mm_xor_si128(v, b[i]));
-        in += 16;
-        out += 16;
-        len -= 16;
-      } else {
-        alignas(16) std::uint8_t ks[16];
-        _mm_store_si128(reinterpret_cast<__m128i*>(ks), b[i]);
-        for (std::size_t j = 0; j < len; ++j) out[j] = in[j] ^ ks[j];
-        len = 0;
-      }
+  void advance(std::uint64_t n) {
+    lo += n;
+    hi += lo < n ? 1 : 0;
+  }
+};
+
+/// Counter block i of the group starting at `c`, in wire byte order.
+__attribute__((target("aes,sse2"), always_inline)) inline __m128i ctr_block(
+    Ctr128 c, std::uint64_t i) {
+  const std::uint64_t lo = c.lo + i;
+  const std::uint64_t hi = c.hi + (lo < c.lo ? 1 : 0);
+  return _mm_set_epi64x(static_cast<long long>(__builtin_bswap64(lo)),
+                        static_cast<long long>(__builtin_bswap64(hi)));
+}
+
+/// Keystream of N consecutive counter blocks.  N is fixed, so the unrolled
+/// rounds keep all N blocks in registers and each round key is loaded once
+/// per round for the whole group.
+template <int N>
+__attribute__((target("aes,sse2"), always_inline)) inline void ctr_keystream(
+    const std::uint8_t* rk, Ctr128 c, __m128i b[N]) {
+  const __m128i k0 = _mm_load_si128(reinterpret_cast<const __m128i*>(rk));
+#pragma GCC unroll 8
+  for (int i = 0; i < N; ++i) {
+    b[i] = _mm_xor_si128(ctr_block(c, static_cast<std::uint64_t>(i)), k0);
+  }
+#pragma GCC unroll 13
+  for (int round = 1; round < Aes256::kRounds; ++round) {
+    const __m128i k =
+        _mm_load_si128(reinterpret_cast<const __m128i*>(rk + 16 * round));
+#pragma GCC unroll 8
+    for (int i = 0; i < N; ++i) b[i] = _mm_aesenc_si128(b[i], k);
+  }
+  const __m128i klast = _mm_load_si128(
+      reinterpret_cast<const __m128i*>(rk + 16 * Aes256::kRounds));
+#pragma GCC unroll 8
+  for (int i = 0; i < N; ++i) b[i] = _mm_aesenclast_si128(b[i], klast);
+}
+
+/// out[16 i ..] = in[16 i ..] ^ b[i] for N whole blocks.
+template <int N>
+__attribute__((target("aes,sse2"), always_inline)) inline void xor_blocks(
+    const std::uint8_t* in, std::uint8_t* out, const __m128i b[N]) {
+#pragma GCC unroll 8
+  for (int i = 0; i < N; ++i) {
+    const __m128i v =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 16 * i));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16 * i),
+                     _mm_xor_si128(v, b[i]));
+  }
+}
+
+/// CTR keystream application with 8 counter blocks in flight: aesenc has a
+/// 4-7 cycle latency, so eight independent blocks fill the round loop.
+/// The counter lives in two general registers and each block is built with
+/// two byte swaps.  After the 8-block groups, one whole 4-block group runs
+/// if more than 4 blocks remain, and one last group of at most 4 blocks --
+/// the last one possibly partial -- ends the buffer.
+__attribute__((target("aes,sse2"))) void aes256_ctr_aesni(
+    const std::uint8_t* rk, const std::uint8_t ctr[16], const std::uint8_t* in,
+    std::uint8_t* out, std::size_t len) {
+  std::uint64_t hi_be;
+  std::uint64_t lo_be;
+  std::memcpy(&hi_be, ctr, 8);
+  std::memcpy(&lo_be, ctr + 8, 8);
+  Ctr128 c{__builtin_bswap64(hi_be), __builtin_bswap64(lo_be)};
+  __m128i b[8];
+  while (len >= 8 * 16) {
+    ctr_keystream<8>(rk, c, b);
+    xor_blocks<8>(in, out, b);
+    c.advance(8);
+    in += 8 * 16;
+    out += 8 * 16;
+    len -= 8 * 16;
+  }
+  if (len > 4 * 16) {
+    ctr_keystream<4>(rk, c, b);
+    xor_blocks<4>(in, out, b);
+    c.advance(4);
+    in += 4 * 16;
+    out += 4 * 16;
+    len -= 4 * 16;
+  }
+  if (len == 0) return;
+  ctr_keystream<4>(rk, c, b);
+#pragma GCC unroll 4
+  for (int i = 0; i < 4; ++i) {
+    if (len >= 16) {
+      xor_blocks<1>(in, out, b + i);
+      in += 16;
+      out += 16;
+      len -= 16;
+    } else if (len > 0) {
+      alignas(16) std::uint8_t ks[16];
+      _mm_store_si128(reinterpret_cast<__m128i*>(ks), b[i]);
+      for (std::size_t j = 0; j < len; ++j) out[j] = in[j] ^ ks[j];
+      len = 0;
     }
   }
 }
@@ -321,15 +375,15 @@ void Aes256::decrypt_block(const std::uint8_t in[kBlockBytes],
 void aes256_ctr(const Aes256& cipher, std::span<const std::uint8_t, 16> counter,
                 std::span<const std::uint8_t> in, std::span<std::uint8_t> out) {
   DHL_CHECK(out.size() >= in.size());
-  std::uint8_t ctr[16];
-  std::memcpy(ctr, counter.data(), 16);
 #ifdef DHL_AES_HAS_NI
   if (common::simd::enabled(common::simd::Isa::kAesni)) {
-    aes256_ctr_aesni(cipher.round_key_bytes(), ctr, in.data(), out.data(),
-                     in.size());
+    aes256_ctr_aesni(cipher.round_key_bytes(), counter.data(), in.data(),
+                     out.data(), in.size());
     return;
   }
 #endif
+  std::uint8_t ctr[16];
+  std::memcpy(ctr, counter.data(), 16);
   std::uint8_t keystream[16];
   std::size_t off = 0;
   while (off < in.size()) {

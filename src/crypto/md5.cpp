@@ -234,7 +234,9 @@ struct Lane {
 /// refills the kernel runs as many steps as the shortest live lane has
 /// blocks left.  Messages are handed out longest first, so a long message
 /// does not start late and run on alone; an idle lane compresses a zero
-/// block whose state nobody reads.
+/// block whose state nobody reads.  Once one lane is live and no message is
+/// left to hand out, the scalar rounds finish it: one scalar block costs
+/// less than an 8-lane step.
 __attribute__((target("avx2"))) void md5_many_avx2(
     std::span<const std::span<const std::uint8_t>> msgs,
     std::span<Md5::Digest> out) {
@@ -280,7 +282,9 @@ __attribute__((target("avx2"))) void md5_many_avx2(
     };
     for (std::size_t l = 0; l < kLanes; ++l) refill(l);
 
-    while (live > 0) {
+    // While a message is left to hand out every lane is live, so one live
+    // lane means the run is ending: the loop below finishes it.
+    while (live > 1) {
       std::size_t steps = ~std::size_t{0};
       for (const Lane& lane : lanes) {
         if (lane.msg != Lane::kIdle) {
@@ -313,6 +317,17 @@ __attribute__((target("avx2"))) void md5_many_avx2(
         --live;
         refill(l);
       }
+    }
+    for (std::size_t l = 0; l < kLanes && live > 0; ++l) {
+      const Lane& lane = lanes[l];
+      if (lane.msg == Lane::kIdle) continue;
+      std::array<std::uint32_t, 4> state = {st[0][l], st[1][l], st[2][l],
+                                            st[3][l]};
+      for (std::size_t i = lane.done; i < lane.blocks; ++i) {
+        md5_blocks(state.data(), lane.block(i), 1);
+      }
+      store_digest(state, out[lane.msg].data());
+      --live;
     }
   }
 }

@@ -147,7 +147,7 @@ TEST(Crc32c, KnownVectors) {
   const std::vector<std::uint8_t> ones(32, 0xff);
   EXPECT_EQ(crc32c(ones), 0x62a8ab43u);
   EXPECT_EQ(crc32c({}), 0u);
-  // 6145 bytes: eight of the hardware path's three-block rounds plus a
+  // 6145 bytes: 48 of the hardware path's 128-byte fold steps plus a
   // one-byte tail.  Reference from a bitwise CRC-32C in Python.
   std::vector<std::uint8_t> long_buf(6145);
   for (std::size_t i = 0; i < long_buf.size(); ++i) {
@@ -160,8 +160,8 @@ TEST(Crc32c, SeedChainsAcrossPieces) {
   Xoshiro256 rng{11};
   // Every split of a buffer must give the same checksum as one pass, at
   // every length that exercises the 8/4/1-byte strides of both the
-  // hardware and slice-by-8 paths and the hardware path's three-block
-  // rounds; cuts off the 8-byte grid start a piece's rounds unaligned.
+  // hardware and slice-by-8 paths and the hardware path's folds; cuts off
+  // the 8-byte grid start a piece's folds unaligned.
   for (const std::size_t len : {1u, 7u, 8u, 9u, 63u, 256u, 1000u, 2500u}) {
     std::vector<std::uint8_t> buf(len);
     rng.fill(buf.data(), buf.size());
@@ -177,7 +177,7 @@ TEST(Crc32c, SeedChainsAcrossPieces) {
 }
 
 TEST(Crc32c, SoftwarePathMatchesDispatchedPath) {
-  // crc32c() may dispatch to the SSE4.2 instruction; the portable
+  // crc32c() may dispatch to the carry-less-multiply folds; the portable
   // slice-by-8/byte path must produce identical checksums.
   Xoshiro256 rng{13};
   for (const std::size_t len : {1u, 5u, 64u, 255u, 767u, 768u, 769u, 1535u,

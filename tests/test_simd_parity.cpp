@@ -113,9 +113,11 @@ TEST(SimdDispatch, KernelReportTracksCap) {
   simd::set_cap(simd::kMaxIsa);
   report = simd::kernel_report();
   for (const auto& k : report) {
-    // SHA-NI is off the tier ladder: the sha1 row also needs its probe.
+    // PCLMULQDQ and SHA-NI are off the tier ladder: the crc32c and sha1
+    // rows also need their probes.
     const bool probe_ok =
-        std::strcmp(k.name, "sha1") != 0 || simd::host_has_sha();
+        (std::strcmp(k.name, "sha1") != 0 || simd::host_has_sha()) &&
+        (std::strcmp(k.name, "crc32c") != 0 || simd::host_has_pclmul());
     const simd::Isa want = simd::host_supports(k.tier) && probe_ok
                                ? k.tier
                                : simd::Isa::kScalar;
@@ -179,6 +181,49 @@ TEST(SimdParity, Aes256CtrAllTiersLengthsOffsets) {
         crypto::aes256_ctr(cipher, ctr, in, got);
         EXPECT_EQ(got, want) << "len=" << len << " off=" << off << " isa="
                              << simd::to_string(isa);
+      }
+    }
+  }
+}
+
+TEST(SimdParity, Aes256CtrCounterCarryAllTiers) {
+  // Counters whose low half wraps inside the first 8-block group (ff..ff),
+  // between groups (ff..f0), and the 128-bit wrap of all ones: the vector
+  // kernel's lo -> hi carry must walk the scalar byte increment's sequence.
+  // Every length 0..600 reaches each group shape and partial last block.
+  CapGuard guard;
+  Xoshiro256 rng{0xCA5511ull};
+  std::array<std::uint8_t, 32> key{};
+  rng.fill(key.data(), key.size());
+  const crypto::Aes256 cipher{key};
+  std::vector<std::array<std::uint8_t, 16>> counters(3);
+  for (auto& c : counters) c.fill(0xff);
+  rng.fill(counters[0].data(), 8);
+  rng.fill(counters[1].data(), 8);
+  counters[1][15] = 0xf0;
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 600; ++n) lengths.push_back(n);
+  lengths.push_back(1500);
+  lengths.push_back(6144);
+  std::vector<std::uint8_t> in(6144);
+  rng.fill(in.data(), in.size());
+  for (const auto& ctr : counters) {
+    for (const std::size_t len : lengths) {
+      const std::span<const std::uint8_t> src{in.data(), len};
+      simd::set_cap(simd::Isa::kScalar);
+      std::vector<std::uint8_t> want(len);
+      crypto::aes256_ctr(cipher, ctr, src, want);
+      for (const auto isa : host_tiers()) {
+        simd::set_cap(isa);
+        std::vector<std::uint8_t> got(len, 0xAA);
+        crypto::aes256_ctr(cipher, ctr, src, got);
+        EXPECT_EQ(got, want) << "out of place len=" << len << " ctr[15]="
+                             << int{ctr[15]} << " isa=" << simd::to_string(isa);
+        std::vector<std::uint8_t> inplace(src.begin(), src.end());
+        crypto::aes256_ctr(cipher, ctr, inplace, inplace);
+        EXPECT_EQ(inplace, want) << "in place len=" << len << " ctr[15]="
+                                 << int{ctr[15]}
+                                 << " isa=" << simd::to_string(isa);
       }
     }
   }
@@ -625,19 +670,39 @@ TEST(SimdParity, CopyBytesCrossPage) {
 // --- CRC32C ------------------------------------------------------------------
 
 TEST(SimdParity, Crc32cAllTiers) {
+  // Lengths at the edges of each fold path: one 16-byte chunk, the 64-byte
+  // four-accumulator start, the 128-byte 256-bit start, one and two more
+  // 128-byte steps, ragged tails after them, and ~6 KB DMA batches and
+  // twice that.  Every start offset 0..15, three seeds, and the buffer
+  // checksummed in two pieces (the second continues from the first's CRC).
   CapGuard guard;
   Xoshiro256 rng{0xCCC32ull};
-  for (const std::size_t len : {0ul, 1ul, 7ul, 8ul, 9ul, 100ul, 767ul, 768ul,
-                                769ul, 1500ul, 1535ul, 2304ul, 6144ul,
-                                6145ul}) {
-    std::vector<std::uint8_t> buf(len);
-    rng.fill(buf.data(), buf.size());
-    simd::set_cap(simd::Isa::kScalar);
-    const std::uint32_t want = common::crc32c(buf);
-    for (const auto isa : host_tiers()) {
-      simd::set_cap(isa);
-      EXPECT_EQ(common::crc32c(buf), want)
-          << "len=" << len << " isa=" << simd::to_string(isa);
+  const std::size_t lengths[] = {0,   1,   7,   8,    9,    15,   16,  17,
+                                 31,  32,  33,  63,   64,   65,   100, 127,
+                                 128, 129, 159, 160,  255,  256,  257, 383,
+                                 384, 767, 768, 1500, 6120, 6144, 12240};
+  const std::uint32_t seeds[] = {0u, 1u, ~0u};
+  std::vector<std::uint8_t> backing(12240 + 16);
+  rng.fill(backing.data(), backing.size());
+  for (const std::size_t len : lengths) {
+    for (std::size_t off = 0; off < 16; ++off) {
+      const std::span<const std::uint8_t> buf{backing.data() + off, len};
+      const std::size_t cut = rng.bounded(len + 1);
+      for (const std::uint32_t seed : seeds) {
+        simd::set_cap(simd::Isa::kScalar);
+        const std::uint32_t want = common::crc32c(buf, seed);
+        for (const auto isa : host_tiers()) {
+          simd::set_cap(isa);
+          EXPECT_EQ(common::crc32c(buf, seed), want)
+              << "len=" << len << " off=" << off << " seed=" << seed
+              << " isa=" << simd::to_string(isa);
+          EXPECT_EQ(common::crc32c(buf.subspan(cut),
+                                   common::crc32c(buf.first(cut), seed)),
+                    want)
+              << "len=" << len << " off=" << off << " cut=" << cut
+              << " seed=" << seed << " isa=" << simd::to_string(isa);
+        }
+      }
     }
   }
 }
